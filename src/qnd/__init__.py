@@ -18,8 +18,8 @@ and cross-engine comparison tables.
 
 from .chainformulas import ChainParams
 from .disttrack import ChainProtocol, TruncatedDistribution, WernerParam
-from .netmodel import (Explicit, Lossy, Measure, NetworkSpec, WeightedUGraph,
-                       parse_network, serialize_network)
+from .netmodel import (Edge, Explicit, Lossy, Measure, NetworkSpec,
+                       WeightedUGraph, parse_network, serialize_network)
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,7 @@ __all__ = [
     "ChainProtocol",
     "TruncatedDistribution",
     "WernerParam",
+    "Edge",
     "Explicit",
     "Lossy",
     "Measure",

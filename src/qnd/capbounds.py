@@ -2,13 +2,18 @@
 
 Every task (bipartite, multi-pair, multipartite) gets a lower and an upper
 bound, both computed as flow maximizations on the undirected weighted graph
-of the network: the lower bound weights each edge with achievable capacities,
-the upper bound with entanglement measures.  Three usage accountings are
-supported: the network's own per-edge usage weights (FIXED_Q), one use of
-every channel per network use (PER_NETWORK_USE), and a joint optimization of
-the usage frequencies under a unit budget (PER_CHANNEL_USE), which adds one
-nonnegative variable per directed edge and a single equality constraint to
-the flow program, never a nested max-min loop.
+of the network (:func:`qnd.netmodel.undirect`): the lower bound weights each
+edge with achievable capacities, the upper bound with entanglement measures.
+Three usage accountings are supported: the network's own per-edge usage
+weights (FIXED_Q), one use of every channel per network use
+(PER_NETWORK_USE), and a joint optimization of the usage frequencies under a
+unit budget (PER_CHANNEL_USE), which adds one nonnegative variable per
+directed edge and a single equality constraint to the flow program, never a
+nested max-min loop.
+
+This module only weights the graph and reports: the programs are built,
+solved and verified by :mod:`qnd.flows`, so every bound rests on a flow
+assignment that passed :meth:`qnd.flows.FlowAssignment.verify`.
 
 Multicommodity upper bounds carry an unavoidable O(log k) gap to the
 corresponding cut quantity; the gap factor is reported symbolically in the
@@ -18,13 +23,11 @@ corresponding cut quantity; the gap factor is reported symbolically in the
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from . import lpcore
-from .netmodel import (Measure, NetworkValidationError, WeightedUGraph,
-                       _channel_weight)
+from .flows import FlowObjective, _solve_flow
+from .netmodel import (Edge, Measure, NetworkValidationError,
+                       _channel_weight, undirect)
 
 __all__ = [
     "UsageUnit",
@@ -86,152 +89,42 @@ class BoundReport:
                 raise ValueError("q_opt is not a probability vector")
 
 
-def _undirected_key(e):
-    return (e.tail, e.head) if e.tail < e.head else (e.head, e.tail)
+def _solve_sandwich(net, unit, pairs, objective, esq_lossy_upper,
+                    shared_capacity=True):
+    """The lower and the upper flow LP of a capacity bound, solved and
+    verified by :mod:`qnd.flows` on graphs of :func:`qnd.netmodel.undirect`.
 
+    FIXED_Q weights each channel by its own ``q``, PER_NETWORK_USE by 1,
+    and PER_CHANNEL_USE hands the per-channel values to the program as
+    usage terms, one frequency variable per directed edge.  With
+    ``shared_capacity`` False each pair gets its own private copy of the
+    capacity constraints.
 
-def _edge_values(net, measure, esq_lossy):
-    """Per directed edge index: channel value under the measure."""
-    return [_channel_weight(e.channel, measure, esq_lossy=esq_lossy)
-            for e in net.edges]
-
-
-def _weighted_graph(net, measure, unit, esq_lossy):
-    """Undirected graph with weights fixed by the usage accounting
-    (FIXED_Q or PER_NETWORK_USE)."""
-    values = _edge_values(net, measure, esq_lossy)
-    weights = {}
-    for e, val in zip(net.edges, values):
-        q = 1.0 if unit is UsageUnit.PER_NETWORK_USE else e.q
-        contrib = val * q
-        if math.isinf(val):
-            contrib = math.inf if q > 0 else 0.0
-        key = _undirected_key(e)
-        weights[key] = weights.get(key, 0.0) + contrib
-    uedges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
-    return WeightedUGraph(vertices=net.nodes, uedges=uedges)
-
-
-def _solve_capacity_lp(net, measure, unit, pairs, mode, esq_lossy):
-    """One flow LP for a capacity bound.
-
-    ``mode``:
-      "total"       maximize the summed flow, shared edge capacity
-      "worst"       maximize the least flow, shared edge capacity
-      "independent" maximize the least flow, each pair with its own
-                    private copy of the capacity constraints
-
-    Returns (value, q_opt or None).
+    Returns (lower, upper, q_opt), ``q_opt`` being the usage frequencies
+    that attain the lower value, or None unless PER_CHANNEL_USE.
     """
-    unit = UsageUnit(unit)
-    if not net.edges:
-        return 0.0, None  # no channels, nothing to weight or optimize
-    uedge_keys = sorted({_undirected_key(e) for e in net.edges})
-    edge_index = {key: j for j, key in enumerate(uedge_keys)}
-    n_e = len(uedge_keys)
-    k = len(pairs)
-    optimize_q = unit is UsageUnit.PER_CHANNEL_USE
-    n_q = len(net.edges) if optimize_q else 0
-
-    # Fixed weights (or None when q is optimized).
-    values = _edge_values(net, measure, esq_lossy)
-    if not optimize_q:
-        graph = _weighted_graph(net, measure, unit, esq_lossy)
-        fixed_w = {(u, v): w for u, v, w in graph.uedges}
-    # Per undirected edge: the directed edges contributing to its weight.
-    q_terms = [[] for _ in range(n_e)]
-    for q_idx, (e, val) in enumerate(zip(net.edges, values)):
-        q_terms[edge_index[_undirected_key(e)]].append((q_idx, val))
-
-    worst_like = mode in ("worst", "independent")
-    n_flow = 2 * n_e * k
-    n = n_flow + (1 if worst_like else 0) + n_q
-    q_offset = n_flow + (1 if worst_like else 0)
-
-    def fvar(i, j, direction):
-        return i * 2 * n_e + 2 * j + direction
-
-    incident = {v: [] for v in net.nodes}
-    for j, (u, v) in enumerate(uedge_keys):
-        incident[u].append((j, 0))
-        incident[v].append((j, 1))
-
-    def net_flow_row(i, vertex):
-        row = np.zeros(n)
-        for j, direction in incident[vertex]:
-            row[fvar(i, j, direction)] += 1.0
-            row[fvar(i, j, 1 - direction)] -= 1.0
-        return row
-
-    rows_ineq, rhs_ineq = [], []
-    capacity_groups = ([range(k)] if mode in ("total", "worst")
-                       else [[i] for i in range(k)])
-    for group in capacity_groups:
-        for j in range(n_e):
-            if optimize_q:
-                if any(math.isinf(val) for _, val in q_terms[j]):
-                    continue  # lossless edge: capacity never binds
-                row = np.zeros(n)
-                for i in group:
-                    row[fvar(i, j, 0)] = 1.0
-                    row[fvar(i, j, 1)] = 1.0
-                for q_idx, val in q_terms[j]:
-                    row[q_offset + q_idx] = -val
-                rows_ineq.append(row)
-                rhs_ineq.append(0.0)
-            else:
-                w = fixed_w[uedge_keys[j]]
-                if math.isinf(w):
-                    continue
-                row = np.zeros(n)
-                for i in group:
-                    row[fvar(i, j, 0)] = 1.0
-                    row[fvar(i, j, 1)] = 1.0
-                rows_ineq.append(row)
-                rhs_ineq.append(w)
-
-    rows_eq, rhs_eq = [], []
-    for i, (s, t) in enumerate(pairs):
-        for v in net.nodes:
-            if v in (s, t) or not incident[v]:
-                continue
-            rows_eq.append(net_flow_row(i, v))
-            rhs_eq.append(0.0)
-
-    c = np.zeros(n)
-    if worst_like:
-        c[n_flow] = 1.0
-        for i, (s, t) in enumerate(pairs):
-            row = np.zeros(n)
-            row[n_flow] = 1.0
-            row -= net_flow_row(i, s)
-            rows_ineq.append(row)
-            rhs_ineq.append(0.0)
-    else:
-        for i, (s, t) in enumerate(pairs):
-            c += net_flow_row(i, s)
-
-    if optimize_q:
-        row = np.zeros(n)
-        row[q_offset:q_offset + n_q] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(1.0)
-
-    lp = lpcore.from_inequalities(
-        c,
-        np.array(rows_ineq).reshape(-1, n), np.array(rhs_ineq),
-        np.array(rows_eq).reshape(-1, n), np.array(rhs_eq))
-    result = lpcore.solve(lp)
-    if result.status is lpcore.LPStatus.UNBOUNDED:
-        return math.inf, None
-    if result.status is not lpcore.LPStatus.OPTIMAL:
-        raise lpcore.LPNumericError(
-            f"capacity LP unexpectedly {result.status.value}")
-    q_opt = None
-    if optimize_q:
-        q_opt = tuple(float(x) for x in
-                      result.solution[q_offset:q_offset + n_q])
-    return float(result.value), q_opt
+    if unit is UsageUnit.PER_NETWORK_USE:
+        net = replace(net, edges=tuple(Edge(e.tail, e.head, e.channel, 1.0)
+                                       for e in net.edges))
+    results = []
+    for measure, esq_lossy in ((Measure.LOWER_CAPACITY, False),
+                               (Measure.UPPER_ENTANGLEMENT, esq_lossy_upper)):
+        graph = undirect(net, measure, esq_lossy=esq_lossy)
+        usage_terms = None
+        if unit is UsageUnit.PER_CHANNEL_USE:
+            edge_index = {(u, v): j
+                          for j, (u, v, _) in enumerate(graph.uedges)}
+            usage_terms = [[] for _ in graph.uedges]
+            for q_idx, e in enumerate(net.edges):
+                key = (min(e.tail, e.head), max(e.tail, e.head))
+                usage_terms[edge_index[key]].append(
+                    (q_idx, _channel_weight(e.channel, measure,
+                                            esq_lossy=esq_lossy)))
+        value, _, q = _solve_flow(graph, pairs, objective, usage_terms,
+                                  shared_capacity)
+        results.append((value, q))
+    (lower, q_opt), (upper, _) = results
+    return lower, upper, q_opt
 
 
 def bipartite_bounds(net, a, b, unit=UsageUnit.PER_NETWORK_USE,
@@ -260,11 +153,8 @@ def bipartite_bounds(net, a, b, unit=UsageUnit.PER_NETWORK_USE,
             raise NetworkValidationError(
                 f"node {node!r} is not in the network")
     unit = UsageUnit(unit)
-    lower, q_opt = _solve_capacity_lp(
-        net, Measure.LOWER_CAPACITY, unit, [(a, b)], "total", False)
-    upper, _ = _solve_capacity_lp(
-        net, Measure.UPPER_ENTANGLEMENT, unit, [(a, b)], "total",
-        esq_lossy_upper)
+    lower, upper, q_opt = _solve_sandwich(
+        net, unit, [(a, b)], FlowObjective.TOTAL, esq_lossy_upper)
     return BoundReport(lower=lower, upper=upper, unit=unit, q_opt=q_opt,
                        slack_note="upper = tightest cut bound; "
                                   "lower = achievable routing flow")
@@ -301,11 +191,8 @@ def multipair_bounds(net, pairs, objective="total",
         raise ValueError(f"unknown objective {objective!r}")
     unit = UsageUnit(unit)
     k = len(pairs)
-    lower, q_opt = _solve_capacity_lp(
-        net, Measure.LOWER_CAPACITY, unit, pairs, objective, False)
-    upper, _ = _solve_capacity_lp(
-        net, Measure.UPPER_ENTANGLEMENT, unit, pairs, objective,
-        esq_lossy_upper)
+    lower, upper, q_opt = _solve_sandwich(net, unit, pairs, objective,
+                                          esq_lossy_upper)
     gap = "g1(k)" if objective == "total" else "g2(k)"
     note = (f"upper holds up to the multicommodity gap {gap} = O(log k), "
             f"k={k}; numeric slack factor {slack_factor:g} applied")
@@ -341,11 +228,9 @@ def multipartite_bounds(net, users=None, unit=UsageUnit.PER_NETWORK_USE,
                 f"node {u!r} is not in the network")
     unit = UsageUnit(unit)
     pairs = list(itertools.combinations(users, 2))
-    lower_raw, q_opt = _solve_capacity_lp(
-        net, Measure.LOWER_CAPACITY, unit, pairs, "independent", False)
-    upper, _ = _solve_capacity_lp(
-        net, Measure.UPPER_ENTANGLEMENT, unit, pairs, "independent",
-        esq_lossy_upper)
+    lower_raw, upper, q_opt = _solve_sandwich(
+        net, unit, pairs, FlowObjective.WORST, esq_lossy_upper,
+        shared_capacity=False)
     g3 = tree_constants.g3
     lower = g3 * lower_raw
     note = (f"lower = g3 * least pairwise flow with g3={g3:g} "

@@ -34,7 +34,7 @@ import time
 
 from . import capbounds, chainformulas, deskernel, disttrack, markovchain
 from . import lpcore, montecarlo, netmodel
-from .flows import SizeLimitError
+from .flows import FlowVerificationError, SizeLimitError
 
 __all__ = ["main"]
 
@@ -532,9 +532,9 @@ _COMMANDS = {
 _INPUT_ERRORS = (netmodel.NetworkParseError, netmodel.NetworkValidationError,
                  FileNotFoundError, IsADirectoryError, PermissionError)
 _ENGINE_ERRORS = (FeatureMismatchError, lpcore.LPNumericError,
-                  disttrack.HorizonError, markovchain.StateLimitError,
-                  markovchain.AbsorptionError, SizeLimitError,
-                  OverflowError, ValueError)
+                  FlowVerificationError, disttrack.HorizonError,
+                  markovchain.StateLimitError, markovchain.AbsorptionError,
+                  SizeLimitError, OverflowError, ValueError)
 
 
 def main(argv=None):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disttrack import ChainProtocol, distill_output_w, distill_success_prob
-from .montecarlo import BatchSummary, SampleRecord, substream
+from .montecarlo import SampleRecord, _geometric, _summarize, substream
 
 __all__ = [
     "EventKind",
@@ -220,12 +220,9 @@ class ChainSimulation:
     # -- event handling -------------------------------------------------
 
     def _gen_draw(self):
-        """Attempts until the first success, by inverse CDF; the failing
-        attempts in between are aggregated into the waiting time."""
-        if self.params.p_g >= 1.0:
-            return 1
-        u = self.state.rng.random()
-        return int(math.log1p(-u) / self._log_q) + 1
+        """Attempts until the first success; the failing attempts in
+        between are aggregated into the waiting time."""
+        return _geometric(self.state.rng, self.params.p_g, self._log_q)
 
     def run(self):
         """Execute until the root delivers; returns a SampleRecord."""
@@ -381,24 +378,4 @@ def simulate_batch(params, protocol=None, n_samples=1000, seed=0, delay=0):
         rec = sim.run()
         times[i] = rec.t
         wvals[i] = rec.w
-    hist = {}
-    w_sum = {}
-    for t, w in zip(times, wvals):
-        t = int(t)
-        hist[t] = hist.get(t, 0) + 1
-        w_sum[t] = w_sum.get(t, 0.0) + float(w)
-    if n_samples > 1:
-        stderr_t = float(times.std(ddof=1) / math.sqrt(n_samples))
-        stderr_w = float(wvals.std(ddof=1) / math.sqrt(n_samples))
-    else:
-        stderr_t = stderr_w = None
-    return BatchSummary(
-        n_samples=n_samples,
-        mean_t=float(times.mean()),
-        stderr_t=stderr_t,
-        mean_w=float(wvals.mean()),
-        stderr_w=stderr_w,
-        histogram=tuple(sorted(hist.items())),
-        seed=seed if isinstance(seed, int) else -1,
-        w_by_t=tuple((t, w_sum[t] / c) for t, c in sorted(hist.items())),
-    )
+    return _summarize(times, wvals, seed if isinstance(seed, int) else -1)

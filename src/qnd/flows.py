@@ -1,12 +1,17 @@
 """Flow and cut computations on undirected weighted graphs.
 
-The flow maximizations are linear programs built on :mod:`qnd.lpcore`:
+The flow maximizations are linear programs solved by :mod:`qnd.lpcore`:
 single-commodity max-flow, and multicommodity total / worst-case concurrent
-flow.  Alongside them live small brute-force oracles, minimum cut, minimum
-multicut, minimum cut ratio, terminal-set connectivity, and Steiner tree
-packing, which are exact on small instances and serve as independent
-cross-checks of the LP results (max-flow equals min-cut, total flow is at
-most the multicut weight, worst-case flow at most the cut ratio).
+flow.  One function assembles every flow program of the package, including
+the capacity programs of :mod:`qnd.capbounds` with their per-pair capacity
+copies and optimized usage frequencies, and every solution it returns has
+passed :meth:`FlowAssignment.verify`, a solver-independent re-check of
+capacity and conservation.  Alongside them live small brute-force oracles,
+minimum cut, minimum multicut, minimum cut ratio, terminal-set
+connectivity, and Steiner tree packing, which are exact on small instances
+and serve as independent cross-checks of the LP results (max-flow equals
+min-cut, total flow is at most the multicut weight, worst-case flow at most
+the cut ratio).
 
 Flows are real-valued throughout; integrality appears only inside the
 brute-force tree-packing oracle.
@@ -24,6 +29,7 @@ from .netmodel import WeightedUGraph
 
 __all__ = [
     "FlowAssignment",
+    "FlowVerificationError",
     "CutResult",
     "FlowObjective",
     "SizeLimitError",
@@ -54,16 +60,22 @@ class FlowObjective(str, enum.Enum):
     WORST = "worst"
 
 
+class FlowVerificationError(AssertionError):
+    """A flow assignment violates capacity or conservation.
+
+    Raised explicitly, so the check also runs under ``python -O``."""
+
+
 @dataclass(frozen=True)
 class FlowAssignment:
     """Edge flows of one or more commodities on an undirected graph.
 
     ``flows[i, j]`` holds ``(f_uv, f_vu)`` for commodity ``i`` on edge
     ``edges[j] = (u, v)``.  ``values[i]`` is the net flow leaving the
-    commodity's source.  Every assignment satisfies the shared capacity
-    constraint ``sum_i (f_uv + f_vu) <= weight(u, v)`` and per-commodity
-    flow conservation at non-terminal vertices; :meth:`verify` re-checks
-    both families directly, independent of the LP solver.
+    commodity's source.  Every assignment returned by this module (and by
+    :mod:`qnd.capbounds`) has passed :meth:`verify`, which re-checks the
+    capacity constraints and per-commodity flow conservation directly,
+    independent of the LP solver.
     """
 
     edges: tuple
@@ -74,34 +86,46 @@ class FlowAssignment:
     def verify(self, graph, tol=_VERIFY_TOL, shared_capacity=True):
         """Re-verify capacity and conservation against ``graph``.
 
-        Raises ``AssertionError`` on violation.  With ``shared_capacity``
-        False each commodity is checked against the full edge weight
-        separately (the regime of independent per-pair flow problems).
+        Raises :class:`FlowVerificationError`, an ``AssertionError``, on
+        violation.  With ``shared_capacity`` True the summed load
+        ``sum_i (f_uv + f_vu)`` must fit the edge weight; with False each
+        commodity is checked against the full edge weight separately (the
+        regime of independent per-pair flow problems).
         """
-        w = {(u, v): wt for u, v, wt in graph.uedges}
+        weight = {(u, v): wt for u, v, wt in graph.uedges}
+        capacity = np.array([weight[e] for e in self.edges])
         occupancy = self.flows.sum(axis=2)  # (k, n_edges)
-        if shared_capacity:
-            load = occupancy.sum(axis=0)
-            for j, (u, v) in enumerate(self.edges):
-                assert load[j] <= w[(u, v)] + tol, \
-                    f"capacity violated on {{{u}, {v}}}"
-        else:
-            for i in range(occupancy.shape[0]):
-                for j, (u, v) in enumerate(self.edges):
-                    assert occupancy[i, j] <= w[(u, v)] + tol, \
-                        f"capacity violated on {{{u}, {v}}} (commodity {i})"
-        assert np.all(self.flows >= -tol), "negative edge flow"
+        load = occupancy.sum(axis=0, keepdims=True) if shared_capacity \
+            else occupancy
+        over = np.argwhere(~(load <= capacity + tol))
+        if over.size:
+            i, j = over[0]
+            u, v = self.edges[j]
+            where = "" if shared_capacity else f" (commodity {i})"
+            raise FlowVerificationError(
+                f"capacity violated on {{{u}, {v}}}{where}")
+        if not np.all(self.flows >= -tol):
+            raise FlowVerificationError("negative edge flow")
+        index = {v: n for n, v in enumerate(graph.vertices)}
+        tails = np.array([index[u] for u, _ in self.edges], dtype=int)
+        heads = np.array([index[v] for _, v in self.edges], dtype=int)
+        n_v = len(graph.vertices)
         for i, (s, t) in enumerate(self.commodities):
-            net = {v: 0.0 for v in graph.vertices}
-            for j, (u, v) in enumerate(self.edges):
-                f_uv, f_vu = self.flows[i, j]
-                net[u] += f_uv - f_vu
-                net[v] += f_vu - f_uv
-            for v in graph.vertices:
-                if v not in (s, t):
-                    assert abs(net[v]) <= tol, \
-                        f"conservation violated at {v} (commodity {i})"
-            assert abs(net[s] - self.values[i]) <= max(tol, tol * abs(net[s]))
+            forward = self.flows[i, :, 0] - self.flows[i, :, 1]
+            net = (np.bincount(tails, forward, n_v)
+                   - np.bincount(heads, forward, n_v))
+            inner = np.ones(n_v, dtype=bool)
+            inner[[index[s], index[t]]] = False
+            leaks = np.flatnonzero(inner & ~(np.abs(net) <= tol))
+            if leaks.size:
+                raise FlowVerificationError(
+                    f"conservation violated at {graph.vertices[leaks[0]]} "
+                    f"(commodity {i})")
+            out = net[index[s]]
+            if not abs(out - self.values[i]) <= max(tol, tol * abs(out)):
+                raise FlowVerificationError(
+                    f"flow value of commodity {i} differs from the net "
+                    f"outflow of its source")
 
 
 @dataclass(frozen=True)
@@ -120,16 +144,24 @@ def _check_terminals(graph, *terminals):
             raise ValueError(f"terminal {t!r} is not a vertex of the graph")
 
 
-def _build_multiflow_lp(graph, commodities, objective, extra_q=None):
-    """Assemble the concurrent-flow LP.
+def _build_multiflow_lp(graph, commodities, objective, usage_terms=None,
+                        shared_capacity=True):
+    """Assemble a flow LP; every flow program of the package is built here.
 
     Variables are laid out as ``2 * n_edges`` flows per commodity
     (f_uv, f_vu per canonical edge), then one worst-case slack variable
-    when the objective is WORST.  ``extra_q`` optionally extends the
-    program with usage-frequency variables; it is a list of per-edge lists
-    of (q_index, value) terms plus the number of q variables, in which case
-    capacity rows become ``flows - sum(value * q) <= 0`` and the caller is
-    responsible for appending the q-budget equality.
+    when the objective is WORST, then the usage frequencies.
+
+    Edge capacities are the graph weights unless ``usage_terms`` is given:
+    then ``usage_terms[j]`` lists the ``(q_index, value)`` terms of edge
+    ``j``, its capacity is ``sum(value * q[q_index])`` over nonnegative
+    usage variables ``q``, and one final equality fixes ``sum(q) = 1``.
+    Edges of infinite weight, or with an infinite term, get no capacity
+    row.  With ``shared_capacity`` False every commodity gets its own copy
+    of the capacity rows.  Capacity rows are emitted group-major, then by
+    edge.
+
+    Returns ``(lp, q_offset, net_flow_row)``.
     """
     edges = [(u, v) for u, v, _ in graph.uedges]
     weights = [w for _, _, w in graph.uedges]
@@ -137,9 +169,9 @@ def _build_multiflow_lp(graph, commodities, objective, extra_q=None):
     k = len(commodities)
     n_flow = 2 * n_e * k
     worst = FlowObjective(objective) is FlowObjective.WORST
-    n_q = extra_q[0] if extra_q is not None else 0
-    n = n_flow + (1 if worst else 0) + n_q
+    n_q = sum(len(terms) for terms in usage_terms or ())
     q_offset = n_flow + (1 if worst else 0)
+    n = q_offset + n_q
 
     def fvar(i, j, direction):
         return i * 2 * n_e + 2 * j + direction
@@ -150,25 +182,26 @@ def _build_multiflow_lp(graph, commodities, objective, extra_q=None):
         incident[v].append((j, 1))
 
     rows_ineq, rhs_ineq = [], []
-    # Shared capacity per edge; rows for infinite weights are omitted.
-    for j, w in enumerate(weights):
-        if extra_q is None and math.isinf(w):
-            continue
-        row = np.zeros(n)
-        for i in range(k):
-            row[fvar(i, j, 0)] = 1.0
-            row[fvar(i, j, 1)] = 1.0
-        if extra_q is not None:
-            terms = extra_q[1][j]
-            if any(math.isinf(val) for _, val in terms):
+    groups = [range(k)] if shared_capacity else [[i] for i in range(k)]
+    for group in groups:
+        for j, w in enumerate(weights):
+            if usage_terms is None:
+                if math.isinf(w):
+                    continue
+                rhs = w
+            elif any(math.isinf(val) for _, val in usage_terms[j]):
                 continue
-            for q_idx, val in terms:
-                row[q_offset + q_idx] = -val
+            else:
+                rhs = 0.0
+            row = np.zeros(n)
+            for i in group:
+                row[fvar(i, j, 0)] = 1.0
+                row[fvar(i, j, 1)] = 1.0
+            if usage_terms is not None:
+                for q_idx, val in usage_terms[j]:
+                    row[q_offset + q_idx] = -val
             rows_ineq.append(row)
-            rhs_ineq.append(0.0)
-        else:
-            rows_ineq.append(row)
-            rhs_ineq.append(w)
+            rhs_ineq.append(rhs)
 
     def net_flow_row(i, vertex):
         row = np.zeros(n)
@@ -200,45 +233,74 @@ def _build_multiflow_lp(graph, commodities, objective, extra_q=None):
         for i, (s, t) in enumerate(commodities):
             c += net_flow_row(i, s)
 
-    return (c, rows_ineq, rhs_ineq, rows_eq, rhs_eq, edges, n, q_offset,
-            net_flow_row)
+    if usage_terms is not None:
+        row = np.zeros(n)
+        row[q_offset:] = 1.0
+        rows_eq.append(row)
+        rhs_eq.append(1.0)
 
-
-def _solve_flow(graph, commodities, objective):
-    if not graph.uedges:
-        assignment = FlowAssignment(
-            edges=(), commodities=tuple(tuple(p) for p in commodities),
-            flows=np.zeros((len(commodities), 0, 2)),
-            values=(0.0,) * len(commodities))
-        return 0.0, assignment
-    (c, rows_ineq, rhs_ineq, rows_eq, rhs_eq, edges, n, _,
-     net_flow_row) = _build_multiflow_lp(graph, commodities, objective)
     lp = lpcore.from_inequalities(
         c,
         np.array(rows_ineq).reshape(-1, n), np.array(rhs_ineq),
         np.array(rows_eq).reshape(-1, n), np.array(rhs_eq))
+    return lp, q_offset, net_flow_row
+
+
+def _usage_capacity(terms, q):
+    """Capacity of one edge under usage frequencies ``q``, as the LP sees
+    it: unbounded as soon as one channel on the edge is lossless, and never
+    below zero (the solver may return frequencies like -1e-17)."""
+    if any(math.isinf(val) for _, val in terms):
+        return math.inf
+    return max(0.0, sum(val * q[q_idx] for q_idx, val in terms))
+
+
+def _solve_flow(graph, commodities, objective, usage_terms=None,
+                shared_capacity=True):
+    """Build, solve and verify one flow LP (see :func:`_build_multiflow_lp`
+    for the arguments).
+
+    Returns ``(value, assignment, q)`` with ``q`` the optimized usage
+    frequencies when ``usage_terms`` is given, else None.  The assignment
+    is verified against the capacities the program enforced: the graph
+    weights, or the usage terms evaluated at ``q``.  An unbounded program,
+    only possible through infinite capacities, returns
+    ``(math.inf, None, None)``.
+    """
+    commodities = tuple(tuple(p) for p in commodities)
+    k = len(commodities)
+    if not graph.uedges:
+        assignment = FlowAssignment(edges=(), commodities=commodities,
+                                    flows=np.zeros((k, 0, 2)),
+                                    values=(0.0,) * k)
+        return 0.0, assignment, None
+    lp, q_offset, net_flow_row = _build_multiflow_lp(
+        graph, commodities, objective, usage_terms, shared_capacity)
     result = lpcore.solve(lp)
     if result.status is lpcore.LPStatus.UNBOUNDED:
-        # Only possible through infinitely weighted edges.
-        return math.inf, None
+        return math.inf, None, None
     if result.status is not lpcore.LPStatus.OPTIMAL:
         raise lpcore.LPNumericError(
             f"flow LP unexpectedly {result.status.value}")
-    x = result.solution
-    k = len(commodities)
-    n_e = len(edges)
-    flows = np.zeros((k, n_e, 2))
-    for i in range(k):
-        for j in range(n_e):
-            flows[i, j, 0] = x[i * 2 * n_e + 2 * j]
-            flows[i, j, 1] = x[i * 2 * n_e + 2 * j + 1]
-    values = tuple(float(net_flow_row(i, commodities[i][0]) @ x[:n])
+    x = result.solution[:lp.n_structural]
+    n_e = len(graph.uedges)
+    flows = x[:2 * n_e * k].reshape(k, n_e, 2).copy()
+    values = tuple(float(net_flow_row(i, commodities[i][0]) @ x)
                    for i in range(k))
-    assignment = FlowAssignment(edges=tuple(edges),
-                                commodities=tuple(commodities),
-                                flows=flows, values=values)
-    assignment.verify(graph)
-    return float(result.value), assignment
+    assignment = FlowAssignment(
+        edges=tuple((u, v) for u, v, _ in graph.uedges),
+        commodities=commodities, flows=flows, values=values)
+    q = None
+    capacities = graph
+    if usage_terms is not None:
+        q = tuple(float(v) for v in x[q_offset:])
+        capacities = WeightedUGraph(
+            vertices=graph.vertices,
+            uedges=tuple((u, v, _usage_capacity(terms, q))
+                         for (u, v, _), terms in zip(graph.uedges,
+                                                     usage_terms)))
+    assignment.verify(capacities, shared_capacity=shared_capacity)
+    return float(result.value), assignment, q
 
 
 def max_flow(graph, s, t):
@@ -251,7 +313,8 @@ def max_flow(graph, s, t):
     _check_terminals(graph, s, t)
     if s == t:
         raise ValueError("source and target must differ")
-    return _solve_flow(graph, [(s, t)], FlowObjective.TOTAL)
+    value, assignment, _ = _solve_flow(graph, [(s, t)], FlowObjective.TOTAL)
+    return value, assignment
 
 
 def multicommodity_flow(graph, commodities, objective=FlowObjective.TOTAL):
@@ -275,7 +338,8 @@ def multicommodity_flow(graph, commodities, objective=FlowObjective.TOTAL):
         _check_terminals(graph, s, t)
         if s == t:
             raise ValueError(f"commodity endpoints coincide: {s!r}")
-    return _solve_flow(graph, commodities, objective)
+    value, assignment, _ = _solve_flow(graph, commodities, objective)
+    return value, assignment
 
 
 def _cut_weights_vectorized(graph, fixed_in, fixed_out):

@@ -155,6 +155,13 @@ def run_batch(params, protocol=None, n_samples=1000, seed=0):
         record = sample_chain(params, protocol, substream(seed, i))
         times[i] = record.t
         wvals[i] = record.w
+    return _summarize(times, wvals, seed)
+
+
+def _summarize(times, wvals, seed):
+    """BatchSummary of per-sample delivery times and Werner parameters;
+    shared by the Monte Carlo and discrete-event batches."""
+    n_samples = len(times)
     hist = {}
     w_sum = {}
     for t, w in zip(times, wvals):

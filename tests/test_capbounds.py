@@ -6,7 +6,9 @@ import pytest
 
 from qnd.capbounds import (TreePackingConstants, UsageUnit, bipartite_bounds,
                            multipair_bounds, multipartite_bounds)
-from qnd.netmodel import Edge, Explicit, Lossy, NetworkSpec
+from qnd.flows import FlowAssignment
+from qnd.netmodel import (Edge, Explicit, Lossy, Measure, NetworkSpec,
+                          channel_value)
 
 NET = UsageUnit.PER_NETWORK_USE
 CHAN = UsageUnit.PER_CHANNEL_USE
@@ -235,3 +237,50 @@ class TestMultipartite:
         net = explicit_net("AB", [("A", "B", 1.0, 1.0)])
         with pytest.raises(ValueError):
             multipartite_bounds(net, unit=NET)
+
+
+class TestVerification:
+    # An asymmetric pair of explicit channels and a lossless channel.
+    NET = NetworkSpec(
+        nodes=("A", "B", "C", "D"),
+        edges=(Edge("A", "B", Lossy(0.6), q=0.5),
+               Edge("B", "C", Explicit(1.5, 0.8)),
+               Edge("C", "B", Explicit(0.7, 0.3), q=0.5),
+               Edge("C", "D", Lossy(1.0)),
+               Edge("A", "D", Lossy(0.3)),
+               Edge("B", "D", Lossy(0.5), q=2.0)),
+        users=("A", "B", "C", "D"))
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        verify = FlowAssignment.verify
+
+        def spy(assignment, graph, tol=1e-7, shared_capacity=True):
+            calls.append((graph, shared_capacity))
+            return verify(assignment, graph, tol, shared_capacity)
+
+        monkeypatch.setattr(FlowAssignment, "verify", spy)
+        return calls
+
+    @pytest.mark.parametrize("unit", list(UsageUnit))
+    def test_every_program_is_verified(self, checks, unit):
+        bipartite_bounds(self.NET, "A", "C", unit)
+        multipair_bounds(self.NET, [("A", "C"), ("B", "D")], "total", unit)
+        multipair_bounds(self.NET, [("A", "C"), ("B", "D")], "worst", unit)
+        multipartite_bounds(self.NET, unit=unit)
+        shared = [flag for _, flag in checks]
+        assert shared == [True] * 6 + [False] * 2
+
+    def test_channel_use_checked_against_q_opt(self, checks):
+        report = bipartite_bounds(self.NET, "A", "C", CHAN)
+        graph = checks[0][0]  # the lower-bound program
+        expected = {}
+        for e, q in zip(self.NET.edges, report.q_opt):
+            key = tuple(sorted((e.tail, e.head)))
+            value = channel_value(e.channel, Measure.LOWER_CAPACITY)
+            expected[key] = expected.get(key, 0.0) + (
+                math.inf if math.isinf(value) else q * value)
+        assert {(u, v): w for u, v, w in graph.uedges} == pytest.approx(
+            expected, abs=1e-12)
+        assert math.isinf(graph.weight("C", "D"))

@@ -197,9 +197,17 @@ class TestDetSwap:
         values = [det_swap_mean(8, p) for p in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_segment_guard(self):
-        with pytest.raises(OverflowError):
-            det_swap_mean(20_000, 0.5)
+    @pytest.mark.parametrize("n_segments", [40, 48, 56, 64, 1024])
+    @pytest.mark.parametrize("p_g", [0.1, 0.5, 0.9])
+    def test_many_segments_against_partial_links(self, n_segments, p_g):
+        # An alternating binomial sum is 4.2x off at 64 segments in double
+        # precision; the survival sum has no cancellation to lose.
+        assert det_swap_mean(n_segments, p_g) == pytest.approx(
+            partial_links_mean(n_segments, n_segments, p_g), rel=1e-9)
+
+    def test_no_segment_limit(self):
+        assert det_swap_mean(20_000, 0.5) == pytest.approx(
+            partial_links_mean(20_000, 20_000, 0.5), rel=1e-9)
 
 
 class TestDetSwapCutoff:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qnd.cli import main
+from qnd.flows import FlowAssignment, FlowVerificationError
 
 TWO_SEGMENT = """{
   "nodes": ["A", "M", "B"],
@@ -76,6 +77,15 @@ class TestBounds:
 
     def test_unknown_node_exits_2(self, netfile, capsys):
         assert main(["bounds", netfile, "--bipartite", "A", "Z"]) == 2
+
+    def test_failed_flow_verification_exits_3(self, netfile, monkeypatch,
+                                              capsys):
+        def reject(self, graph, tol=1e-7, shared_capacity=True):
+            raise FlowVerificationError("capacity violated on {A, M}")
+
+        monkeypatch.setattr(FlowAssignment, "verify", reject)
+        assert main(["bounds", netfile, "--bipartite", "A", "B"]) == 3
+        assert "capacity violated" in capsys.readouterr().err
 
     def test_csv_format(self, netfile, tmp_path):
         out = tmp_path / "report.csv"
@@ -166,6 +176,14 @@ class TestCompare:
         assert float(row["rel_err_geometric_level"]) < 1e-9
         assert float(row["exact_mean"]) == pytest.approx(16.0 / 3.0,
                                                          abs=1e-6)
+
+    def test_det_swap_exact_at_64_segments(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--n", "6", "--pg", "0.1", "--ps", "1.0",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(row["rel_err_det_swap"]) <= 1e-9
 
     def test_pmf_overlays(self, tmp_path):
         pmf_dir = tmp_path / "pmf"

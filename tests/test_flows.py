@@ -1,10 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qnd.flows import (FlowObjective, SizeLimitError, max_flow,
+from qnd.flows import (FlowAssignment, FlowObjective, FlowVerificationError,
+                       SizeLimitError, max_flow,
                        min_cut_bruteforce, min_cut_ratio_bruteforce,
                        min_multicut_bruteforce, multicommodity_flow,
                        s_connectivity, steiner_packing_bruteforce)
@@ -70,6 +75,53 @@ class TestMaxFlow:
             value, assignment = max_flow(g, "V0", "V5")
             if assignment is not None:
                 assignment.verify(g)  # raises on violation
+
+
+class TestVerify:
+    OVERLOADED = FlowAssignment(edges=(("A", "B"),),
+                                commodities=(("A", "B"), ("A", "B")),
+                                flows=np.array([[[0.75, 0.0]], [[0.75, 0.0]]]),
+                                values=(0.75, 0.75))
+    EDGE = graph("AB", [("A", "B", 1.0)])
+
+    def test_shared_and_per_commodity_capacity(self):
+        with pytest.raises(FlowVerificationError, match="capacity"):
+            self.OVERLOADED.verify(self.EDGE)
+        self.OVERLOADED.verify(self.EDGE, shared_capacity=False)
+
+    def test_conservation_violation(self):
+        leaky = FlowAssignment(edges=(("A", "B"), ("B", "C")),
+                               commodities=(("A", "C"),),
+                               flows=np.array([[[1.0, 0.0], [0.5, 0.0]]]),
+                               values=(1.0,))
+        # The documented contract: violations raise an AssertionError.
+        with pytest.raises(AssertionError, match="conservation"):
+            leaky.verify(UNIT_PATH)
+
+    def test_raises_under_python_optimize(self):
+        script = (
+            "import numpy as np\n"
+            "from qnd.flows import FlowAssignment, FlowVerificationError\n"
+            "from qnd.netmodel import WeightedUGraph\n"
+            "assert False, 'asserts are live'  # stripped by -O\n"
+            "g = WeightedUGraph(vertices=('A', 'B'),\n"
+            "                   uedges=(('A', 'B', 1.0),))\n"
+            "a = FlowAssignment(edges=(('A', 'B'),),\n"
+            "                   commodities=(('A', 'B'),),\n"
+            "                   flows=np.array([[[2.0, 0.0]]]),\n"
+            "                   values=(2.0,))\n"
+            "try:\n"
+            "    a.verify(g)\n"
+            "except FlowVerificationError:\n"
+            "    print('raised')\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised"
 
 
 class TestMinCutBruteforce:
