@@ -25,6 +25,7 @@ files.  Exit codes: 0 success, 2 input error, 3 solver or engine error,
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -34,7 +35,7 @@ import time
 
 from . import capbounds, chainformulas, deskernel, disttrack, markovchain
 from . import lpcore, montecarlo, netmodel
-from .flows import FlowVerificationError, SizeLimitError
+from .flows import SizeLimitError
 
 __all__ = ["main"]
 
@@ -330,20 +331,16 @@ def _markov_cell(params, args):
     return row
 
 
-def _mc_cell(params, args):
-    batch = montecarlo.run_batch(params, _protocol(params, args),
-                                 n_samples=args.samples, seed=args.seed)
-    stddev = (None if batch.stderr_t is None
-              else batch.stderr_t * math.sqrt(batch.n_samples))
-    return {"mean_t": batch.mean_t, "stddev_t": stddev,
-            "mean_w": batch.mean_w, "captured_mass": None,
-            "stderr_t": batch.stderr_t}
-
-
-def _des_cell(params, args):
-    batch = deskernel.simulate_batch(params, _protocol(params, args),
-                                     n_samples=args.samples,
-                                     seed=args.seed, delay=args.delay)
+def _sampled_cell(params, args):
+    """A seeded Monte Carlo (``mc``) or discrete-event (``des``) batch."""
+    protocol = _protocol(params, args)
+    if args.engine == "des":
+        batch = deskernel.simulate_batch(params, protocol,
+                                         n_samples=args.samples,
+                                         seed=args.seed, delay=args.delay)
+    else:
+        batch = montecarlo.run_batch(params, protocol,
+                                     n_samples=args.samples, seed=args.seed)
     stddev = (None if batch.stderr_t is None
               else batch.stderr_t * math.sqrt(batch.n_samples))
     return {"mean_t": batch.mean_t, "stddev_t": stddev,
@@ -355,37 +352,33 @@ _CELL_RUNNERS = {
     "analytic": _analytic_cell,
     "track": _track_cell,
     "markov": _markov_cell,
-    "mc": _mc_cell,
-    "des": _des_cell,
+    "mc": _sampled_cell,
+    "des": _sampled_cell,
 }
 
 
 def _cmd_chain(args):
+    if args.delay and args.engine != "des":
+        raise FeatureMismatchError(
+            f"--delay needs the des engine, not {args.engine}")
+    if (args.swap_time != markovchain.SwapTimeMode.ZERO_STEP.value
+            and args.engine != "markov"):
+        raise FeatureMismatchError(
+            f"--swap-time {args.swap_time} needs the markov engine, "
+            f"not {args.engine}")
     cells = _grid_cells(args)
     runner = _CELL_RUNNERS[args.engine]
 
     def run(params):
         t0 = time.perf_counter()
         row = runner(params, args)
-        row["_wall_ms"] = 1e3 * (time.perf_counter() - t0)
+        row["wall_ms"] = 1e3 * (time.perf_counter() - t0)
         return row
 
     results = _map_cells(run, cells)
     columns = _CHAIN_COLUMNS + (("wall_ms",) if args.timings else ())
-    rows = []
-    for params, row in zip(cells, results):
-        out = {
-            "engine": args.engine,
-            "n": params.n, "p_g": params.p_g, "p_s": params.p_s,
-            "t_coh": params.t_coh, "tau": params.tau,
-            "mean_t": row["mean_t"], "stddev_t": row["stddev_t"],
-            "mean_w": row["mean_w"],
-            "captured_mass": row["captured_mass"],
-            "stderr_t": row["stderr_t"],
-        }
-        if args.timings:
-            out["wall_ms"] = row["_wall_ms"]
-        rows.append(out)
+    rows = [{"engine": args.engine, **dataclasses.asdict(params), **row}
+            for params, row in zip(cells, results)]
     _write_table(columns, rows, args.format, args.out)
 
     if args.export_pmf:
@@ -494,7 +487,7 @@ def _cmd_simulate(args):
         }
         if args.trace_hash:
             sim = deskernel.ChainSimulation(
-                params, protocol, seed=montecarlo.substream(args.seed, 0),
+                params, protocol, seed=args.seed,
                 delay=args.delay, trace=True)
             sim.run()
             row["trace_sha256"] = sim.trace_hash()
@@ -531,8 +524,10 @@ _COMMANDS = {
 
 _INPUT_ERRORS = (netmodel.NetworkParseError, netmodel.NetworkValidationError,
                  FileNotFoundError, IsADirectoryError, PermissionError)
+# AssertionError covers every invariant check that raises explicitly, such
+# as flows.FlowVerificationError, so a failed check exits 3.
 _ENGINE_ERRORS = (FeatureMismatchError, lpcore.LPNumericError,
-                  FlowVerificationError, disttrack.HorizonError,
+                  AssertionError, disttrack.HorizonError,
                   markovchain.StateLimitError, markovchain.AbsorptionError,
                   SizeLimitError, OverflowError, ValueError)
 

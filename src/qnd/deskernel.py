@@ -1,13 +1,12 @@
 """Minimal discrete-event simulation kernel and a repeater-chain protocol
 model running on it.
 
-The kernel is the classic sequential loop: initialize the clock, the network
-state, and the event list; then repeatedly pop the next event, advance the
-clock, perform the event, update state and event list, and check the
-termination condition.  Events are totally ordered by (time, scheduling
-sequence), so a fixed seed replays an identical event trace; that
-repeatability is the point of the single-queue design, and the optional
-event-trace log hashes to a seed-stable fingerprint.
+The kernel is the classic sequential loop over a clock and one event
+queue: repeatedly pop the next event, advance the clock, perform the event,
+and check the termination condition.  Events are totally ordered by (time,
+scheduling sequence), so a fixed seed replays an identical event trace;
+that repeatability is the point of the single-queue design, and the
+optional event-trace log hashes to a seed-stable fingerprint.
 
 The chain model executes the same protocol language as the analytical
 engines: a tree of combine units over generation leaves.  Each unit stores
@@ -18,14 +17,18 @@ Expiry events are scheduled when a link is stored, hence always precede
 resolve events carrying the same timestamp.  An optional integer
 classical-communication delay per swap shifts resolve events; with zero
 delay the delivered (time, quality) statistics coincide with direct
-Monte Carlo sampling of the protocol.
+Monte Carlo sampling of the protocol.  A run ends when the root delivers;
+the trace then closes with an ``end`` record carrying the delivery time
+and the root's Werner parameter.
 """
 
 import enum
+import functools
 import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +57,13 @@ class EventKind(str, enum.Enum):
     GEN_ATTEMPT = "gen-attempt"
     SWAP_RESOLVE = "swap-resolve"
     CUTOFF_EXPIRE = "cutoff-expire"
-    END = "end"
+    END = "end"  # names the closing trace record; never queued
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled action: strict (time, sequence) order, sequence
-    assigned at scheduling time."""
+    assigned at scheduling time.  The (time, sequence) prefix is unique, so
+    events go onto the heap as they are."""
 
     time: int
     sequence: int
@@ -70,14 +73,11 @@ class Event:
 
 @dataclass
 class SimState:
-    """Clock, event queue, model registry, and bookkeeping of one run."""
+    """Clock, event queue, optional trace lines, and sequence counter of
+    one run."""
 
     clock: int = 0
     queue: list = field(default_factory=list)
-    registry: dict = field(default_factory=dict)
-    rng: object = None
-    stats: dict = field(default_factory=dict)
-    handler: object = None
     trace: list | None = None
     _seq: int = 0
 
@@ -87,10 +87,9 @@ def schedule(state, time, kind, payload=()):
     if time < state.clock:
         raise ValueError(f"cannot schedule at {time} before clock "
                          f"{state.clock}")
-    event = Event(time=time, sequence=state._seq, kind=kind,
-                  payload=payload)
+    event = Event(time, state._seq, kind, payload)
     state._seq += 1
-    heapq.heappush(state.queue, (event.time, event.sequence, event))
+    heapq.heappush(state.queue, event)
     return event
 
 
@@ -98,25 +97,29 @@ def pop_next(state):
     """Next event in (time, sequence) order; advances the clock."""
     if not state.queue:
         raise EmptyQueueError("event queue is empty")
-    _, _, event = heapq.heappop(state.queue)
+    event = heapq.heappop(state.queue)
     state.clock = event.time
     return event
 
 
-def run_until(state, condition):
+def _record(state, event):
+    """Append the trace line of ``event``: time, sequence, kind, payload."""
+    state.trace.append(f"{event.time}\t{event.sequence}\t"
+                       f"{event.kind.value}\t{event.payload}")
+
+
+def run_until(state, condition, perform):
     """Drive the main loop until ``condition(state)`` holds.
 
-    Pops, advances the clock, performs the event through the state's
-    handler, and re-checks the condition; raises EmptyQueueError if the
-    queue drains first.
+    Pops, advances the clock, records the event if tracing, calls
+    ``perform(event)``, and re-checks the condition; raises EmptyQueueError
+    if the queue drains first.
     """
     while not condition(state):
         event = pop_next(state)
         if state.trace is not None:
-            state.trace.append(
-                f"{event.time}\t{event.sequence}\t{event.kind.value}\t"
-                f"{event.payload}")
-        state.handler(state, event)
+            _record(state, event)
+        perform(event)
     return state
 
 
@@ -137,12 +140,8 @@ class _Tree:
     leaves_of: tuple
 
 
-_TREE_CACHE = {}
-
-
+@functools.cache
 def _tree_structure(depth):
-    if depth in _TREE_CACHE:
-        return _TREE_CACHE[depth]
     offsets = []
     total = 0
     for level in range(depth + 1):
@@ -172,12 +171,10 @@ def _tree_structure(depth):
             a, b = children[i]
             subtree[i] = (i,) + subtree[a] + subtree[b]
             leaves_of[i] = leaves_of[a] + leaves_of[b]
-    tree = _Tree(n_leaves=2 ** depth, level=tuple(level_of),
+    return _Tree(n_leaves=2 ** depth, level=tuple(level_of),
                  parent=tuple(parent), sibling=tuple(sibling),
                  children=tuple(children), subtree=tuple(subtree),
                  leaves_of=tuple(leaves_of))
-    _TREE_CACHE[depth] = tree
-    return tree
 
 
 class ChainSimulation:
@@ -185,9 +182,12 @@ class ChainSimulation:
 
     The protocol tree has ``2**len(plan)`` generation leaves; the unit at
     level L combines two copies of the level L-1 output using plan[L-1].
-    Nodes carry integer ids; the registry holds, per node, the link it has
-    delivered (birth time and Werner parameter) or None, plus an epoch
-    counter for lazy cancellation of stale events.
+    Nodes carry integer ids; ``links`` holds, per node, the link it has
+    delivered (birth time and Werner parameter) or None, and ``epochs`` a
+    counter for lazy cancellation of stale events.  A run ends as soon as
+    the root delivers; with ``trace=True`` the trace then closes with an
+    ``end`` record.  ``seed`` is a generator or an int, which selects
+    ``substream(seed, 0)``.
     """
 
     def __init__(self, params, protocol=None, seed=0, delay=0, trace=False):
@@ -203,16 +203,12 @@ class ChainSimulation:
         self.protocol = protocol
         self.delay = int(delay)
         self.depth = len(protocol.plan)
-        self.seed = seed
         self.tree = _tree_structure(self.depth)
-        rng = seed if hasattr(seed, "random") else \
-            np.random.Generator(np.random.Philox(key=[seed, 0]))
+        self.rng = seed if hasattr(seed, "random") else substream(seed, 0)
         n_nodes = len(self.tree.parent)
         self.links = [None] * n_nodes
         self.epochs = [0] * n_nodes
-        self.state = SimState(rng=rng, handler=self._perform,
-                              trace=[] if trace else None)
-        self.state.registry = {"links": self.links, "epochs": self.epochs}
+        self.state = SimState(trace=[] if trace else None)
         self.decay = params.decay_per_step
         self._log_q = math.log1p(-params.p_g) if params.p_g < 1.0 else 0.0
         self.result = None
@@ -222,7 +218,7 @@ class ChainSimulation:
     def _gen_draw(self):
         """Attempts until the first success; the failing attempts in
         between are aggregated into the waiting time."""
-        return _geometric(self.state.rng, self.params.p_g, self._log_q)
+        return _geometric(self.rng, self.params.p_g, self._log_q)
 
     def run(self):
         """Execute until the root delivers; returns a SampleRecord."""
@@ -230,11 +226,11 @@ class ChainSimulation:
         for leaf in range(self.tree.n_leaves):
             schedule(state, self._gen_draw(), EventKind.GEN_ATTEMPT,
                      (leaf, 0))
-        run_until(state, lambda s: self.result is not None)
+        run_until(state, lambda s: self.result is not None, self._perform)
         return self.result
 
     def _rearm(self, rng):
-        """Reset clock, queue, and registry for the next batch run."""
+        """Reset clock, queue, and links for the next batch run."""
         n = len(self.links)
         self.links[:] = [None] * n
         self.epochs[:] = [0] * n
@@ -242,12 +238,12 @@ class ChainSimulation:
         state.clock = 0
         state.queue.clear()
         state._seq = 0
-        state.rng = rng
+        self.rng = rng
         if state.trace is not None:
             state.trace.clear()
         self.result = None
 
-    def _perform(self, state, event):
+    def _perform(self, event):
         kind = event.kind
         if kind is EventKind.GEN_ATTEMPT:
             self._on_gen(event)
@@ -255,9 +251,6 @@ class ChainSimulation:
             self._on_resolve(event)
         elif kind is EventKind.CUTOFF_EXPIRE:
             self._on_expire(event)
-        elif kind is EventKind.END:
-            t, w = event.payload
-            self.result = SampleRecord(t=t, w=min(w, 1.0))
 
     def _on_gen(self, event):
         leaf, epoch = event.payload
@@ -272,8 +265,12 @@ class ChainSimulation:
         parent = tree.parent[node]
         now = self.state.clock
         if parent < 0:
-            birth, w = self.links[node]
-            schedule(self.state, now, EventKind.END, (now, w))
+            w = self.links[node][1]
+            self.result = SampleRecord(t=now, w=min(w, 1.0))
+            state = self.state
+            if state.trace is not None:
+                _record(state, Event(now, state._seq, EventKind.END,
+                                     (now, w)))
             return
         sibling = tree.sibling[node]
         if self.links[sibling] is None:
@@ -321,16 +318,16 @@ class ChainSimulation:
         now = self.state.clock
         (b1, w1), (b2, w2) = link_l, link_r
         age_l, age_r = now - b1, now - b2
-        if self.params.tau is not None:
-            assert max(age_l, age_r) - self.delay <= self.params.tau, \
-                "swap consumed a link past its cut-off age"
+        if (self.params.tau is not None
+                and max(age_l, age_r) - self.delay > self.params.tau):
+            raise AssertionError("swap consumed a link past its cut-off age")
         w1 = w1 * self.decay ** age_l
         w2 = w2 * self.decay ** age_r
         self.epochs[node] += 1
         self.links[left] = None
         self.links[right] = None
         op = self.protocol.plan[self.tree.level[node] - 1]
-        rng = self.state.rng
+        rng = self.rng
         if op == "swap":
             p = self.params.p_s
             success = p >= 1.0 or rng.random() < p
@@ -372,7 +369,7 @@ def simulate_batch(params, protocol=None, n_samples=1000, seed=0, delay=0):
         protocol = ChainProtocol.swap_only(params.n)
     times = np.empty(n_samples, dtype=np.int64)
     wvals = np.empty(n_samples, dtype=float)
-    sim = ChainSimulation(params, protocol, seed=0, delay=delay)
+    sim = ChainSimulation(params, protocol, delay=delay)
     for i in range(n_samples):
         sim._rearm(substream(seed, i))
         rec = sim.run()

@@ -477,8 +477,8 @@ def min_multicut_bruteforce(graph, commodities, limit=MAX_MULTICUT_EDGES):
     removed = set(cut)
     remaining = [(u, v) for u, v, _ in graph.uedges if (u, v) not in removed]
     comp = _components(vertices, remaining)
-    for s, t in commodities:
-        assert comp[s] != comp[t], "multicut verification failed"
+    if any(comp[s] == comp[t] for s, t in commodities):
+        raise AssertionError("multicut verification failed")
     return float(best_weight), cut
 
 

@@ -99,7 +99,6 @@ def _sample_unit(level, params, protocol, rng, x, log_q):
                 # discarded at age tau and both sides start over.
                 elapsed += min(t1, t2) + tau
                 continue
-            assert tau is None or gap <= tau
             elapsed += max(t1, t2)
             if t1 <= t2:
                 w1 *= x ** gap

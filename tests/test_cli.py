@@ -122,6 +122,29 @@ class TestChain:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["mean_t"]) == pytest.approx(16.0 / 3.0 + 2.0)
 
+    def test_delay_needs_des_engine(self, capsys):
+        for engine in ("analytic", "track", "markov", "mc"):
+            assert main(["chain", engine, "--n", "1", "--pg", "0.5",
+                         "--samples", "100", "--delay", "3"]) == 3
+            assert "--delay needs the des engine" in capsys.readouterr().err
+
+    def test_des_honours_delay(self, capsys):
+        assert main(["chain", "des", "--n", "1", "--pg", "0.5",
+                     "--samples", "4000", "--seed", "1", "--delay", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        # Mean wait 8/3 without delay; the one swap adds two steps.
+        assert abs(float(row["mean_t"]) - (8.0 / 3.0 + 2.0)) < \
+            4.0 * float(row["stderr_t"])
+
+    def test_swap_time_needs_markov_engine(self, capsys):
+        for engine in ("analytic", "track", "mc", "des"):
+            assert main(["chain", engine, "--n", "1", "--pg", "0.5",
+                         "--samples", "100", "--swap-time",
+                         "one-step"]) == 3
+            assert "--swap-time one-step needs the markov engine" in \
+                capsys.readouterr().err
+
     def test_markov_rejects_cutoff(self, capsys):
         assert main(["chain", "markov", "--n", "1", "--pg", "0.5",
                      "--cutoff", "5"]) == 3

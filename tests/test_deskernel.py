@@ -37,14 +37,14 @@ class TestKernel:
             schedule(state, 2, EventKind.END)
 
     def test_run_until_immediate_when_condition_holds(self):
-        state = SimState(handler=lambda s, e: None)
-        result = run_until(state, lambda s: True)
+        state = SimState()
+        result = run_until(state, lambda s: True, lambda e: None)
         assert result.clock == 0
 
     def test_run_until_empty_queue_error(self):
-        state = SimState(handler=lambda s, e: None)
+        state = SimState()
         with pytest.raises(EmptyQueueError):
-            run_until(state, lambda s: False)
+            run_until(state, lambda s: False, lambda e: None)
 
     def test_events_are_immutable(self):
         event = Event(time=1, sequence=0, kind=EventKind.END)
@@ -146,11 +146,29 @@ class TestChainSimulation:
             4.0 * math.hypot(des.stderr_w, mc.stderr_w)
 
     def test_cutoff_age_never_exceeded(self):
-        # The resolve handler asserts ages at consumption; run a stressy
+        # The resolve handler checks ages at consumption; run a stressy
         # configuration to exercise it.
         params = ChainParams(n=2, p_g=0.6, p_s=0.5, t_coh=5.0, tau=2)
         batch = simulate_batch(params, n_samples=3000, seed=8)
         assert batch.n_samples == 3000
+
+    def test_over_age_swap_raises_under_python_optimize(self, run_optimized):
+        # Both leaves of a one-swap chain hold links born at t=0; a resolve
+        # at t=10 with tau=2 would consume them past the cut-off age.
+        script = (
+            "from qnd.chainformulas import ChainParams\n"
+            "from qnd.deskernel import ChainSimulation, Event, EventKind\n"
+            "assert False, 'asserts are live'  # stripped by -O\n"
+            "sim = ChainSimulation(ChainParams(n=1, p_g=0.5, tau=2))\n"
+            "sim.links[0] = sim.links[1] = (0, 1.0)\n"
+            "sim.state.clock = 10\n"
+            "try:\n"
+            "    sim._on_resolve(Event(10, 0, EventKind.SWAP_RESOLVE, "
+            "(2, 0)))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+        assert run_optimized(script) == \
+            "swap consumed a link past its cut-off age"
 
     def test_distillation_protocol_runs(self):
         params = ChainParams(n=1, p_g=0.5, p_s=0.5, t_coh=6.0)

@@ -1,9 +1,5 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,7 +94,7 @@ class TestVerify:
         with pytest.raises(AssertionError, match="conservation"):
             leaky.verify(UNIT_PATH)
 
-    def test_raises_under_python_optimize(self):
+    def test_raises_under_python_optimize(self, run_optimized):
         script = (
             "import numpy as np\n"
             "from qnd.flows import FlowAssignment, FlowVerificationError\n"
@@ -114,14 +110,7 @@ class TestVerify:
             "    a.verify(g)\n"
             "except FlowVerificationError:\n"
             "    print('raised')\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "raised"
+        assert run_optimized(script) == "raised"
 
 
 class TestMinCutBruteforce:
@@ -245,6 +234,24 @@ class TestMinMulticut:
         g = graph(names, edges)
         with pytest.raises(SizeLimitError):
             min_multicut_bruteforce(g, [("V0", "V1")])
+
+    def test_failed_verification_raises_under_python_optimize(
+            self, run_optimized):
+        # A connectivity check that reports every pair still connected
+        # must fail the re-verification even with asserts stripped.
+        script = (
+            "from qnd import flows\n"
+            "from qnd.netmodel import WeightedUGraph\n"
+            "assert False, 'asserts are live'  # stripped by -O\n"
+            "flows._components = lambda vertices, edges: "
+            "{v: 0 for v in vertices}\n"
+            "g = WeightedUGraph(vertices=('A', 'B', 'C'),\n"
+            "                   uedges=(('A', 'B', 1.0), ('B', 'C', 1.0)))\n"
+            "try:\n"
+            "    flows.min_multicut_bruteforce(g, [('A', 'C')])\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+        assert run_optimized(script) == "multicut verification failed"
 
 
 class TestCutRatio:

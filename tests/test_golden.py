@@ -5,9 +5,10 @@ has to match its snapshot byte for byte.  The one tolerance is the
 ``rel_err_det_swap`` column of ``compare``, which is compared to 1e-12
 absolute so the closed form may be re-evaluated by a different stable sum.
 
-The snapshots cover the criterion-12 commands plus every ``bounds`` task,
-usage unit and output format on ``net_mixed.json``, a network with an
-asymmetric pair of explicit channels and a lossless (eta = 1) channel.
+The snapshots cover the criterion-12 commands, ``simulate --trace-hash``
+grids that pin the discrete-event traces, and every ``bounds`` task, usage
+unit and output format on ``net_mixed.json``, a network with an asymmetric
+pair of explicit channels and a lossless (eta = 1) channel.
 
 Regenerate the snapshots, only when a change of output is intended, with::
 
@@ -64,6 +65,17 @@ def _commands():
                              "--distill-rounds", "1", "--delay", "1",
                              "--samples", "200", "--seed", "5",
                              "--trace-hash"],
+        "simulate_trace_cutoff_delay": [
+            "simulate", "--n", "1,2", "--pg", "0.3,0.6", "--ps", "0.5,1.0",
+            "--tcoh", "20", "--cutoff", "6,12", "--delay", "2",
+            "--samples", "50", "--seed", "11", "--trace-hash"],
+        "simulate_trace_swap": [
+            "simulate", "--n", "0,1,2", "--pg", "0.3,1.0", "--ps", "0.5",
+            "--samples", "50", "--seed", "4", "--trace-hash"],
+        "simulate_trace_distill": [
+            "simulate", "--n", "1,2", "--pg", "0.5", "--ps", "0.8",
+            "--tcoh", "30", "--cutoff", "8", "--distill-rounds", "1",
+            "--samples", "50", "--seed", "2", "--trace-hash"],
     }
     tasks = {
         "bipartite": ["--bipartite", "A", "C"],
