@@ -366,6 +366,10 @@ def _cmd_chain(args):
         raise FeatureMismatchError(
             f"--swap-time {args.swap_time} needs the markov engine, "
             f"not {args.engine}")
+    if args.export_pmf and not (args.engine == "track"
+                                or (args.engine == "markov" and args.trunc)):
+        raise FeatureMismatchError(
+            "--export-pmf needs the track engine (or markov with --trunc)")
     cells = _grid_cells(args)
     runner = _CELL_RUNNERS[args.engine]
 
@@ -382,18 +386,11 @@ def _cmd_chain(args):
     _write_table(columns, rows, args.format, args.out)
 
     if args.export_pmf:
-        dists = [r.get("_dist") for r in results]
-        if not any(d is not None for d in dists):
-            raise FeatureMismatchError(
-                "--export-pmf needs the track engine (or markov with "
-                "--trunc)")
         pieces = []
-        for params, dist in zip(cells, dists):
-            if dist is None:
-                continue
+        for params, row in zip(cells, results):
             pieces.append(f"# n={params.n} p_g={params.p_g!r} "
                           f"p_s={params.p_s!r}\n")
-            pieces.append(disttrack.distribution_csv(dist))
+            pieces.append(disttrack.distribution_csv(row["_dist"]))
         with open(args.export_pmf, "w", newline="") as fh:
             fh.write("".join(pieces))
     return EXIT_OK

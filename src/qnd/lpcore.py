@@ -1,11 +1,18 @@
-"""Dense simplex solver for small and medium linear programs.
+"""Tableau simplex solver for small and medium linear programs.
 
 Problems are held in standard form, maximize ``c . x`` subject to
-``A x = b`` and ``x >= 0``.  The solver is a two-phase tableau simplex with
-Bland's anti-cycling rule, which terminates in finitely many pivots and is
-fully deterministic: identical programs yield identical results.  Instances
-in this package have at most a few hundred variables, so correctness and
-reproducibility dominate over speed.
+``A x = b`` and ``x >= 0``.  The solver is a two-phase simplex on a dense
+tableau with Bland's anti-cycling rule, which terminates in finitely many
+pivots and is fully deterministic: identical programs yield identical
+results.
+
+A pivot updates only the rows whose pivot-column entry is nonzero, and in
+them only the columns where the pivot row is nonzero; the pivot columns of
+flow programs are almost all zero, so most of the tableau is never touched.
+The entering column and the ratio-test candidates are found with numpy,
+while the ratio test itself still visits its candidates in row order, so
+the pivot sequence is the one Bland's rule fixes.  Pivots, iteration counts
+and results are bitwise those of a full outer-product update.
 """
 
 import enum
@@ -117,10 +124,23 @@ def from_inequalities(c, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None):
 
 
 def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    piv = T[:, col].copy()
-    piv[row] = 0.0
-    T -= np.outer(piv, T[row])
+    """Pivot on ``T[row, col]``, touching only the entries that change.
+
+    Entry ``(i, j)`` changes only when both ``T[i, col]`` and ``T[row, j]``
+    are nonzero, and there it gets ``T[i, j] - T[i, col] * T[row, j]``
+    exactly as in a full outer-product update.  Everywhere else that
+    update subtracts a zero, which changes at most the sign of a zero
+    entry.  The one such sign a result shows is a basic value, read from
+    the right-hand side of the row its variable was pivoted into; adding
+    0.0 there turns -0.0 into +0.0 as the full update does, so results
+    are bitwise those of the full update.
+    """
+    pivot_row = T[row] / T[row, col]
+    pivot_row[-1] += 0.0
+    rows = T[:, col].nonzero()[0][:, np.newaxis]
+    cols = pivot_row.nonzero()[0]
+    T[rows, cols] -= T[rows, col] * pivot_row[cols]
+    T[row] = pivot_row  # the update above also hit the pivot row
     basis[row] = col
 
 
@@ -134,25 +154,23 @@ def _simplex_phase(T, basis, n_cols, iterations):
     """
     m = T.shape[0] - 1
     while True:
-        reduced = T[-1, :n_cols]
-        entering = -1
-        for j in range(n_cols):
-            if reduced[j] > PIVOT_TOL:
-                entering = j
-                break  # Bland: smallest improving index
-        if entering < 0:
+        improving = T[-1, :n_cols] > PIVOT_TOL
+        entering = int(improving.argmax())  # Bland: smallest improving index
+        if not improving[entering]:
             return True, iterations
         col = T[:m, entering]
+        candidates = (col > PIVOT_TOL).nonzero()[0]
+        ratios = T[candidates, -1] / col[candidates]
         best_ratio = np.inf
         leaving = -1
-        for i in range(m):
-            if col[i] > PIVOT_TOL:
-                ratio = T[i, -1] / col[i]
-                if ratio < best_ratio - PIVOT_TOL or (
-                        abs(ratio - best_ratio) <= PIVOT_TOL
-                        and (leaving < 0 or basis[i] < basis[leaving])):
-                    best_ratio = ratio
-                    leaving = i
+        # Sequential on purpose: the tie window moves with best_ratio, and
+        # ties go to the smallest basic index, which Bland's rule needs.
+        for i, ratio in zip(candidates.tolist(), ratios.tolist()):
+            if ratio < best_ratio - PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= PIVOT_TOL
+                    and (leaving < 0 or basis[i] < basis[leaving])):
+                best_ratio = ratio
+                leaving = i
         if leaving < 0:
             return False, iterations  # unbounded direction
         _pivot(T, basis, leaving, entering)
@@ -214,14 +232,10 @@ def solve(lp):
     keep_rows = []
     for i in range(m):
         if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(T[i, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
+            usable = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
+            if usable.size == 0:
                 continue  # redundant constraint
-            _pivot(T, basis, i, pivot_col)
+            _pivot(T, basis, i, int(usable[0]))
             iterations += 1
         keep_rows.append(i)
     rows = keep_rows + [m]
@@ -231,9 +245,11 @@ def solve(lp):
     # Phase 2: restore the real objective expressed in the current basis.
     T[-1, :n] = c
     T[-1, -1] = 0.0
-    for i, bi in enumerate(basis):
-        if abs(T[-1, bi]) > 0.0:
-            T[-1] -= T[-1, bi] * T[i]
+    # Basic columns are unit vectors, so each row's coefficient is its
+    # basic variable's cost, unchanged by the rows subtracted before it.
+    costs = c[basis]
+    for i in np.flatnonzero(costs):
+        T[-1] -= costs[i] * T[i]
 
     optimal, iterations = _simplex_phase(T, basis, n, iterations)
     if not optimal:

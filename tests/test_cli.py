@@ -180,6 +180,25 @@ class TestChain:
         text = pmf_path.read_text()
         assert "t,pmf,cdf,mean_w,mean_F" in text
 
+    def test_export_pmf_from_markov_with_trunc(self, tmp_path, capsys):
+        pmf_path = tmp_path / "pmf.csv"
+        assert main(["chain", "markov", "--n", "1", "--pg", "0.5",
+                     "--ps", "0.5", "--trunc", "300",
+                     "--export-pmf", str(pmf_path)]) == 0
+        assert pmf_path.read_text().startswith("# n=1 p_g=0.5 p_s=0.5\n")
+
+    def test_export_pmf_rejected_before_any_cell_runs(self, tmp_path,
+                                                      capsys):
+        pmf_path = tmp_path / "pmf.csv"
+        for argv in (["mc", "--samples", "100"], ["des", "--samples", "100"],
+                     ["analytic"], ["markov"]):
+            assert main(["chain", *argv, "--n", "1", "--pg", "0.5",
+                         "--export-pmf", str(pmf_path)]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "--export-pmf needs the track engine" in err
+            assert not pmf_path.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "rows.json"
         main(["chain", "analytic", "--n", "1", "--pg", "0.5",

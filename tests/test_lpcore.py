@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnd import lpcore
-from qnd.lpcore import (LPStatus, StandardFormLP, from_inequalities, solve)
+from qnd.flows import FlowObjective, _build_multiflow_lp
+from qnd.lpcore import (FEASIBILITY_TOL, PIVOT_TOL, LPNumericError, LPResult,
+                        LPStatus, StandardFormLP, from_inequalities, solve)
+from qnd.netmodel import WeightedUGraph
 
 
 def vertex_enumeration_max(c, A_ineq, b_ineq):
@@ -29,6 +32,132 @@ def vertex_enumeration_max(c, A_ineq, b_ineq):
             if best is None or value > best:
                 best = value
     return best
+
+
+# --- the dense reference solver ------------------------------------------
+# A two-phase tableau simplex whose every pivot subtracts a full outer
+# product and whose Bland's rule scans every column and row in Python.
+# lpcore.solve must reproduce it bit for bit.
+
+def _dense_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    piv = T[:, col].copy()
+    piv[row] = 0.0
+    T -= np.outer(piv, T[row])
+    basis[row] = col
+
+
+def _dense_phase(T, basis, n_cols, iterations):
+    m = T.shape[0] - 1
+    while True:
+        reduced = T[-1, :n_cols]
+        entering = -1
+        for j in range(n_cols):
+            if reduced[j] > PIVOT_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return True, iterations
+        col = T[:m, entering]
+        best_ratio = np.inf
+        leaving = -1
+        for i in range(m):
+            if col[i] > PIVOT_TOL:
+                ratio = T[i, -1] / col[i]
+                if ratio < best_ratio - PIVOT_TOL or (
+                        abs(ratio - best_ratio) <= PIVOT_TOL
+                        and (leaving < 0 or basis[i] < basis[leaving])):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            return False, iterations
+        _dense_pivot(T, basis, leaving, entering)
+        iterations += 1
+        if iterations > lpcore._MAX_PIVOTS:
+            raise LPNumericError("too many pivots")
+
+
+def dense_solve(lp):
+    A = lp.A.copy()
+    b = lp.b.copy()
+    c = lp.c.copy()
+    m, n = A.shape
+    if m == 0:
+        if np.any(c > PIVOT_TOL):
+            return LPResult(LPStatus.UNBOUNDED, np.inf, np.zeros(n), 0)
+        return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(n), 0)
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = b
+    basis = list(range(n, n + m))
+    T[-1, :n] = A.sum(axis=0)
+    T[-1, -1] = b.sum()
+    _, iterations = _dense_phase(T, basis, n + m, 0)
+    if T[-1, -1] > FEASIBILITY_TOL * (1.0 + np.abs(b).max(initial=0.0)):
+        return LPResult(LPStatus.INFEASIBLE, np.nan, np.full(n, np.nan),
+                        iterations)
+    keep_rows = []
+    for i in range(m):
+        if basis[i] >= n:
+            pivot_col = -1
+            for j in range(n):
+                if abs(T[i, j]) > PIVOT_TOL:
+                    pivot_col = j
+                    break
+            if pivot_col < 0:
+                continue
+            _dense_pivot(T, basis, i, pivot_col)
+            iterations += 1
+        keep_rows.append(i)
+    rows = keep_rows + [m]
+    T = T[rows][:, list(range(n)) + [n + m]]
+    basis = [basis[i] for i in keep_rows]
+    T[-1, :n] = c
+    T[-1, -1] = 0.0
+    for i, bi in enumerate(basis):
+        if abs(T[-1, bi]) > 0.0:
+            T[-1] -= T[-1, bi] * T[i]
+    optimal, iterations = _dense_phase(T, basis, n, iterations)
+    if not optimal:
+        return LPResult(LPStatus.UNBOUNDED, np.inf, np.full(n, np.nan),
+                        iterations)
+    x = np.zeros(n)
+    for i, bi in enumerate(basis):
+        x[bi] = T[i, -1]
+    residual = np.abs(lp.A @ x - lp.b).max(initial=0.0)
+    bound = FEASIBILITY_TOL * (1.0 + np.abs(lp.b).max(initial=0.0))
+    if residual > bound:
+        raise LPNumericError("feasibility residual")
+    if x.min(initial=0.0) < -FEASIBILITY_TOL:
+        raise LPNumericError("negative component")
+    return LPResult(LPStatus.OPTIMAL, float(lp.c @ x), x, iterations)
+
+
+def _outcome(solver, lp):
+    try:
+        return solver(lp)
+    except LPNumericError as exc:
+        return type(exc)
+
+
+def assert_same_as_dense(lp):
+    """``solve`` and the dense reference agree bit for bit: status,
+    iteration count, value and every solution entry, signs of zeros and
+    NaN payloads included."""
+    new, ref = _outcome(solve, lp), _outcome(dense_solve, lp)
+    if not isinstance(ref, LPResult):
+        assert new is ref
+        return new
+    assert new.status is ref.status
+    assert new.iterations == ref.iterations
+    assert np.float64(new.value).tobytes() == np.float64(ref.value).tobytes()
+    assert np.array_equal(np.signbit(new.solution), np.signbit(ref.solution))
+    assert new.solution.tobytes() == ref.solution.tobytes()
+    return new
 
 
 class TestSolve:
@@ -80,6 +209,50 @@ class TestSolve:
         assert res.status is LPStatus.OPTIMAL
         assert res.value == pytest.approx(1.0)
 
+    def test_beale_cycling_example(self, monkeypatch):
+        # Beale (1955), the textbook program on which the largest-coefficient
+        # rule cycles.  Every pivot of a simplex phase must enter the
+        # smallest improving column, no basis may repeat, and the solve
+        # must reach the optimum 1/20 at x = (1/25, 0, 1, 0).
+        c = [0.75, -150.0, 0.02, -6.0]
+        A = [[0.25, -60.0, -0.04, 9.0],
+             [0.5, -90.0, -0.02, 3.0],
+             [0.0, 0.0, 1.0, 0.0]]
+        b = [0.0, 0.0, 1.0]
+        pivots = []
+        pivot = lpcore._pivot
+
+        def recording_pivot(T, basis, row, col):
+            improving = np.flatnonzero(T[-1, :-1] > PIVOT_TOL)
+            pivots.append((tuple(basis), col, improving[:1].tolist()))
+            pivot(T, basis, row, col)
+
+        monkeypatch.setattr(lpcore, "_pivot", recording_pivot)
+        lp = from_inequalities(c, A, b)
+        res = solve(lp)
+        assert res.status is LPStatus.OPTIMAL
+        assert res.value == pytest.approx(1.0 / 20.0, abs=1e-12)
+        assert res.solution[:4] == pytest.approx([0.04, 0.0, 1.0, 0.0],
+                                                 abs=1e-12)
+        assert len(pivots) == res.iterations
+        # Drive-out pivots after phase 1 have no improving column.
+        assert all(col == first[0] for _, col, first in pivots if first)
+        bases = [basis for basis, _, _ in pivots]
+        assert len(set(bases)) == len(bases)
+        monkeypatch.undo()
+        assert_same_as_dense(lp)
+
+    def test_negated_rows_and_zero_right_hand_sides(self):
+        # Rows with b < 0 are negated, which turns their zero entries into
+        # -0.0; zero right-hand sides make every pivot degenerate.
+        lp = StandardFormLP(c=[1.0, -1.0, 2.0, 0.0],
+                            A=[[1.0, 0.0, -1.0, 0.0],
+                               [0.0, -1.0, 0.0, 1.0],
+                               [-1.0, 0.0, -2.0, -1.0]],
+                            b=[0.0, -0.0, -3.0])
+        res = assert_same_as_dense(lp)
+        assert res.status is LPStatus.OPTIMAL
+
     def test_determinism(self):
         rng = np.random.default_rng(3)
         A = rng.integers(-3, 4, size=(4, 7)).astype(float)
@@ -125,6 +298,87 @@ class TestFromInequalities:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             from_inequalities([1.0, 1.0], [[1.0, 1.0]], [1.0, 2.0])
+
+
+def _grid(k, seed):
+    """A k x k grid with weights from a small set, so that many flow
+    programs tie and pivot degenerately; returns (graph, corners)."""
+    rng = np.random.default_rng(seed)
+    weights = (0.0, 0.2, 0.5, 0.9, 1.3)
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            for di, dj in ((0, 1), (1, 0)):
+                if i + di < k and j + dj < k:
+                    edges.append((f"r{i}c{j}", f"r{i + di}c{j + dj}",
+                                  float(rng.choice(weights))))
+    vertices = [f"r{i}c{j}" for i in range(k) for j in range(k)]
+    last = k - 1
+    corners = [f"r{i}c{j}" for i, j in ((0, 0), (0, last), (last, 0),
+                                        (last, last))]
+    return WeightedUGraph(vertices=vertices, uedges=edges), corners
+
+
+def _flow_program(kind, k, seed):
+    graph, (a, b, c, d) = _grid(k, seed)
+    crossing = [(a, d), (b, c)]
+    if kind == "bipartite":
+        return _build_multiflow_lp(graph, [(a, d)], FlowObjective.TOTAL)
+    if kind == "multipair-total":
+        return _build_multiflow_lp(graph, crossing, FlowObjective.TOTAL)
+    if kind == "multipair-worst":
+        return _build_multiflow_lp(graph, crossing, FlowObjective.WORST)
+    if kind == "multipartite":
+        return _build_multiflow_lp(
+            graph, list(itertools.combinations((a, b, c, d), 2)),
+            FlowObjective.WORST, shared_capacity=False)
+    # channel-use: one usage frequency per edge and the q-budget row.
+    terms = [[(j, w)] for j, (_, _, w) in enumerate(graph.uedges)]
+    return _build_multiflow_lp(graph, [(a, d)], FlowObjective.TOTAL,
+                               usage_terms=terms)
+
+
+class TestMatchesDenseReference:
+    @pytest.mark.parametrize("kind", ["bipartite", "multipair-total",
+                                      "multipair-worst", "multipartite",
+                                      "channel-use"])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_flow_programs(self, kind, k):
+        lp, _, _ = _flow_program(kind, k, seed=k)
+        res = assert_same_as_dense(lp)
+        assert res.status is LPStatus.OPTIMAL
+        assert res.iterations > 0
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_degenerate_and_redundant_programs(self, data):
+        m = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(1, 7))
+        # Zeros make rows degenerate; entries like 0.1 and 0.7 are inexact
+        # in binary, so a change in the order of any sum shows in the bits.
+        entry = st.sampled_from([-2.0, -0.7, -0.5, 0.0, 0.0, 0.1, 1.0, 3.0])
+        rhs = st.sampled_from([-2.0, -0.3, 0.0, 0.0, 0.0, 0.7, 2.0])
+        A = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=m, max_size=m))
+        b = data.draw(st.lists(rhs, min_size=m, max_size=m))
+        c = data.draw(st.lists(entry, min_size=n, max_size=n))
+        # Redundant rows: scaled copies (-1 turns zeros into -0.0) and
+        # sums of two rows, with matching right-hand sides.
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, m - 1))
+            scale = data.draw(st.sampled_from([1.0, -1.0, 2.0]))
+            row, value = [scale * x for x in A[i]], scale * b[i]
+            if data.draw(st.booleans()):
+                j = data.draw(st.integers(0, m - 1))
+                row = [x + y for x, y in zip(row, A[j])]
+                value += b[j]
+            A.append(row)
+            b.append(value)
+        if data.draw(st.booleans()):
+            lp = from_inequalities(c, A, b)
+        else:
+            lp = StandardFormLP(c=c, A=A, b=b)
+        assert_same_as_dense(lp)
 
 
 @given(st.integers(0, 10_000))
