@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from .flows import FlowObjective, _solve_flow
 from .netmodel import (Edge, Measure, NetworkValidationError,
-                       _channel_weight, undirect)
+                       channel_value, undirect)
 
 __all__ = [
     "UsageUnit",
@@ -89,6 +89,13 @@ class BoundReport:
                 raise ValueError("q_opt is not a probability vector")
 
 
+def _require_nodes(net, nodes):
+    for node in nodes:
+        if node not in net.nodes:
+            raise NetworkValidationError(
+                f"node {node!r} is not in the network")
+
+
 def _solve_sandwich(net, unit, pairs, objective, esq_lossy_upper,
                     shared_capacity=True):
     """The lower and the upper flow LP of a capacity bound, solved and
@@ -118,8 +125,8 @@ def _solve_sandwich(net, unit, pairs, objective, esq_lossy_upper,
             for q_idx, e in enumerate(net.edges):
                 key = (min(e.tail, e.head), max(e.tail, e.head))
                 usage_terms[edge_index[key]].append(
-                    (q_idx, _channel_weight(e.channel, measure,
-                                            esq_lossy=esq_lossy)))
+                    (q_idx, channel_value(e.channel, measure,
+                                          esq_lossy=esq_lossy)))
         value, _, q = _solve_flow(graph, pairs, objective, usage_terms,
                                   shared_capacity)
         results.append((value, q))
@@ -148,10 +155,7 @@ def bipartite_bounds(net, a, b, unit=UsageUnit.PER_NETWORK_USE,
     """
     if a == b:
         raise NetworkValidationError("the two parties must be distinct nodes")
-    for node in (a, b):
-        if node not in net.nodes:
-            raise NetworkValidationError(
-                f"node {node!r} is not in the network")
+    _require_nodes(net, (a, b))
     unit = UsageUnit(unit)
     lower, upper, q_opt = _solve_sandwich(
         net, unit, [(a, b)], FlowObjective.TOTAL, esq_lossy_upper)
@@ -180,10 +184,7 @@ def multipair_bounds(net, pairs, objective="total",
     for s, t in pairs:
         if s == t:
             raise NetworkValidationError(f"pair endpoints coincide: {s!r}")
-        for node in (s, t):
-            if node not in net.nodes:
-                raise NetworkValidationError(
-                    f"node {node!r} is not in the network")
+        _require_nodes(net, (s, t))
     if slack_factor < 1.0:
         raise ValueError("slack_factor must be >= 1")
     objective = str(objective)
@@ -222,10 +223,7 @@ def multipartite_bounds(net, users=None, unit=UsageUnit.PER_NETWORK_USE,
     users = list(users)
     if len(users) < 2:
         raise ValueError("user set must contain at least two nodes")
-    for u in users:
-        if u not in net.nodes:
-            raise NetworkValidationError(
-                f"node {u!r} is not in the network")
+    _require_nodes(net, users)
     unit = UsageUnit(unit)
     pairs = list(itertools.combinations(users, 2))
     lower_raw, upper, q_opt = _solve_sandwich(

@@ -115,15 +115,6 @@ def _int_list(text):
         raise UsageError(f"not an integer list: {text!r}") from exc
 
 
-def _tcoh_list(text):
-    out = []
-    for x in text.split(","):
-        if x == "":
-            continue
-        out.append(math.inf if x in ("inf", "Inf", "INF") else float(x))
-    return out
-
-
 def _workers():
     raw = os.environ.get("QND_THREADS", "")
     if raw:
@@ -213,23 +204,35 @@ def _cmd_bounds(args):
 
 # --- chain -----------------------------------------------------------------
 
-def _add_grid_arguments(p, samples_default=10000):
+def _add_grid_arguments(p, noisy=True, trunc=True, samples=None):
+    """The parameter grid and output options of a chain command.
+
+    ``noisy`` adds --tcoh, --cutoff and --w0 (without them every cell has
+    no decay and no cut-off), ``trunc`` the exact engine's --trunc, and an
+    integer ``samples`` the sampler options with that default count.
+    """
     p.add_argument("--n", type=_int_list, required=True,
                    help="nesting levels (comma list)")
     p.add_argument("--pg", type=_float_list, required=True,
                    help="generation success probabilities (comma list)")
     p.add_argument("--ps", type=_float_list, default=[1.0],
                    help="swap success probabilities (comma list)")
-    p.add_argument("--tcoh", type=_tcoh_list, default=[math.inf],
-                   help="memory coherence times; 'inf' disables decay")
-    p.add_argument("--cutoff", type=_int_list, default=None,
-                   help="cut-off thresholds (comma list; omit to disable)")
-    p.add_argument("--trunc", type=int, default=None,
-                   help="truncation horizon for the exact engine")
-    p.add_argument("--samples", type=int, default=samples_default)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--w0", type=float, default=1.0,
-                   help="Werner parameter of a fresh link")
+    if noisy:
+        p.add_argument("--tcoh", type=_float_list, default=[math.inf],
+                       help="memory coherence times; 'inf' disables decay")
+        p.add_argument("--cutoff", type=_int_list, default=None,
+                       help="cut-off thresholds (comma list; omit to "
+                            "disable)")
+        p.add_argument("--w0", type=float, default=1.0,
+                       help="Werner parameter of a fresh link")
+    else:
+        p.set_defaults(tcoh=[math.inf], cutoff=None)
+    if trunc:
+        p.add_argument("--trunc", type=int, default=None,
+                       help="truncation horizon for the exact engine")
+    if samples is not None:
+        p.add_argument("--samples", type=int, default=samples)
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
 
@@ -251,7 +254,7 @@ def _add_chain_parser(sub):
     p = sub.add_parser("chain", description="Waiting-time statistics of a "
                        "repeater chain under one explicitly chosen engine.")
     p.add_argument("engine", choices=_ENGINES)
-    _add_grid_arguments(p)
+    _add_grid_arguments(p, samples=10000)
     p.add_argument("--distill-rounds", type=int, default=0,
                    help="distillation rounds before each swap level")
     p.add_argument("--swap-time", choices=[m.value for m in
@@ -389,7 +392,8 @@ def _cmd_chain(args):
         pieces = []
         for params, row in zip(cells, results):
             pieces.append(f"# n={params.n} p_g={params.p_g!r} "
-                          f"p_s={params.p_s!r}\n")
+                          f"p_s={params.p_s!r} t_coh={params.t_coh!r} "
+                          f"tau={params.tau!r}\n")
             pieces.append(disttrack.distribution_csv(row["_dist"]))
         with open(args.export_pmf, "w", newline="") as fh:
             fh.write("".join(pieces))
@@ -402,16 +406,13 @@ def _add_compare_parser(sub):
     p = sub.add_parser("compare", description="Relative errors of the "
                        "analytical approximations against the exact "
                        "tracked mean.")
-    _add_grid_arguments(p)
+    _add_grid_arguments(p, noisy=False)
     p.add_argument("--pmf-out",
                    help="directory for per-cell PMF overlays (exact vs "
                         "moment-matched geometric)")
 
 
 def _cmd_compare(args):
-    if args.cutoff:
-        raise FeatureMismatchError(
-            "the approximation comparison covers chains without cut-off")
     cells = _grid_cells(args)
 
     def run(params):
@@ -458,7 +459,7 @@ def _cmd_compare(args):
 def _add_simulate_parser(sub):
     p = sub.add_parser("simulate", description="Discrete-event batches of "
                        "the chain protocol.")
-    _add_grid_arguments(p, samples_default=1000)
+    _add_grid_arguments(p, trunc=False, samples=1000)
     p.add_argument("--distill-rounds", type=int, default=0)
     p.add_argument("--delay", type=int, default=0,
                    help="classical-communication delay per swap")

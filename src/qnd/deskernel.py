@@ -20,6 +20,11 @@ delay the delivered (time, quality) statistics coincide with direct
 Monte Carlo sampling of the protocol.  A run ends when the root delivers;
 the trace then closes with an ``end`` record carrying the delivery time
 and the root's Werner parameter.
+
+The model shares its sampling core with :mod:`qnd.montecarlo`: a resolve
+event draws its swap or distillation outcome with the same unit-outcome
+function, and :func:`simulate_batch` runs the Monte Carlo batch loop with
+one re-armed simulation per sample.
 """
 
 import enum
@@ -30,10 +35,9 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
-from .disttrack import ChainProtocol, distill_output_w, distill_success_prob
-from .montecarlo import SampleRecord, _geometric, _summarize, substream
+from .disttrack import ChainProtocol
+from .montecarlo import (SampleRecord, _batch, _geometric, _unit_outcome,
+                         substream)
 
 __all__ = [
     "EventKind",
@@ -191,12 +195,7 @@ class ChainSimulation:
     """
 
     def __init__(self, params, protocol=None, seed=0, delay=0, trace=False):
-        if protocol is None:
-            protocol = ChainProtocol.swap_only(params.n)
-        if protocol.n_swaps != params.n:
-            raise ValueError(
-                f"protocol has {protocol.n_swaps} swaps but "
-                f"params.n = {params.n}")
+        protocol = ChainProtocol.for_chain(params, protocol)
         if delay < 0 or delay != int(delay):
             raise ValueError("delay must be a nonnegative integer")
         self.params = params
@@ -327,15 +326,8 @@ class ChainSimulation:
         self.links[left] = None
         self.links[right] = None
         op = self.protocol.plan[self.tree.level[node] - 1]
-        rng = self.rng
-        if op == "swap":
-            p = self.params.p_s
-            success = p >= 1.0 or rng.random() < p
-            w_out = w1 * w2
-        else:
-            success = rng.random() < distill_success_prob(w1, w2)
-            w_out = distill_output_w(w1, w2)
-        if success:
+        w_out = _unit_outcome(op, w1, w2, self.params.p_s, self.rng)
+        if w_out is not None:
             self.links[node] = (now, w_out)
             self._deliver(node)
         else:
@@ -363,16 +355,10 @@ def simulate_chain(params, protocol=None, seed=0, delay=0):
 def simulate_batch(params, protocol=None, n_samples=1000, seed=0, delay=0):
     """Seeded batch of runs, using the same per-sample substream rule as
     the Monte Carlo engine; returns a BatchSummary."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if protocol is None:
-        protocol = ChainProtocol.swap_only(params.n)
-    times = np.empty(n_samples, dtype=np.int64)
-    wvals = np.empty(n_samples, dtype=float)
     sim = ChainSimulation(params, protocol, delay=delay)
-    for i in range(n_samples):
-        sim._rearm(substream(seed, i))
-        rec = sim.run()
-        times[i] = rec.t
-        wvals[i] = rec.w
-    return _summarize(times, wvals, seed if isinstance(seed, int) else -1)
+
+    def draw(rng):
+        sim._rearm(rng)
+        return sim.run()
+
+    return _batch(draw, n_samples, seed)

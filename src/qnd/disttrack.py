@@ -41,8 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .chainformulas import ChainParams
-
 __all__ = [
     "TruncatedDistribution",
     "WernerParam",
@@ -213,11 +211,9 @@ class TruncatedDistribution:
         """Zero-padded copy with a larger horizon."""
         if t_trunc < self.t_trunc:
             raise ValueError("cannot shrink the horizon")
-        pad = t_trunc - self.t_trunc
-        pmf = np.concatenate([self.pmf, np.zeros(pad)])
-        mean_w = (None if self.mean_w is None
-                  else np.concatenate([self.mean_w, np.zeros(pad)]))
-        return TruncatedDistribution(pmf=pmf, mean_w=mean_w)
+        n = t_trunc + 1
+        mean_w = None if self.mean_w is None else _pad(self.mean_w, n)
+        return TruncatedDistribution(pmf=_pad(self.pmf, n), mean_w=mean_w)
 
 
 @dataclass(frozen=True)
@@ -244,6 +240,17 @@ class ChainProtocol:
     @property
     def n_swaps(self):
         return sum(1 for op in self.plan if op == "swap")
+
+    @classmethod
+    def for_chain(cls, params, protocol=None):
+        """``protocol``, or the doubling protocol when it is None; its
+        swap count must equal the chain's nesting level ``params.n``."""
+        if protocol is None:
+            protocol = cls.swap_only(params.n)
+        if protocol.n_swaps != params.n:
+            raise ValueError(f"protocol has {protocol.n_swaps} swaps but "
+                             f"params.n = {params.n}")
+        return protocol
 
     @classmethod
     def swap_only(cls, n, w0=1.0):
@@ -292,6 +299,11 @@ def geometric_pmf(p, t_trunc, w0=1.0):
 
 
 # --- internal array machinery ----------------------------------------------
+
+def _pad(a, length):
+    """``a`` extended with zeros to ``length`` entries."""
+    return np.concatenate([a, np.zeros(length - len(a))])
+
 
 def _fft_len(n):
     return 1 << int(math.ceil(math.log2(max(2 * n, 2))))
@@ -411,11 +423,17 @@ def _resolve_cutoff(ready, m_prod, m_sum, fail, tau):
     return tuple(_renewal_sum(kernel, [ready, m_prod, m_sum]))
 
 
+def _combine(p1, u1, p2, u2, x, tau):
+    """``_join`` of two links with the cut-off rounds folded in; returns
+    (ready, m_prod, m_sum)."""
+    ready, m_prod, m_sum, fail = _join(p1, u1, p2, u2, x, tau)
+    return _resolve_cutoff(ready, m_prod, m_sum, fail, tau)
+
+
 def _swap_unit(ready, m_prod, p_s):
     """Compound-geometric over swap rounds: each round prepares the pair
     and swaps with probability p_s; failure restarts everything."""
-    pmf, wmass = _renewal_sum(ready, [ready, m_prod], round_prob=p_s)
-    return pmf, wmass
+    return _renewal_sum(ready, [ready, m_prod], round_prob=p_s)
 
 
 def _distill_unit(ready, m_prod, m_sum):
@@ -429,8 +447,7 @@ def _distill_unit(ready, m_prod, m_sum):
     success = 0.5 * (ready + m_prod)
     failure = 0.5 * (ready - m_prod)
     w_out_mass = (m_sum + 4.0 * m_prod) / 6.0
-    pmf, wmass = _renewal_sum(failure, [success, w_out_mass])
-    return pmf, wmass
+    return _renewal_sum(failure, [success, w_out_mass])
 
 
 def _as_masses(dist):
@@ -472,8 +489,7 @@ def max_combine(d1, d2, t_coh=math.inf, tau=None):
     x = 1.0 if math.isinf(t_coh) else math.exp(-1.0 / t_coh)
     p1, u1 = _as_masses(d1)
     p2, u2 = _as_masses(d2)
-    ready, m_prod, m_sum, fail = _join(p1, u1, p2, u2, x, tau)
-    ready, m_prod, m_sum = _resolve_cutoff(ready, m_prod, m_sum, fail, tau)
+    ready, m_prod, _ = _combine(p1, u1, p2, u2, x, tau)
     return _finish(ready, m_prod)
 
 
@@ -509,7 +525,7 @@ def _estimate_unit_means(params, protocol):
 
 def default_horizon(params, protocol=None):
     """Default truncation horizon: HORIZON_FACTOR times the estimated mean."""
-    protocol = protocol or ChainProtocol.swap_only(params.n)
+    protocol = ChainProtocol.for_chain(params, protocol)
     means = _estimate_unit_means(params, protocol)
     target = means[-1] if means else 1.0 / params.p_g
     return max(8, int(math.ceil(HORIZON_FACTOR * target)))
@@ -537,11 +553,7 @@ def chain_distribution(params, protocol=None, t_trunc=None,
     and are zero-extended upward, which keeps the cost polynomial in the
     horizon and the nesting level.
     """
-    if protocol is None:
-        protocol = ChainProtocol.swap_only(params.n)
-    if protocol.n_swaps != params.n:
-        raise ValueError(
-            f"protocol has {protocol.n_swaps} swaps but params.n = {params.n}")
+    protocol = ChainProtocol.for_chain(params, protocol)
     if t_trunc is None:
         t_trunc = default_horizon(params, protocol)
     if t_trunc < 1:
@@ -558,22 +570,16 @@ def chain_distribution(params, protocol=None, t_trunc=None,
         goal = max(8, int(math.ceil(HORIZON_FACTOR * unit_mean)))
         horizon = min(t_trunc, max(horizon, goal))
         if horizon + 1 > len(pmf):
-            pad = horizon + 1 - len(pmf)
-            pmf = np.concatenate([pmf, np.zeros(pad)])
-            wmass = np.concatenate([wmass, np.zeros(pad)])
-        ready, m_prod, m_sum, fail = _join(pmf, wmass, pmf, wmass, x,
-                                           params.tau)
-        ready, m_prod, m_sum = _resolve_cutoff(ready, m_prod, m_sum, fail,
-                                               params.tau)
+            pmf, wmass = _pad(pmf, horizon + 1), _pad(wmass, horizon + 1)
+        ready, m_prod, m_sum = _combine(pmf, wmass, pmf, wmass, x,
+                                        params.tau)
         if op == "swap":
             pmf, wmass = _swap_unit(ready, m_prod, params.p_s)
         else:
             pmf, wmass = _distill_unit(ready, m_prod, m_sum)
 
     if horizon < t_trunc:
-        pad = t_trunc - horizon
-        pmf = np.concatenate([pmf, np.zeros(pad)])
-        wmass = np.concatenate([wmass, np.zeros(pad)])
+        pmf, wmass = _pad(pmf, t_trunc + 1), _pad(wmass, t_trunc + 1)
     result = _finish(pmf, wmass)
     if mass_floor is not None and result.captured_mass < mass_floor:
         raise HorizonError(

@@ -72,6 +72,8 @@ class StandardFormLP:
             raise ValueError(f"c has shape {self.c.shape}, expected ({n},)")
         if self.b.shape != (m,):
             raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
+        if not np.all(np.isfinite(self.c)):
+            raise ValueError("c must be finite")
         if not np.all(np.isfinite(self.b)):
             raise ValueError("b must be finite")
         if not np.all(np.isfinite(self.A)):

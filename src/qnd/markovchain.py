@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import breadth_first_order
 
 from .chainformulas import ChainParams
 from .disttrack import TruncatedDistribution
@@ -267,23 +268,15 @@ def _transient_structure(chain):
     q = tpm[transient][:, transient]
     # Reverse reachability from the absorbing set: every transient state
     # must be able to reach absorption or the hitting-time system is
-    # singular.
-    reach = set(chain.absorbing)
-    changed = True
-    coo = tpm.tocoo()
-    incoming = {}
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if v > 0.0:
-            incoming.setdefault(j, []).append(i)
-    while changed:
-        changed = False
-        for j in list(reach):
-            for i in incoming.get(j, ()):
-                if i not in reach:
-                    reach.add(i)
-                    changed = True
+    # singular.  Only positive entries are edges; the comparison drops the
+    # stored zeros that a graph traversal would otherwise follow.
+    reverse = (tpm > 0.0).T.tocsr()
+    reach = np.zeros(chain.n_states, dtype=bool)
+    for a in sorted(chain.absorbing):
+        reach[breadth_first_order(reverse, a,
+                                  return_predecessors=False)] = True
     for s in transient:
-        if s not in reach:
+        if not reach[s]:
             raise AbsorptionError(
                 f"state {chain.states[s]!r} cannot reach absorption")
     return transient, pos, q

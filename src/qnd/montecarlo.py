@@ -11,6 +11,10 @@ Reproducibility: sample ``i`` of a batch draws from a Philox stream keyed by
 ``(master_seed, i)``.  Distinct keys give statistically independent streams,
 and results depend only on (parameters, protocol, sample count, seed), never
 on execution order, so batches may be partitioned across workers freely.
+
+The discrete-event engine (:mod:`qnd.deskernel`) reuses this module's batch
+loop, its geometric draw and its swap/distillation unit outcome, so both
+samplers consume the same uniforms for the same protocol events.
 """
 
 import math
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chainformulas import ChainParams
 from .disttrack import ChainProtocol, distill_output_w, distill_success_prob
 
 __all__ = [
@@ -81,6 +84,18 @@ def _geometric(rng, p, log_q):
     return int(math.log1p(-u) / log_q) + 1
 
 
+def _unit_outcome(op, w1, w2, p_s, rng):
+    """Werner parameter delivered by one swap or distillation attempt on
+    inputs ``w1``, ``w2``, or None when the attempt fails.  A swap with
+    ``p_s >= 1`` draws nothing; otherwise one uniform decides."""
+    if op == "swap":
+        if p_s >= 1.0 or rng.random() < p_s:
+            return w1 * w2
+    elif rng.random() < distill_success_prob(w1, w2):
+        return distill_output_w(w1, w2)
+    return None
+
+
 def _sample_unit(level, params, protocol, rng, x, log_q):
     """Delivery (time, w) of the link produced by plan[:level]."""
     if level == 0:
@@ -105,12 +120,9 @@ def _sample_unit(level, params, protocol, rng, x, log_q):
             else:
                 w2 *= x ** gap
             break
-        if op == "swap":
-            if p_s >= 1.0 or rng.random() < p_s:
-                return elapsed, w1 * w2
-        else:
-            if rng.random() < distill_success_prob(w1, w2):
-                return elapsed, distill_output_w(w1, w2)
+        w = _unit_outcome(op, w1, w2, p_s, rng)
+        if w is not None:
+            return elapsed, w
         # failure: both sides regenerate from scratch
 
 
@@ -125,11 +137,7 @@ def sample_chain(params, protocol=None, rng_state=None):
     rng_state : numpy.random.Generator
         The stream to consume; see :func:`substream` for batch seeding.
     """
-    if protocol is None:
-        protocol = ChainProtocol.swap_only(params.n)
-    if protocol.n_swaps != params.n:
-        raise ValueError(
-            f"protocol has {protocol.n_swaps} swaps but params.n = {params.n}")
+    protocol = ChainProtocol.for_chain(params, protocol)
     rng = rng_state if rng_state is not None else np.random.default_rng()
     x = params.decay_per_step
     log_q = math.log1p(-params.p_g) if params.p_g < 1.0 else 0.0
@@ -144,29 +152,28 @@ def run_batch(params, protocol=None, n_samples=1000, seed=0):
     its own Philox substream keyed by (seed, i), so the batch result does
     not depend on the order in which the samples are produced.
     """
+    protocol = ChainProtocol.for_chain(params, protocol)
+    return _batch(lambda rng: sample_chain(params, protocol, rng),
+                  n_samples, seed)
+
+
+def _batch(draw, n_samples, seed):
+    """BatchSummary of ``draw(rng)`` on the Philox substream of each
+    sample i < n_samples; the batch loop of the Monte Carlo and
+    discrete-event engines.  ``draw`` returns a SampleRecord."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if protocol is None:
-        protocol = ChainProtocol.swap_only(params.n)
     times = np.empty(n_samples, dtype=np.int64)
     wvals = np.empty(n_samples, dtype=float)
-    for i in range(n_samples):
-        record = sample_chain(params, protocol, substream(seed, i))
-        times[i] = record.t
-        wvals[i] = record.w
-    return _summarize(times, wvals, seed)
-
-
-def _summarize(times, wvals, seed):
-    """BatchSummary of per-sample delivery times and Werner parameters;
-    shared by the Monte Carlo and discrete-event batches."""
-    n_samples = len(times)
     hist = {}
     w_sum = {}
-    for t, w in zip(times, wvals):
-        t = int(t)
+    for i in range(n_samples):
+        record = draw(substream(seed, i))
+        t, w = int(record.t), float(record.w)
+        times[i] = t
+        wvals[i] = w
         hist[t] = hist.get(t, 0) + 1
-        w_sum[t] = w_sum.get(t, 0.0) + float(w)
+        w_sum[t] = w_sum.get(t, 0.0) + w
     if n_samples > 1:
         stderr_t = float(times.std(ddof=1) / math.sqrt(n_samples))
         stderr_w = float(wvals.std(ddof=1) / math.sqrt(n_samples))

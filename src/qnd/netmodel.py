@@ -88,7 +88,7 @@ class Explicit:
 ChannelModel = Lossy | Explicit
 
 
-def channel_value(channel, measure):
+def channel_value(channel, measure, esq_lossy=False):
     """Scalar weight of a channel in ebits per use.
 
     Parameters
@@ -97,6 +97,9 @@ def channel_value(channel, measure):
     measure : Measure
         ``UPPER_ENTANGLEMENT`` selects the upper weight, ``LOWER_CAPACITY``
         the achievable lower weight.
+    esq_lossy : bool
+        Weight a lossy channel on the upper side with the squashed bound
+        (see :func:`esq_lossy_bound`).
 
     Returns
     -------
@@ -106,6 +109,8 @@ def channel_value(channel, measure):
     """
     measure = Measure(measure)
     if isinstance(channel, Lossy):
+        if esq_lossy and measure is Measure.UPPER_ENTANGLEMENT:
+            return esq_lossy_bound(channel.eta, allow_infinite=True)
         # Upper and lower weights coincide for pure loss.
         if channel.eta == 1.0:
             return math.inf
@@ -141,15 +146,6 @@ def esq_lossy_bound(eta, allow_infinite=False):
             "squashed-entanglement weight diverges at eta = 1; "
             "pass allow_infinite=True for the infinity sentinel")
     return math.log2((1.0 + eta) / (1.0 - eta))
-
-
-def _channel_weight(channel, measure, esq_lossy=False):
-    """Edge weight under a measure, optionally swapping in the squashed
-    bound for lossy channels on the upper side."""
-    if esq_lossy and isinstance(channel, Lossy) \
-            and Measure(measure) is Measure.UPPER_ENTANGLEMENT:
-        return esq_lossy_bound(channel.eta, allow_infinite=True)
-    return channel_value(channel, measure)
 
 
 @dataclass(frozen=True)
@@ -287,7 +283,7 @@ def undirect(net, measure, esq_lossy=False):
     weights = {}
     for e in net.edges:
         key = (e.tail, e.head) if e.tail < e.head else (e.head, e.tail)
-        val = _channel_weight(e.channel, measure, esq_lossy=esq_lossy)
+        val = channel_value(e.channel, measure, esq_lossy=esq_lossy)
         contrib = e.q * val
         if val == math.inf:
             contrib = math.inf if e.q > 0 else 0.0

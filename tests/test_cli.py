@@ -185,7 +185,26 @@ class TestChain:
         assert main(["chain", "markov", "--n", "1", "--pg", "0.5",
                      "--ps", "0.5", "--trunc", "300",
                      "--export-pmf", str(pmf_path)]) == 0
-        assert pmf_path.read_text().startswith("# n=1 p_g=0.5 p_s=0.5\n")
+        assert pmf_path.read_text().startswith(
+            "# n=1 p_g=0.5 p_s=0.5 t_coh=inf tau=None\n")
+
+    def test_export_pmf_headers_name_every_grid_coordinate(self, tmp_path):
+        pmf_path = tmp_path / "pmf.csv"
+        assert main(["chain", "track", "--n", "1", "--pg", "0.5",
+                     "--tcoh", "10,20", "--cutoff", "5",
+                     "--out", str(tmp_path / "t.csv"),
+                     "--export-pmf", str(pmf_path)]) == 0
+        headers = [line for line in pmf_path.read_text().splitlines()
+                   if line.startswith("#")]
+        assert headers == ["# n=1 p_g=0.5 p_s=1.0 t_coh=10.0 tau=5",
+                           "# n=1 p_g=0.5 p_s=1.0 t_coh=20.0 tau=5"]
+
+    def test_tcoh_parses_every_spelling_of_infinity(self, capsys):
+        assert main(["chain", "analytic", "--n", "1", "--pg", "0.5",
+                     "--tcoh", "inf,Inf,INF,5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["inf", "inf", "inf",
+                                                       "5.0"]
 
     def test_export_pmf_rejected_before_any_cell_runs(self, tmp_path,
                                                       capsys):
@@ -237,8 +256,20 @@ class TestCompare:
         header = files[0].read_text().splitlines()[0]
         assert header == "t,pmf_exact,pmf_geometric"
 
+    @pytest.mark.parametrize("flag", [
+        ["--tcoh", "10"], ["--cutoff", "5"], ["--samples", "10"],
+        ["--seed", "1"], ["--w0", "0.9"]])
+    def test_rejects_options_it_does_not_read(self, flag, capsys):
+        assert main(["compare", "--n", "1", "--pg", "0.5", "--ps", "0.5",
+                     *flag]) == 64
+        assert capsys.readouterr().out == ""
+
 
 class TestSimulate:
+    def test_rejects_trunc(self, capsys):
+        assert main(["simulate", "--n", "1", "--pg", "0.5",
+                     "--trunc", "100"]) == 64
+
     def test_batch_summary(self, tmp_path):
         out = tmp_path / "sim.csv"
         code = main(["simulate", "--n", "1", "--pg", "0.5", "--ps", "0.5",

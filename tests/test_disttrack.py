@@ -382,6 +382,49 @@ class TestChainDistribution:
         assert swapped.captured_mass <= combined.captured_mass + 1e-12
 
 
+class TestForChain:
+    def test_default_and_given_protocol(self):
+        params = ChainParams(n=2, p_g=0.5)
+        assert ChainProtocol.for_chain(params) == ChainProtocol.swap_only(2)
+        given = ChainProtocol.with_distillation(2, 1, w0=0.9)
+        assert ChainProtocol.for_chain(params, given) is given
+
+    @pytest.mark.parametrize("caller", [
+        "chain_distribution", "default_horizon", "sample_chain",
+        "run_batch", "ChainSimulation", "simulate_batch"])
+    def test_swap_count_mismatch_raises_before_any_draw(self, caller,
+                                                        monkeypatch):
+        from qnd import deskernel, disttrack, montecarlo
+        drawn = []
+
+        def substream(seed, index):
+            drawn.append(index)
+            return np.random.default_rng(0)
+
+        monkeypatch.setattr(montecarlo, "substream", substream)
+        monkeypatch.setattr(deskernel, "substream", substream)
+        params = ChainParams(n=2, p_g=0.5)
+        protocol = ChainProtocol.swap_only(1)
+        call = {
+            "chain_distribution": lambda: disttrack.chain_distribution(
+                params, protocol),
+            "default_horizon": lambda: disttrack.default_horizon(
+                params, protocol),
+            "sample_chain": lambda: montecarlo.sample_chain(
+                params, protocol, np.random.default_rng(0)),
+            "run_batch": lambda: montecarlo.run_batch(
+                params, protocol, n_samples=5),
+            "ChainSimulation": lambda: deskernel.ChainSimulation(
+                params, protocol),
+            "simulate_batch": lambda: deskernel.simulate_batch(
+                params, protocol, n_samples=5),
+        }[caller]
+        with pytest.raises(ValueError,
+                           match="protocol has 1 swaps but params.n = 2"):
+            call()
+        assert drawn == []
+
+
 class TestExports:
     def test_csv_schema(self):
         d = chain_distribution(ChainParams(n=1, p_g=0.5, p_s=0.5),

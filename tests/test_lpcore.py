@@ -268,6 +268,13 @@ class TestSolve:
             assert r1.iterations == r2.iterations
 
 
+class TestStandardForm:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_objective_rejected(self, bad):
+        with pytest.raises(ValueError, match="c must be finite"):
+            StandardFormLP(c=[bad, 1.0], A=[[1.0, 1.0]], b=[1.0])
+
+
 class TestFromInequalities:
     def test_slack_per_inequality(self):
         lp = from_inequalities([1.0, 2.0], [[1.0, 1.0]], [3.0])

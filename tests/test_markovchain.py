@@ -232,3 +232,21 @@ class TestAbsorptionReachability:
             params=ChainParams(n=1, p_g=0.5, p_s=0.5))
         with pytest.raises(AbsorptionError):
             absorption_stats(chain)
+
+    def test_stored_zero_is_not_a_route_to_absorption(self):
+        import scipy.sparse
+
+        from qnd.markovchain import RepeaterMarkovChain
+        # Row 0 stores an explicit 0.0 towards the absorbing state: a
+        # structural entry that carries no probability.
+        tpm = scipy.sparse.csr_matrix(
+            (np.array([1.0, 0.0, 1.0]), np.array([0, 1, 1]),
+             np.array([0, 2, 3])), shape=(2, 2))
+        assert tpm.nnz == 3
+        chain = RepeaterMarkovChain(
+            states=((), ((0, 2),)), tpm=tpm, absorbing=frozenset({1}),
+            swap_time_mode=ZERO,
+            params=ChainParams(n=1, p_g=0.5, p_s=0.5))
+        with pytest.raises(AbsorptionError, match="cannot reach"):
+            absorption_stats(chain)
+        assert chain.tpm.nnz == 3  # the check leaves the matrix untouched

@@ -64,6 +64,15 @@ class TestEsqBound:
             esq_lossy_bound(1.0)
         assert esq_lossy_bound(1.0, allow_infinite=True) == math.inf
 
+    def test_selected_only_for_lossy_upper_weights(self):
+        assert channel_value(Lossy(0.5), UP, esq_lossy=True) == \
+            esq_lossy_bound(0.5)
+        assert channel_value(Lossy(1.0), UP, esq_lossy=True) == math.inf
+        assert channel_value(Lossy(0.5), LO, esq_lossy=True) == \
+            channel_value(Lossy(0.5), LO)
+        ch = Explicit(E_upper=2.5, Q_lower=1.0)
+        assert channel_value(ch, UP, esq_lossy=True) == 2.5
+
     def test_looser_than_default_upper(self):
         for eta in np.linspace(0.05, 0.95, 19):
             assert esq_lossy_bound(eta) >= channel_value(Lossy(eta), UP)
