@@ -229,7 +229,9 @@ def _add_grid_arguments(p, noisy=True, trunc=True, samples=None):
         p.set_defaults(tcoh=[math.inf], cutoff=None)
     if trunc:
         p.add_argument("--trunc", type=int, default=None,
-                       help="truncation horizon for the exact engine")
+                       help="output length of the exact engine, also a "
+                            "cap on its level horizons (default: the "
+                            "certified horizon)")
     if samples is not None:
         p.add_argument("--samples", type=int, default=samples)
         p.add_argument("--seed", type=int, default=0)
@@ -442,8 +444,10 @@ def _cmd_compare(args):
             # Geometric with the same mean, for shape overlays.
             p_match = 1.0 / row["exact_mean"]
             geo = disttrack.geometric_pmf(p_match, dist.t_trunc)
-            name = (f"pmf_n{params.n}_pg{params.p_g:g}"
-                    f"_ps{params.p_s:g}.csv")
+            # repr keeps distinct cells apart; short values read as
+            # before (pg0.1).
+            name = (f"pmf_n{params.n}_pg{params.p_g!r}"
+                    f"_ps{params.p_s!r}.csv")
             lines = ["t,pmf_exact,pmf_geometric"]
             for t in range(1, dist.t_trunc + 1):
                 lines.append(f"{t},{float(dist.pmf[t])!r},"

@@ -19,8 +19,9 @@ stored link whose age would exceed ``tau``: the combine round fails, the
 elapsed ``min(T, T') + tau`` steps are wasted, and both sides restart from
 scratch.  A failed swap or distillation likewise restarts both sides.  These
 restart rounds are independent and identically distributed, so each unit is
-the geometric-sum of convolutions of its failure rounds with one success
-round; the sums are evaluated in Fourier space on zero-padded arrays.
+one geometric sum of convolutions of its failure rounds with one success
+round; the sums are evaluated in Fourier space on arrays zero-padded to a
+5-smooth length.
 
 Werner-parameter algebra: storage decay multiplies ``w`` (the deviation from
 the maximally mixed state decays exponentially), swapping multiplies the two
@@ -31,15 +32,19 @@ conditional means is exact: the tracked ``mean_w`` equals the true expected
 Werner parameter of the delivered state at each delivery time.
 
 Delivery times start at 1 (one attempt minimum); index 0 of every array is
-an unused zero slot.  Mass beyond the truncation horizon is dropped, never
-renormalized; the captured mass is reported and enforced against a floor.
+an unused zero slot.  Each level is certified on its own: its horizon is
+sized from the exact mean of its output (mass and first moment of the
+round arrays), and the level is redone on a doubled horizon until it
+captures, up to float rounding, the mass its inputs imply.  A given
+``t_trunc`` caps those horizons and sets the output length.  Mass beyond
+the truncation horizon is dropped, never renormalized; the captured mass
+is reported and enforced against a floor.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "TruncatedDistribution",
@@ -63,10 +68,6 @@ __all__ = [
 #: Default lower limit on the probability mass a chain computation must
 #: capture within its truncation horizon.
 DEFAULT_MASS_FLOOR = 1.0 - 1e-6
-
-#: Default horizon, as a multiple of the estimated mean delivery time.
-HORIZON_FACTOR = 40
-
 
 class HorizonError(RuntimeError):
     """The truncation horizon captured too little probability mass."""
@@ -306,39 +307,103 @@ def _pad(a, length):
 
 
 def _fft_len(n):
-    return 1 << int(math.ceil(math.log2(max(2 * n, 2))))
+    """Least 5-smooth length (2^i 3^j 5^k) of at least 2n.
 
-
-def _renewal_sum(kernel, firsts, round_prob=None):
-    """Geometric sum of failure-round convolutions.
-
-    Evaluates ``sum_k kernel^(*k) * first`` for each array in ``firsts``,
-    truncated to the common horizon.  With ``round_prob`` = p the kernel is
-    additionally weighted by (1 - p) per round and the result by p, i.e.
-    the compound-geometric split ``sum_k p (1-p)^k kernel^(*k) * first``.
-    The sums are evaluated in Fourier space on arrays zero-padded to twice
-    the horizon; wrap-around mass is negligible whenever the horizon itself
-    captures the distribution, which the caller's mass accounting checks.
+    pocketfft transforms such lengths about as fast as powers of two; the
+    least of them lies a few percent above 2n, the next power of two up to
+    twice as far.
     """
-    n = len(kernel)
-    size = _fft_len(n)
-    khat = np.fft.rfft(kernel, size)
-    if round_prob is not None:
-        denom = 1.0 - (1.0 - round_prob) * khat
-        scale = round_prob
-    else:
-        denom = 1.0 - khat
-        scale = 1.0
-    if abs(denom[0]) < 1e-9:
+    target = max(2 * n, 2)
+    best = 1 << (target - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << (-(-target // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
+def _check_rounds(denominator):
+    """Raise when the renewal denominator ``1 - (failure-round mass)``
+    leaves a unit no realistic chance to complete."""
+    if abs(denominator) < 1e-9:
         raise HorizonError(
             "failure rounds carry almost all probability mass; the unit "
             "cannot complete within any horizon")
+
+
+def _renewal_sum(kernel, firsts, n, round_prob=None, restarts=None):
+    """Geometric sum of failure-round convolutions on ``n`` entries.
+
+    Evaluates ``sum_k kernel^(*k) * first`` for each array in ``firsts``,
+    truncated to t = 0..n-1; shorter inputs are zero-extended.  With
+    ``round_prob`` = p the kernel is additionally weighted by (1 - p) per
+    round and the result by p, i.e. the compound-geometric split
+    ``sum_k p (1-p)^k kernel^(*k) * first``.  ``restarts`` holds further
+    failure rounds, unweighted: cut-off discards, which restart a unit
+    before it is attempted.
+
+    The sums are evaluated in Fourier space on arrays zero-padded to at
+    least twice the horizon; wrap-around mass is negligible whenever the
+    horizon itself captures the distribution, which the caller's mass
+    accounting checks.  A first that is the kernel itself, as in every
+    swap unit, reuses its transform; transforms are released as soon as
+    they are used, which bounds the memory of long horizons.
+    """
+    size = _fft_len(n)
+    khat = np.fft.rfft(kernel[:n], size)
+    # gain = scale / (1 - weighted kernel - restarts), built in place.
+    gain = khat * (-1.0 if round_prob is None else round_prob - 1.0)
+    if restarts is not None:
+        gain -= np.fft.rfft(restarts[:n], size)
+    gain += 1.0
+    _check_rounds(gain[0].real)
+    np.divide(1.0 if round_prob is None else round_prob, gain, out=gain)
+    if not any(first is kernel for first in firsts):
+        khat = None
     out = []
     for first in firsts:
-        fhat = np.fft.rfft(first, size)
-        res = np.fft.irfft(scale * fhat / denom, size)[:n]
-        out.append(np.clip(res, 0.0, None))
+        if first is kernel:
+            fhat, khat = khat, None
+        else:
+            fhat = np.fft.rfft(first[:n], size)
+        fhat *= gain
+        out.append(np.clip(np.fft.irfft(fhat, size)[:n], 0.0, None))
+        fhat = None
     return out
+
+
+def _renewal_law(kernel, first, round_prob=None, restarts=None):
+    """Mass and mean of the first array's renewal sum in ``_renewal_sum``
+    on an unbounded horizon, from the masses and first moments of its
+    inputs: the mean of one success plus the expected time lost to
+    failure rounds.  Also returns the renewal denominator, the share of
+    rounds that end the unit, which scales the float rounding of the
+    mass."""
+    k_mass, k_moment = _moments(kernel)
+    scale = 1.0
+    if round_prob is not None:
+        k_mass *= 1.0 - round_prob
+        k_moment *= 1.0 - round_prob
+        scale = round_prob
+    if restarts is not None:
+        r_mass, r_moment = _moments(restarts)
+        k_mass += r_mass
+        k_moment += r_moment
+    f_mass, f_moment = _moments(first)
+    d = 1.0 - k_mass
+    _check_rounds(d)
+    return scale * f_mass / d, f_moment / f_mass + k_moment / d, d
+
+
+def _moments(a):
+    """(mass, first moment) of an array indexed by delivery time."""
+    # einsum, not a BLAS dot: threaded BLAS start-up costs more than the
+    # whole sum at these lengths.
+    t = np.arange(len(a), dtype=float)
+    return float(a.sum()), float(np.einsum("i,i", t, a))
 
 
 def _decayed_window_sum(u, x, tau):
@@ -347,6 +412,11 @@ def _decayed_window_sum(u, x, tau):
     Returns A with ``A[t] = sum_{t1 = max(1, t - tau)}^{t - 1}
     u[t1] * x**(t - t1)``; ``tau`` None means an unbounded window.
     """
+    if x == 1.0:
+        return _window_sum(u, tau)  # the same sums, as u[0] is always 0
+    # scipy.signal takes most of a second to import; only decaying
+    # memories need it.
+    from scipy.signal import lfilter
     n = len(u)
     v = np.zeros(n)
     v[1:] = x * u[:-1]
@@ -407,47 +477,35 @@ def _join(p1, u1, p2, u2, x, tau):
     return ready, m_prod, m_sum, fail
 
 
-def _resolve_cutoff(ready, m_prod, m_sum, fail, tau):
-    """Fold cut-off failure rounds into the ready-time distribution.
-
-    A failed round wastes the earlier arrival plus ``tau`` steps and both
-    sides restart, so the rounds are independent; the resolved arrays are
-    the geometric sum over failure rounds convolved with one success.
-    """
-    if fail is None:
-        return ready, m_prod, m_sum
-    n = len(ready)
-    kernel = np.zeros(n)
-    if tau < n:
-        kernel[tau:] = fail[:n - tau]
-    return tuple(_renewal_sum(kernel, [ready, m_prod, m_sum]))
+def _restarts(fail, tau):
+    """Cut-off failure rounds: a round that discards the stored link ends
+    ``tau`` steps after the earlier arrival (None without a cut-off)."""
+    return None if fail is None else np.concatenate([np.zeros(tau), fail])
 
 
-def _combine(p1, u1, p2, u2, x, tau):
-    """``_join`` of two links with the cut-off rounds folded in; returns
-    (ready, m_prod, m_sum)."""
-    ready, m_prod, m_sum, fail = _join(p1, u1, p2, u2, x, tau)
-    return _resolve_cutoff(ready, m_prod, m_sum, fail, tau)
+def _unit_rounds(op, joined, tau, p_s):
+    """One protocol unit as a single renewal sum over its rounds.
 
+    A round prepares the pair (the arrays ``_join`` produced) and either
+    fails on the cut-off or attempts the unit, which succeeds or fails;
+    every failure restarts both sides, so the rounds are independent.
+    Returns the ``_renewal_sum`` arguments ``(kernel, firsts, round_prob,
+    restarts)``; the firsts are the delivered pmf and quality mass.
 
-def _swap_unit(ready, m_prod, p_s):
-    """Compound-geometric over swap rounds: each round prepares the pair
-    and swaps with probability p_s; failure restarts everything."""
-    return _renewal_sum(ready, [ready, m_prod], round_prob=p_s)
-
-
-def _distill_unit(ready, m_prod, m_sum):
-    """Distillation rounds with state-dependent success.
-
-    Per prepared pair the success probability is (1 + w'w'')/2, so the
+    A swap succeeds with the constant probability p_s.  Distillation
+    succeeds with probability (1 + w'w'')/2 per prepared pair, so the
     per-round success and failure masses are bilinear in the tracked
     quality masses; the delivered quality mass follows from
     ``w_out * p_success = (w' + w'' + 4 w'w'') / 6``.
     """
+    ready, m_prod, m_sum, fail = joined
+    restarts = _restarts(fail, tau)
+    if op == "swap":
+        return ready, [ready, m_prod], p_s, restarts
     success = 0.5 * (ready + m_prod)
     failure = 0.5 * (ready - m_prod)
     w_out_mass = (m_sum + 4.0 * m_prod) / 6.0
-    return _renewal_sum(failure, [success, w_out_mass])
+    return failure, [success, w_out_mass], None, restarts
 
 
 def _as_masses(dist):
@@ -489,7 +547,10 @@ def max_combine(d1, d2, t_coh=math.inf, tau=None):
     x = 1.0 if math.isinf(t_coh) else math.exp(-1.0 / t_coh)
     p1, u1 = _as_masses(d1)
     p2, u2 = _as_masses(d2)
-    ready, m_prod, _ = _combine(p1, u1, p2, u2, x, tau)
+    ready, m_prod, _, fail = _join(p1, u1, p2, u2, x, tau)
+    if fail is not None:
+        ready, m_prod = _renewal_sum(_restarts(fail, tau), [ready, m_prod],
+                                     len(p1))
     return _finish(ready, m_prod)
 
 
@@ -504,31 +565,95 @@ def compound_geometric(d, p_s):
     if not (0.0 < p_s <= 1.0):
         raise ValueError(f"p_s must be in (0, 1], got {p_s!r}")
     pmf, wmass = _as_masses(d)
-    out_pmf, out_w = _swap_unit(pmf, wmass, p_s)
-    return _finish(out_pmf, out_w)
+    return _finish(*_renewal_sum(pmf, [pmf, wmass], len(pmf),
+                                 round_prob=p_s))
 
 
-def _estimate_unit_means(params, protocol):
-    """Crude per-unit mean estimates used to size truncation horizons."""
-    means = []
-    mean = 1.0 / params.p_g
+# --- certified level horizons ----------------------------------------------
+
+#: Tail mass a level may leave beyond its horizon: double-precision
+#: resolution.  A level runs on ln(1 / TAIL_MASS) ~ 36.8 times its exact
+#: mean delivery time.
+TAIL_MASS = 1e-16
+
+#: Shortfall of a level's captured mass against the mass its inputs imply
+#: that counts as float rounding rather than truncation, before division
+#: by the share of rounds that end the unit: the renewal denominator
+#: amplifies the rounding of the failure-round mass.
+ROUNDING_MASS = 16 * np.finfo(float).eps
+
+#: Largest horizon a level may take without an explicit ``t_trunc``.  A
+#: level past it needs gigabytes of FFT buffers; the chain is then
+#: reported instead of attempted.
+HORIZON_LIMIT = 1 << 25
+
+
+def _level_horizon(span, t_cap):
+    """``span`` steps rounded up, capped by ``t_cap`` or, without one,
+    refused beyond ``HORIZON_LIMIT``."""
+    if t_cap is not None:
+        return min(math.ceil(span), t_cap)
+    if not span <= HORIZON_LIMIT:
+        raise HorizonError(
+            f"a level needs a horizon of {span:.3g} steps, beyond the "
+            f"default limit {HORIZON_LIMIT}; pass t_trunc to cap it")
+    return math.ceil(span)
+
+
+def _certify(level, horizon, mass, tolerance, t_cap):
+    """Run ``level(horizon)``, which returns (pmf, quality mass) on
+    ``horizon + 1`` entries, doubling the horizon until the captured mass
+    falls short of ``mass`` by at most ``tolerance``; a horizon at the cap
+    ``t_cap`` is accepted unaudited.  Returns (horizon, pmf, quality
+    mass)."""
+    while True:
+        pmf, wmass = level(horizon)
+        if horizon == t_cap or mass - pmf.sum() <= tolerance:
+            return horizon, pmf, wmass
+        horizon = _level_horizon(2 * horizon, t_cap)
+
+
+def _track(params, protocol, t_cap):
+    """(pmf, quality mass) of the protocol's output on its last level's
+    horizon.
+
+    Each level first runs on ``ln(1 / TAIL_MASS)`` times the exact mean of
+    its own output, computed from its join arrays.  Its renewal sum is
+    then audited: when the captured mass falls short of the mass its
+    inputs imply by more than float rounding, the horizon doubles and the
+    level is redone.  The elementary level is audited against mass 1.
+
+    ``t_cap`` caps every horizon, and a capped level is accepted unaudited.
+    Every unit is causal, so entries 1..t_cap do not depend on the cap,
+    up to the mass beyond twice the cap that the Fourier-space renewal
+    sums wrap around: negligible whenever the output meets a mass floor.
+    """
+    span = math.log(1.0 / TAIL_MASS)
+    horizon, pmf, wmass = _certify(
+        lambda h: _as_masses(geometric_pmf(params.p_g, h, w0=protocol.w0)),
+        _level_horizon(span / params.p_g, t_cap), 1.0, ROUNDING_MASS, t_cap)
     for op in protocol.plan:
-        p = min(1.0, 1.0 / mean)
-        pair = (3.0 - 2.0 * p) / ((2.0 - p) * p)
-        success = params.p_s if op == "swap" else 0.5
-        mean = pair / success
-        if params.tau is not None:
-            mean *= 2.0  # restart slack; the mass floor audits the result
-        means.append(mean)
-    return means
+        joined = _join(pmf, wmass, pmf, wmass, params.decay_per_step,
+                       params.tau)
+        kernel, firsts, round_prob, restarts = _unit_rounds(
+            op, joined, params.tau, params.p_s)
+        mass, mean, ending = _renewal_law(kernel, firsts[0], round_prob,
+                                          restarts)
+        horizon, pmf, wmass = _certify(
+            lambda h: _renewal_sum(kernel, firsts, h + 1, round_prob,
+                                   restarts),
+            max(horizon, _level_horizon(span * mean, t_cap)), mass,
+            ROUNDING_MASS / ending, t_cap)
+    return pmf, wmass
 
 
 def default_horizon(params, protocol=None):
-    """Default truncation horizon: HORIZON_FACTOR times the estimated mean."""
+    """Default output length of :func:`chain_distribution`: the certified
+    horizon of the protocol's last level.  Computing it runs the tracker.
+    """
     protocol = ChainProtocol.for_chain(params, protocol)
-    means = _estimate_unit_means(params, protocol)
-    target = means[-1] if means else 1.0 / params.p_g
-    return max(8, int(math.ceil(HORIZON_FACTOR * target)))
+    pmf, _ = _track(params, protocol, None)
+    return len(pmf) - 1
 
 
 def chain_distribution(params, protocol=None, t_trunc=None,
@@ -543,48 +668,29 @@ def chain_distribution(params, protocol=None, t_trunc=None,
         Defaults to the plain doubling protocol with ``params.n`` swaps.
         The plan's swap count must equal ``params.n``.
     t_trunc : int, optional
-        Truncation horizon; defaults to ``HORIZON_FACTOR`` times the
-        estimated mean delivery time.
+        Output length, and a cap on every level's horizon; defaults to the
+        last level's certified horizon (:func:`default_horizon`).
     mass_floor : float or None
         Minimum captured probability mass; a shortfall raises
         :class:`HorizonError` rather than silently biasing results.
 
-    Intermediate levels run on horizons matched to their own time scale
-    and are zero-extended upward, which keeps the cost polynomial in the
-    horizon and the nesting level.
+    Each level is certified on its own: it runs on a horizon sized from
+    the exact mean of its output and is redone on a doubled horizon until
+    it captures the mass its inputs imply.  Levels are zero-extended
+    upward, which keeps the cost polynomial in the horizon and the
+    nesting level.
     """
     protocol = ChainProtocol.for_chain(params, protocol)
-    if t_trunc is None:
-        t_trunc = default_horizon(params, protocol)
-    if t_trunc < 1:
+    if t_trunc is not None and t_trunc < 1:
         raise ValueError("t_trunc must be at least 1")
-
-    unit_means = _estimate_unit_means(params, protocol)
-    x = params.decay_per_step
-    horizon = min(t_trunc, max(8, int(math.ceil(
-        HORIZON_FACTOR / params.p_g))))
-    dist = geometric_pmf(params.p_g, horizon, w0=protocol.w0)
-    pmf, wmass = _as_masses(dist)
-
-    for op, unit_mean in zip(protocol.plan, unit_means):
-        goal = max(8, int(math.ceil(HORIZON_FACTOR * unit_mean)))
-        horizon = min(t_trunc, max(horizon, goal))
-        if horizon + 1 > len(pmf):
-            pmf, wmass = _pad(pmf, horizon + 1), _pad(wmass, horizon + 1)
-        ready, m_prod, m_sum = _combine(pmf, wmass, pmf, wmass, x,
-                                        params.tau)
-        if op == "swap":
-            pmf, wmass = _swap_unit(ready, m_prod, params.p_s)
-        else:
-            pmf, wmass = _distill_unit(ready, m_prod, m_sum)
-
-    if horizon < t_trunc:
+    pmf, wmass = _track(params, protocol, t_trunc)
+    if t_trunc is not None and len(pmf) <= t_trunc:
         pmf, wmass = _pad(pmf, t_trunc + 1), _pad(wmass, t_trunc + 1)
     result = _finish(pmf, wmass)
     if mass_floor is not None and result.captured_mass < mass_floor:
         raise HorizonError(
             f"captured mass {result.captured_mass:.9f} is below the floor "
-            f"{mass_floor}; increase t_trunc (current {t_trunc})")
+            f"{mass_floor}; increase t_trunc (current {result.t_trunc})")
     return result
 
 

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qnd
 from qnd.cli import main
 from qnd.flows import FlowAssignment, FlowVerificationError
 
@@ -255,6 +259,15 @@ class TestCompare:
         assert len(files) == 1
         header = files[0].read_text().splitlines()[0]
         assert header == "t,pmf_exact,pmf_geometric"
+        assert files[0].name == "pmf_n2_pg0.5_ps0.5.csv"
+
+    def test_pmf_overlays_of_close_cells_keep_apart(self, tmp_path):
+        pmf_dir = tmp_path / "pmf"
+        assert main(["compare", "--n", "1", "--pg", "0.1234561,0.1234562",
+                     "--ps", "0.5", "--out", str(tmp_path / "cmp.csv"),
+                     "--pmf-out", str(pmf_dir)]) == 0
+        assert sorted(f.name for f in pmf_dir.iterdir()) == [
+            "pmf_n1_pg0.1234561_ps0.5.csv", "pmf_n1_pg0.1234562_ps0.5.csv"]
 
     @pytest.mark.parametrize("flag", [
         ["--tcoh", "10"], ["--cutoff", "5"], ["--samples", "10"],
@@ -299,6 +312,18 @@ class TestSimulate:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["mean_t"]) == pytest.approx(8.0 / 3.0 + 2.0,
                                                      abs=0.15)
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_signal_out(self):
+        # scipy.signal costs most of a second to import; the tracker loads
+        # it only for decaying memories.
+        src = Path(qnd.__file__).resolve().parent.parent
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "import qnd.cli; print('scipy.signal' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.strip() == "False"
 
 
 class TestUsage:

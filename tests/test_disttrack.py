@@ -5,11 +5,13 @@ import pytest
 
 from qnd.chainformulas import ChainParams, decay_factor, det_swap_mean
 from qnd.disttrack import (ChainProtocol, HorizonError, TruncatedDistribution,
-                           WernerParam, chain_distribution,
+                           WernerParam, _fft_len, chain_distribution,
                            compound_geometric, distill_step,
                            distribution_csv, distribution_summary,
                            fidelity_to_werner, geometric_pmf, max_combine,
                            swap_quality, werner_to_fidelity)
+from qnd.markovchain import absorption_stats, build_chain
+from qnd.montecarlo import run_batch
 
 HALF_LOG2 = 1.0 / math.log(2.0)  # t_coh with per-step decay exactly 0.5
 
@@ -380,6 +382,96 @@ class TestChainDistribution:
         assert combined.captured_mass <= d.captured_mass + 1e-12
         swapped = compound_geometric(combined, 0.5)
         assert swapped.captured_mass <= combined.captured_mass + 1e-12
+
+
+class TestCertifiedHorizons:
+    @pytest.mark.parametrize("kwargs, seed", [
+        (dict(n=2, p_g=0.05, p_s=0.5, t_coh=20.0, tau=5), 21),
+        (dict(n=3, p_g=0.05, p_s=0.8, t_coh=50.0, tau=10), 22)])
+    def test_cutoff_chains_meet_the_floor_and_agree_with_mc(self, kwargs,
+                                                            seed):
+        # A crude mean estimate that ignores cut-off restarts sized these
+        # horizons to about 1 - 5e-5 of the mass.
+        params = ChainParams(**kwargs)
+        dist = chain_distribution(params)
+        assert dist.captured_mass >= 1.0 - 1e-12
+        batch = run_batch(params, n_samples=2000, seed=seed)
+        assert abs(dist.mean() - batch.mean_t) < 4.0 * batch.stderr_t
+        assert abs(dist.mean_werner() - batch.mean_w) < 4.0 * batch.stderr_w
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p_g", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("p_s", [0.3, 1.0])
+    def test_swap_only_means_match_markov_and_closed_form(self, n, p_g,
+                                                          p_s):
+        params = ChainParams(n=n, p_g=p_g, p_s=p_s)
+        dist = chain_distribution(params)
+        assert dist.captured_mass >= 1.0 - 1e-12
+        markov = absorption_stats(build_chain(params))["mean"]
+        assert dist.mean() == pytest.approx(markov, rel=1e-9)
+        if p_s == 1.0:
+            assert dist.mean() == pytest.approx(det_swap_mean(2 ** n, p_g),
+                                                rel=1e-12)
+
+    @pytest.mark.parametrize("params, protocol", [
+        (ChainParams(n=3, p_g=0.1, p_s=0.5), None),
+        (ChainParams(n=2, p_g=0.2, p_s=0.5, t_coh=30.0, tau=8), None),
+        (ChainParams(n=1, p_g=0.3, p_s=0.7, t_coh=20.0, tau=6),
+         ChainProtocol.with_distillation(1, 1, w0=0.95))])
+    def test_t_trunc_only_sets_the_output_length(self, params, protocol):
+        full = chain_distribution(params, protocol)
+        # Capped at half the certified horizon the last level drops about
+        # 1e-8 of the mass; what the FFT wraps around, the mass beyond the
+        # full horizon, is at rounding level.
+        for t_trunc in (full.t_trunc // 2, full.t_trunc - 1,
+                        full.t_trunc + 50):
+            short = chain_distribution(params, protocol, t_trunc=t_trunc,
+                                       mass_floor=None)
+            assert short.t_trunc == t_trunc
+            common = min(t_trunc, full.t_trunc) + 1
+            assert np.abs(short.pmf[:common] - full.pmf[:common]).max() \
+                <= 1e-14
+            quality = short.pmf * short.mean_w
+            quality_full = full.pmf * full.mean_w
+            assert np.abs(quality[:common] - quality_full[:common]).max() \
+                <= 1e-14
+            assert short.pmf[common:].sum() == 0.0
+
+    def test_short_first_guess_is_doubled_until_certified(self,
+                                                          monkeypatch):
+        from qnd import disttrack
+        params = ChainParams(n=3, p_g=0.05, p_s=0.5, t_coh=100.0, tau=50)
+        reference = chain_distribution(params)
+        calls = []
+        renewal_sum = disttrack._renewal_sum
+
+        def counting(kernel, firsts, n, *args):
+            calls.append(n)
+            return renewal_sum(kernel, firsts, n, *args)
+
+        # First guesses of ln(10) ~ 2.3 mean delivery times drop about a
+        # tenth of each level's mass.
+        monkeypatch.setattr(disttrack, "TAIL_MASS", 0.1)
+        monkeypatch.setattr(disttrack, "_renewal_sum", counting)
+        dist = chain_distribution(params)
+        assert len(calls) > params.n
+        assert dist.captured_mass >= 1.0 - 1e-12
+        assert dist.mean() == pytest.approx(reference.mean(), rel=1e-10)
+        assert dist.mean_werner() == pytest.approx(reference.mean_werner(),
+                                                   rel=1e-10)
+
+    def test_uncapped_horizon_beyond_the_limit_is_refused(self):
+        # A cut-off of one step puts the last level's mean near 1.6e7 steps:
+        # refused before any array of that length is allocated.
+        params = ChainParams(n=3, p_g=0.1, p_s=0.5, t_coh=50.0, tau=1)
+        with pytest.raises(HorizonError, match="beyond the default limit"):
+            chain_distribution(params)
+
+    def test_fft_len_is_the_least_5_smooth_length(self):
+        smooth = sorted(2 ** i * 3 ** j * 5 ** k for i in range(25)
+                        for j in range(16) for k in range(11))
+        for n in list(range(1, 300)) + [591203, 5_000_001]:
+            assert _fft_len(n) == next(m for m in smooth if m >= 2 * n)
 
 
 class TestForChain:
