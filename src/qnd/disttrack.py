@@ -32,13 +32,14 @@ conditional means is exact: the tracked ``mean_w`` equals the true expected
 Werner parameter of the delivered state at each delivery time.
 
 Delivery times start at 1 (one attempt minimum); index 0 of every array is
-an unused zero slot.  Each level is certified on its own: its horizon is
-sized from the exact mean of its output (mass and first moment of the
-round arrays), and the level is redone on a doubled horizon until it
-captures, up to float rounding, the mass its inputs imply.  A given
-``t_trunc`` caps those horizons and sets the output length.  Mass beyond
-the truncation horizon is dropped, never renormalized; the captured mass
-is reported and enforced against a floor.
+an unused zero slot.  Each level is certified on its own: the elementary
+horizon by its closed-form geometric tail, every unit level's horizon from
+the exact mean of its output (mass and first moment of the round arrays),
+with the level redone on a doubled horizon until it captures, up to float
+rounding, the mass its inputs imply.  A given ``t_trunc`` caps those
+horizons and sets the output length.  Mass beyond the truncation horizon
+is dropped, never renormalized; the captured mass is reported and
+enforced against a floor.
 """
 
 import math
@@ -483,14 +484,17 @@ def _restarts(fail, tau):
     return None if fail is None else np.concatenate([np.zeros(tau), fail])
 
 
-def _unit_rounds(op, joined, tau, p_s):
+def _unit_rounds(op, p1, u1, p2, u2, x, tau, p_s=None):
     """One protocol unit as a single renewal sum over its rounds.
 
-    A round prepares the pair (the arrays ``_join`` produced) and either
-    fails on the cut-off or attempts the unit, which succeeds or fails;
-    every failure restarts both sides, so the rounds are independent.
-    Returns the ``_renewal_sum`` arguments ``(kernel, firsts, round_prob,
-    restarts)``; the firsts are the delivered pmf and quality mass.
+    A round joins the two links (``_join``) and either fails on the
+    cut-off or attempts the unit, which succeeds or fails; every failure
+    restarts both sides, so the rounds are independent.  With ``op`` None
+    no unit is attempted and the rounds only wait until the links coexist
+    (:func:`max_combine`).  Returns the ``_renewal_sum`` arguments
+    ``(kernel, firsts, round_prob, restarts)``; the firsts are the
+    delivered pmf and quality mass, and a kernel of None means no round
+    fails, so the firsts are the result.
 
     A swap succeeds with the constant probability p_s.  Distillation
     succeeds with probability (1 + w'w'')/2 per prepared pair, so the
@@ -498,14 +502,16 @@ def _unit_rounds(op, joined, tau, p_s):
     quality masses; the delivered quality mass follows from
     ``w_out * p_success = (w' + w'' + 4 w'w'') / 6``.
     """
-    ready, m_prod, m_sum, fail = joined
+    ready, m_prod, m_sum, fail = _join(p1, u1, p2, u2, x, tau)
     restarts = _restarts(fail, tau)
     if op == "swap":
         return ready, [ready, m_prod], p_s, restarts
-    success = 0.5 * (ready + m_prod)
-    failure = 0.5 * (ready - m_prod)
-    w_out_mass = (m_sum + 4.0 * m_prod) / 6.0
-    return failure, [success, w_out_mass], None, restarts
+    if op == "distill":
+        success = 0.5 * (ready + m_prod)
+        failure = 0.5 * (ready - m_prod)
+        w_out_mass = (m_sum + 4.0 * m_prod) / 6.0
+        return failure, [success, w_out_mass], None, restarts
+    return restarts, [ready, m_prod], None, None
 
 
 def _as_masses(dist):
@@ -547,11 +553,10 @@ def max_combine(d1, d2, t_coh=math.inf, tau=None):
     x = 1.0 if math.isinf(t_coh) else math.exp(-1.0 / t_coh)
     p1, u1 = _as_masses(d1)
     p2, u2 = _as_masses(d2)
-    ready, m_prod, _, fail = _join(p1, u1, p2, u2, x, tau)
-    if fail is not None:
-        ready, m_prod = _renewal_sum(_restarts(fail, tau), [ready, m_prod],
-                                     len(p1))
-    return _finish(ready, m_prod)
+    kernel, firsts, _, _ = _unit_rounds(None, p1, u1, p2, u2, x, tau)
+    if kernel is not None:
+        firsts = _renewal_sum(kernel, firsts, len(p1))
+    return _finish(*firsts)
 
 
 def compound_geometric(d, p_s):
@@ -582,18 +587,21 @@ TAIL_MASS = 1e-16
 #: amplifies the rounding of the failure-round mass.
 ROUNDING_MASS = 16 * np.finfo(float).eps
 
-#: Largest horizon a level may take without an explicit ``t_trunc``.  A
-#: level past it needs gigabytes of FFT buffers; the chain is then
-#: reported instead of attempted.
-HORIZON_LIMIT = 1 << 25
+#: Largest horizon a renewal-sum level may take without an explicit
+#: ``t_trunc``: its Fourier buffers then hold about 2^27 complex entries,
+#: two gigabytes each.  Swap-only chains stay below it up to n=12 at p_g=0.1,
+#: p_s=0.5; a cut-off that makes restarts dominate can push a chain past
+#: it, which is then reported instead of attempted.  The elementary level
+#: is closed form and never refused on its own.
+HORIZON_LIMIT = 1 << 27
 
 
-def _level_horizon(span, t_cap):
-    """``span`` steps rounded up, capped by ``t_cap`` or, without one,
-    refused beyond ``HORIZON_LIMIT``."""
+def _level_horizon(span, t_cap, limited=True):
+    """``span`` steps rounded up, capped by ``t_cap`` or, without one and
+    when ``limited``, refused beyond ``HORIZON_LIMIT``."""
     if t_cap is not None:
         return min(math.ceil(span), t_cap)
-    if not span <= HORIZON_LIMIT:
+    if limited and not span <= HORIZON_LIMIT:
         raise HorizonError(
             f"a level needs a horizon of {span:.3g} steps, beyond the "
             f"default limit {HORIZON_LIMIT}; pass t_trunc to cap it")
@@ -603,12 +611,17 @@ def _level_horizon(span, t_cap):
 def _certify(level, horizon, mass, tolerance, t_cap):
     """Run ``level(horizon)``, which returns (pmf, quality mass) on
     ``horizon + 1`` entries, doubling the horizon until the captured mass
-    falls short of ``mass`` by at most ``tolerance``; a horizon at the cap
-    ``t_cap`` is accepted unaudited.  Returns (horizon, pmf, quality
-    mass)."""
+    falls short of ``mass`` by at most ``tolerance``.  A horizon at the
+    cap ``t_cap`` is accepted unaudited, and so is one whose doubling
+    captured at most ``tolerance`` more: what is still missing then is
+    rounding in ``mass``, which no horizon recovers.  Returns (horizon,
+    pmf, quality mass)."""
+    captured = -math.inf
     while True:
         pmf, wmass = level(horizon)
-        if horizon == t_cap or mass - pmf.sum() <= tolerance:
+        gained, captured = pmf.sum() - captured, pmf.sum()
+        if (horizon == t_cap or mass - captured <= tolerance
+                or gained <= tolerance):
             return horizon, pmf, wmass
         horizon = _level_horizon(2 * horizon, t_cap)
 
@@ -617,11 +630,13 @@ def _track(params, protocol, t_cap):
     """(pmf, quality mass) of the protocol's output on its last level's
     horizon.
 
-    Each level first runs on ``ln(1 / TAIL_MASS)`` times the exact mean of
-    its own output, computed from its join arrays.  Its renewal sum is
-    then audited: when the captured mass falls short of the mass its
-    inputs imply by more than float rounding, the horizon doubles and the
-    level is redone.  The elementary level is audited against mass 1.
+    The elementary level runs on ``ln(1 / TAIL_MASS) / p_g`` steps, which
+    leaves at most ``(1 - p_g)^h <= exp(-p_g h) = TAIL_MASS`` beyond it.
+    Every unit level first runs on ``ln(1 / TAIL_MASS)`` times the exact
+    mean of its own output, computed from its join arrays.  Its renewal
+    sum is then audited: when the captured mass falls short of the mass
+    its inputs imply by more than float rounding, the horizon doubles and
+    the level is redone.
 
     ``t_cap`` caps every horizon, and a capped level is accepted unaudited.
     Every unit is causal, so entries 1..t_cap do not depend on the cap,
@@ -629,14 +644,16 @@ def _track(params, protocol, t_cap):
     sums wrap around: negligible whenever the output meets a mass floor.
     """
     span = math.log(1.0 / TAIL_MASS)
-    horizon, pmf, wmass = _certify(
-        lambda h: _as_masses(geometric_pmf(params.p_g, h, w0=protocol.w0)),
-        _level_horizon(span / params.p_g, t_cap), 1.0, ROUNDING_MASS, t_cap)
+    # Every unit level runs on at least the elementary horizon, so a
+    # chain with units is refused before the elementary arrays exist.
+    horizon = _level_horizon(span / params.p_g, t_cap,
+                             limited=bool(protocol.plan))
+    pmf, wmass = _as_masses(geometric_pmf(params.p_g, horizon,
+                                          w0=protocol.w0))
     for op in protocol.plan:
-        joined = _join(pmf, wmass, pmf, wmass, params.decay_per_step,
-                       params.tau)
         kernel, firsts, round_prob, restarts = _unit_rounds(
-            op, joined, params.tau, params.p_s)
+            op, pmf, wmass, pmf, wmass, params.decay_per_step, params.tau,
+            params.p_s)
         mass, mean, ending = _renewal_law(kernel, firsts[0], round_prob,
                                           restarts)
         horizon, pmf, wmass = _certify(
@@ -675,10 +692,10 @@ def chain_distribution(params, protocol=None, t_trunc=None,
         :class:`HorizonError` rather than silently biasing results.
 
     Each level is certified on its own: it runs on a horizon sized from
-    the exact mean of its output and is redone on a doubled horizon until
-    it captures the mass its inputs imply.  Levels are zero-extended
-    upward, which keeps the cost polynomial in the horizon and the
-    nesting level.
+    the exact mean of its output, and a unit level is redone on a doubled
+    horizon until it captures the mass its inputs imply.  Levels are
+    zero-extended upward, which keeps the cost polynomial in the horizon
+    and the nesting level.
     """
     protocol = ChainProtocol.for_chain(params, protocol)
     if t_trunc is not None and t_trunc < 1:

@@ -444,14 +444,19 @@ class TestCertifiedHorizons:
         reference = chain_distribution(params)
         calls = []
         renewal_sum = disttrack._renewal_sum
+        renewal_law = disttrack._renewal_law
 
         def counting(kernel, firsts, n, *args):
             calls.append(n)
             return renewal_sum(kernel, firsts, n, *args)
 
-        # First guesses of ln(10) ~ 2.3 mean delivery times drop about a
-        # tenth of each level's mass.
-        monkeypatch.setattr(disttrack, "TAIL_MASS", 0.1)
+        def understated(*args):
+            mass, mean, ending = renewal_law(*args)
+            return mass, mean / 16.0, ending
+
+        # First guesses of ln(1e16) / 16 ~ 2.3 mean delivery times drop
+        # about a tenth of each unit level's mass.
+        monkeypatch.setattr(disttrack, "_renewal_law", understated)
         monkeypatch.setattr(disttrack, "_renewal_sum", counting)
         dist = chain_distribution(params)
         assert len(calls) > params.n
@@ -459,6 +464,56 @@ class TestCertifiedHorizons:
         assert dist.mean() == pytest.approx(reference.mean(), rel=1e-10)
         assert dist.mean_werner() == pytest.approx(reference.mean_werner(),
                                                    rel=1e-10)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_elementary_rounding_needs_no_longer_horizon(self, n):
+        # fl(1 - 0.0007) lies below 1 - 0.0007, so the geometric sum falls
+        # 4.9e-14 short of 1 on any horizon; an audit against mass 1
+        # doubled this level without end.
+        dist = chain_distribution(ChainParams(n=n, p_g=0.0007, p_s=0.5))
+        assert dist.captured_mass >= 1.0 - 1e-12
+        assert dist.t_trunc < 40 * 3 ** n / 0.0007
+
+    def test_rounding_shortfall_stops_the_doubling(self, monkeypatch):
+        from qnd import disttrack
+        params = ChainParams(n=2, p_g=0.1, p_s=0.5)
+        reference = chain_distribution(params)
+        calls = []
+        renewal_sum = disttrack._renewal_sum
+        renewal_law = disttrack._renewal_law
+
+        def counting(kernel, firsts, n, *args):
+            calls.append(n)
+            return renewal_sum(kernel, firsts, n, *args)
+
+        def overstated(*args):
+            mass, mean, ending = renewal_law(*args)
+            return mass + 1e-13, mean, ending
+
+        # A reference mass that no horizon reaches: one doubling captures
+        # nothing more, and the level is accepted.
+        monkeypatch.setattr(disttrack, "_renewal_sum", counting)
+        monkeypatch.setattr(disttrack, "_renewal_law", overstated)
+        dist = chain_distribution(params)
+        assert calls[1] == 2 * calls[0] - 1 and len(calls) == 4
+        common = reference.t_trunc + 1
+        assert np.abs(dist.pmf[:common] - reference.pmf).max() <= 1e-14
+
+    def test_horizon_limit_refuses_unit_levels_only(self, monkeypatch):
+        from qnd import disttrack
+        params = ChainParams(n=2, p_g=0.1, p_s=0.5)
+        horizon = chain_distribution(params).t_trunc
+        monkeypatch.setattr(disttrack, "HORIZON_LIMIT", horizon)
+        assert chain_distribution(params).t_trunc == horizon
+        monkeypatch.setattr(disttrack, "HORIZON_LIMIT", horizon - 1)
+        with pytest.raises(HorizonError, match="beyond the default limit"):
+            chain_distribution(params)
+        assert chain_distribution(params, t_trunc=horizon).t_trunc == horizon
+        # The elementary level alone is closed form and never refused.
+        monkeypatch.setattr(disttrack, "HORIZON_LIMIT", 10)
+        assert chain_distribution(ChainParams(n=0, p_g=0.1)).t_trunc > 10
+        with pytest.raises(HorizonError, match="beyond the default limit"):
+            chain_distribution(ChainParams(n=1, p_g=0.1))
 
     def test_uncapped_horizon_beyond_the_limit_is_refused(self):
         # A cut-off of one step puts the last level's mean near 1.6e7 steps:
