@@ -13,13 +13,15 @@ Subcommands
 ``simulate``  batches on the discrete-event engine, with optional
               per-swap communication delay and event-trace hashing.
 
-Engines are never substituted silently: a request the engine cannot honor
-(distillation on the Markov engine, cut-offs in the closed forms with
-probabilistic swapping) fails with a feature-mismatch error.  Outputs are
-plain CSV or JSON with a fixed column order and locale-independent number
-formatting; identical configurations and seeds produce byte-identical
-files.  Exit codes: 0 success, 2 input error, 3 solver or engine error,
-64 usage error.
+Engines are never substituted silently.  Before any cell runs, ``chain``
+rejects every given option that the chosen engine does not read
+(``chain --help`` names the engines that read each option); a value the
+engine cannot honor, such as a closed-form cut-off with probabilistic
+swapping, fails in the cell.  Both are feature-mismatch errors.  Outputs
+are plain CSV or JSON with a fixed column order and locale-independent
+number formatting; identical configurations and seeds produce
+byte-identical files.  Exit codes: 0 success, 2 input error, 3 solver or
+engine error, 64 usage error.
 """
 
 import argparse
@@ -27,11 +29,13 @@ import concurrent.futures
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import time
+import typing
 
 from . import capbounds, chainformulas, deskernel, disttrack, markovchain
 from . import lpcore, montecarlo, netmodel
@@ -43,8 +47,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ENGINE = 3
 EXIT_USAGE = 64
-
-_ENGINES = ("analytic", "track", "markov", "mc", "des")
 
 _CHAIN_COLUMNS = ("engine", "n", "p_g", "p_s", "t_coh", "tau",
                   "mean_t", "stddev_t", "mean_w", "captured_mass",
@@ -158,6 +160,7 @@ def _add_bounds_parser(sub):
     p.add_argument("--slack-factor", type=float, default=1.0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_bounds)
 
 
 def _cmd_bounds(args):
@@ -204,71 +207,64 @@ def _cmd_bounds(args):
 
 # --- chain -----------------------------------------------------------------
 
-def _add_grid_arguments(p, noisy=True, trunc=True, samples=None):
-    """The parameter grid and output options of a chain command.
+# The options of the grid commands beyond --n, --pg, --ps, --format and
+# --out: the default as typed on the command line, argparse keywords, help.
+# ``chain`` registers them without a default, so that a given option can be
+# told apart, and fills the defaults in after its engine check.
+_GRID_OPTIONS = {
+    "--tcoh": ("inf", {"type": _float_list},
+               "memory coherence times (comma list; 'inf' disables decay)"),
+    "--cutoff": (None, {"type": _int_list},
+                 "cut-off thresholds (comma list; none disables them)"),
+    "--w0": ("1.0", {"type": float}, "Werner parameter of a fresh link"),
+    "--trunc": (None, {"type": int}, "output length and horizon cap of the "
+                "exact engine (none: the certified horizon)"),
+    "--distill-rounds": ("0", {"type": int},
+                         "distillation rounds before each swap level"),
+    "--swap-time": ("zero-step",
+                    {"choices": [m.value for m in markovchain.SwapTimeMode]},
+                    "swap timing convention"),
+    "--delay": ("0", {"type": int}, "classical-communication delay per swap"),
+    "--samples": ("10000", {"type": int}, "samples per grid cell"),
+    "--seed": ("0", {"type": int}, "seed of the sample streams"),
+    "--export-pmf": (None, {}, "also write the full PMF as CSV to this path"),
+}
 
-    ``noisy`` adds --tcoh, --cutoff and --w0 (without them every cell has
-    no decay and no cut-off), ``trunc`` the exact engine's --trunc, and an
-    integer ``samples`` the sampler options with that default count.
-    """
+
+def _add_grid_arguments(p, flags, chain=False):
+    """The grid, the ``_GRID_OPTIONS`` named in ``flags`` and the output
+    options; ``chain`` registers flags without default, naming readers."""
     p.add_argument("--n", type=_int_list, required=True,
                    help="nesting levels (comma list)")
     p.add_argument("--pg", type=_float_list, required=True,
                    help="generation success probabilities (comma list)")
     p.add_argument("--ps", type=_float_list, default=[1.0],
                    help="swap success probabilities (comma list)")
-    if noisy:
-        p.add_argument("--tcoh", type=_float_list, default=[math.inf],
-                       help="memory coherence times; 'inf' disables decay")
-        p.add_argument("--cutoff", type=_int_list, default=None,
-                       help="cut-off thresholds (comma list; omit to "
-                            "disable)")
-        p.add_argument("--w0", type=float, default=1.0,
-                       help="Werner parameter of a fresh link")
-    else:
-        p.set_defaults(tcoh=[math.inf], cutoff=None)
-    if trunc:
-        p.add_argument("--trunc", type=int, default=None,
-                       help="output length of the exact engine, also a "
-                            "cap on its level horizons (default: the "
-                            "certified horizon)")
-    if samples is not None:
-        p.add_argument("--samples", type=int, default=samples)
-        p.add_argument("--seed", type=int, default=0)
+    for flag in flags:
+        default, kwargs, text = _GRID_OPTIONS[flag]
+        if chain:
+            text += f"; for {_readers(flag)} (default {default or 'none'})"
+            default = None
+        p.add_argument(flag, default=default, help=text, **kwargs)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
 
 
 def _grid_cells(args):
     cutoffs = args.cutoff if args.cutoff is not None else [None]
-    cells = []
-    for n in args.n:
-        for pg in args.pg:
-            for ps in args.ps:
-                for tcoh in args.tcoh:
-                    for tau in cutoffs:
-                        cells.append(chainformulas.ChainParams(
-                            n=n, p_g=pg, p_s=ps, t_coh=tcoh, tau=tau))
-    return cells
+    return [chainformulas.ChainParams(n=n, p_g=pg, p_s=ps, t_coh=tcoh, tau=tau)
+            for n, pg, ps, tcoh, tau in itertools.product(
+                args.n, args.pg, args.ps, args.tcoh, cutoffs)]
 
 
 def _add_chain_parser(sub):
     p = sub.add_parser("chain", description="Waiting-time statistics of a "
                        "repeater chain under one explicitly chosen engine.")
     p.add_argument("engine", choices=_ENGINES)
-    _add_grid_arguments(p, samples=10000)
-    p.add_argument("--distill-rounds", type=int, default=0,
-                   help="distillation rounds before each swap level")
-    p.add_argument("--swap-time", choices=[m.value for m in
-                                           markovchain.SwapTimeMode],
-                   default=markovchain.SwapTimeMode.ZERO_STEP.value,
-                   help="markov engine: swap timing convention")
-    p.add_argument("--delay", type=int, default=0,
-                   help="des engine: classical-communication delay per swap")
-    p.add_argument("--export-pmf",
-                   help="track/markov: also write the full PMF as CSV here")
+    _add_grid_arguments(p, _GRID_OPTIONS, chain=True)
     p.add_argument("--timings", action="store_true",
                    help="append a wall-time column (not byte-reproducible)")
+    p.set_defaults(run=_cmd_chain)
 
 
 def _protocol(params, args):
@@ -279,9 +275,6 @@ def _protocol(params, args):
 
 
 def _analytic_cell(params, args):
-    if args.distill_rounds:
-        raise FeatureMismatchError(
-            "the analytic engine has no closed forms for distillation")
     if params.tau is not None:
         if params.p_s < 1.0:
             raise FeatureMismatchError(
@@ -317,21 +310,13 @@ def _track_cell(params, args):
 
 
 def _markov_cell(params, args):
-    if args.distill_rounds:
-        raise FeatureMismatchError(
-            "the markov engine covers swap-only protocols "
-            "(no distillation)")
-    if params.tau is not None:
-        raise FeatureMismatchError(
-            "the markov engine covers swap-only protocols "
-            "(no cut-off)")
     chain = markovchain.build_chain(
         params, markovchain.SwapTimeMode(args.swap_time))
     stats = markovchain.absorption_stats(chain)
     row = {"mean_t": stats["mean"],
            "stddev_t": math.sqrt(stats["variance"]),
            "mean_w": None, "captured_mass": None, "stderr_t": None}
-    if args.export_pmf and args.trunc:
+    if args.export_pmf:
         row["_dist"] = markovchain.waiting_pmf(chain, args.trunc)
     return row
 
@@ -353,30 +338,55 @@ def _sampled_cell(params, args):
             "stderr_t": batch.stderr_t}
 
 
-_CELL_RUNNERS = {
-    "analytic": _analytic_cell,
-    "track": _track_cell,
-    "markov": _markov_cell,
-    "mc": _sampled_cell,
-    "des": _sampled_cell,
+class _Engine(typing.NamedTuple):
+    run: typing.Callable
+    reads: set  # the grid options the engine reads ...
+    joint: set = frozenset()  # ... and those it reads only all together
+
+
+_SAMPLED = {"--tcoh", "--cutoff", "--w0", "--distill-rounds", "--samples",
+            "--seed"}
+
+# The one place that says which engine reads which option.
+_ENGINES = {
+    "analytic": _Engine(_analytic_cell, {"--tcoh", "--cutoff", "--w0"}),
+    "track": _Engine(_track_cell, {"--tcoh", "--cutoff", "--w0", "--trunc",
+                                   "--distill-rounds", "--export-pmf"}),
+    "markov": _Engine(_markov_cell, {"--swap-time", "--trunc", "--export-pmf"},
+                      joint={"--trunc", "--export-pmf"}),
+    "mc": _Engine(_sampled_cell, _SAMPLED),
+    "des": _Engine(_sampled_cell, _SAMPLED | {"--delay"}),
 }
 
 
+def _readers(flag):
+    """The engines that read ``flag``: 'the mc or des engine'."""
+    alone = [name for name, e in _ENGINES.items() if flag in e.reads - e.joint]
+    return f"the {' or '.join(alone)} engine" + "".join(
+        f", or {name} with {' '.join(sorted(e.joint - {flag}))}"
+        for name, e in _ENGINES.items() if flag in e.joint)
+
+
+def _check_engine_options(args):
+    """Reject given options the engine does not read; default the others."""
+    engine = _ENGINES[args.engine]
+    dest = {flag: flag[2:].replace("-", "_") for flag in _GRID_OPTIONS}
+    given = {flag for flag in dest if getattr(args, dest[flag]) is not None}
+    reads = engine.reads - (set() if engine.joint <= given else engine.joint)
+    unread = [flag for flag in dest if flag in given - reads]
+    if unread:
+        raise FeatureMismatchError(
+            f"the {args.engine} engine does not read every given option: "
+            + "; ".join(f"{flag} needs {_readers(flag)}" for flag in unread))
+    for flag, (default, kwargs, _) in _GRID_OPTIONS.items():
+        if flag not in given and default is not None:
+            setattr(args, dest[flag], kwargs.get("type", str)(default))
+
+
 def _cmd_chain(args):
-    if args.delay and args.engine != "des":
-        raise FeatureMismatchError(
-            f"--delay needs the des engine, not {args.engine}")
-    if (args.swap_time != markovchain.SwapTimeMode.ZERO_STEP.value
-            and args.engine != "markov"):
-        raise FeatureMismatchError(
-            f"--swap-time {args.swap_time} needs the markov engine, "
-            f"not {args.engine}")
-    if args.export_pmf and not (args.engine == "track"
-                                or (args.engine == "markov" and args.trunc)):
-        raise FeatureMismatchError(
-            "--export-pmf needs the track engine (or markov with --trunc)")
+    _check_engine_options(args)
     cells = _grid_cells(args)
-    runner = _CELL_RUNNERS[args.engine]
+    runner = _ENGINES[args.engine].run
 
     def run(params):
         t0 = time.perf_counter()
@@ -391,14 +401,12 @@ def _cmd_chain(args):
     _write_table(columns, rows, args.format, args.out)
 
     if args.export_pmf:
-        pieces = []
-        for params, row in zip(cells, results):
-            pieces.append(f"# n={params.n} p_g={params.p_g!r} "
-                          f"p_s={params.p_s!r} t_coh={params.t_coh!r} "
-                          f"tau={params.tau!r}\n")
-            pieces.append(disttrack.distribution_csv(row["_dist"]))
-        with open(args.export_pmf, "w", newline="") as fh:
-            fh.write("".join(pieces))
+        _emit("".join(f"# n={params.n} p_g={params.p_g!r} "
+                      f"p_s={params.p_s!r} t_coh={params.t_coh!r} "
+                      f"tau={params.tau!r}\n"
+                      + disttrack.distribution_csv(row["_dist"])
+                      for params, row in zip(cells, results)),
+              args.export_pmf)
     return EXIT_OK
 
 
@@ -408,7 +416,8 @@ def _add_compare_parser(sub):
     p = sub.add_parser("compare", description="Relative errors of the "
                        "analytical approximations against the exact "
                        "tracked mean.")
-    _add_grid_arguments(p, noisy=False)
+    _add_grid_arguments(p, ["--trunc"])
+    p.set_defaults(tcoh=[math.inf], cutoff=None, run=_cmd_compare)
     p.add_argument("--pmf-out",
                    help="directory for per-cell PMF overlays (exact vs "
                         "moment-matched geometric)")
@@ -452,9 +461,7 @@ def _cmd_compare(args):
             for t in range(1, dist.t_trunc + 1):
                 lines.append(f"{t},{float(dist.pmf[t])!r},"
                              f"{float(geo.pmf[t])!r}")
-            with open(os.path.join(args.pmf_out, name), "w",
-                      newline="") as fh:
-                fh.write("\n".join(lines) + "\n")
+            _emit("\n".join(lines) + "\n", os.path.join(args.pmf_out, name))
     return EXIT_OK
 
 
@@ -463,10 +470,9 @@ def _cmd_compare(args):
 def _add_simulate_parser(sub):
     p = sub.add_parser("simulate", description="Discrete-event batches of "
                        "the chain protocol.")
-    _add_grid_arguments(p, trunc=False, samples=1000)
-    p.add_argument("--distill-rounds", type=int, default=0)
-    p.add_argument("--delay", type=int, default=0,
-                   help="classical-communication delay per swap")
+    _add_grid_arguments(p, ["--tcoh", "--cutoff", "--w0", "--samples",
+                            "--seed", "--distill-rounds", "--delay"])
+    p.set_defaults(samples=1000, run=_cmd_simulate)
     p.add_argument("--trace-hash", action="store_true",
                    help="include the event-trace hash of sample 0")
 
@@ -517,13 +523,6 @@ def _build_parser():
     return parser
 
 
-_COMMANDS = {
-    "bounds": _cmd_bounds,
-    "chain": _cmd_chain,
-    "compare": _cmd_compare,
-    "simulate": _cmd_simulate,
-}
-
 _INPUT_ERRORS = (netmodel.NetworkParseError, netmodel.NetworkValidationError,
                  FileNotFoundError, IsADirectoryError, PermissionError)
 # AssertionError covers every invariant check that raises explicitly, such
@@ -538,7 +537,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

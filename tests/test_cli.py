@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import qnd
-from qnd.cli import main
+from qnd.cli import _ENGINES, main
 from qnd.flows import FlowAssignment, FlowVerificationError
 
 TWO_SEGMENT = """{
@@ -146,7 +146,7 @@ class TestChain:
             assert main(["chain", engine, "--n", "1", "--pg", "0.5",
                          "--samples", "100", "--swap-time",
                          "one-step"]) == 3
-            assert "--swap-time one-step needs the markov engine" in \
+            assert "--swap-time needs the markov engine" in \
                 capsys.readouterr().err
 
     def test_markov_rejects_cutoff(self, capsys):
@@ -228,6 +228,157 @@ class TestChain:
               "--ps", "0.5", "--format", "json", "--out", str(out)])
         rows = json.loads(out.read_text())
         assert rows[0]["engine"] == "analytic"
+
+
+# Every engine-specific ``chain`` option, once per engine that does not
+# read it.  Each value equals the option's default where it has one: an
+# option counts as given whatever its value.
+UNREAD = {
+    "analytic": [["--trunc", "50"], ["--distill-rounds", "0"],
+                 ["--swap-time", "zero-step"], ["--delay", "0"],
+                 ["--samples", "10000"], ["--seed", "0"],
+                 ["--export-pmf", "{pmf}"]],
+    "track": [["--swap-time", "zero-step"], ["--delay", "0"],
+              ["--samples", "10000"], ["--seed", "0"]],
+    "markov": [["--tcoh", "inf"], ["--cutoff", "5"], ["--w0", "1.0"],
+               ["--distill-rounds", "0"], ["--delay", "0"],
+               ["--samples", "10000"], ["--seed", "0"], ["--trunc", "50"],
+               ["--export-pmf", "{pmf}"]],
+    "mc": [["--trunc", "50"], ["--swap-time", "zero-step"], ["--delay", "0"],
+           ["--export-pmf", "{pmf}"]],
+    "des": [["--trunc", "50"], ["--swap-time", "zero-step"],
+            ["--export-pmf", "{pmf}"]],
+}
+
+# The commands that ran with the unread options dropped before the engine
+# table, and the options each must name.
+DROPPED_BEFORE = [
+    (["track", "--samples", "5", "--seed", "3"], ["--samples", "--seed"]),
+    (["markov", "--w0", "0.5"], ["--w0"]),
+    (["markov", "--tcoh", "10,20"], ["--tcoh"]),
+    (["markov", "--trunc", "300"], ["--trunc"]),
+    (["mc", "--trunc", "10"], ["--trunc"]),
+    (["analytic", "--trunc", "5", "--seed", "4"], ["--trunc", "--seed"]),
+]
+
+# Each engine, two settings of one option it reads, and the output column
+# they must move ("pmf_rows": the number of exported PMF lines).  Outputs
+# that merely echo the option, such as t_coh, are not compared.
+READ = [
+    ("analytic", ["--tcoh", "40"], ["--tcoh", "80"], "mean_w"),
+    ("analytic", ["--cutoff", "3"], ["--cutoff", "6"], "mean_t"),
+    ("analytic", ["--w0", "0.9"], ["--w0", "0.8"], "mean_w"),
+    ("track", ["--tcoh", "40"], ["--tcoh", "80"], "mean_w"),
+    ("track", ["--cutoff", "3"], ["--cutoff", "6"], "mean_t"),
+    ("track", ["--w0", "0.9"], ["--w0", "0.8"], "mean_w"),
+    ("track", ["--distill-rounds", "0"], ["--distill-rounds", "1"],
+     "mean_t"),
+    ("track", ["--trunc", "30", "--export-pmf", "{pmf}"],
+     ["--trunc", "40", "--export-pmf", "{pmf}"], "pmf_rows"),
+    ("track", ["--trunc", "30"], ["--trunc", "30", "--export-pmf", "{pmf}"],
+     "pmf_rows"),
+    ("markov", ["--swap-time", "zero-step"], ["--swap-time", "one-step"],
+     "mean_t"),
+    ("markov", ["--trunc", "30", "--export-pmf", "{pmf}"],
+     ["--trunc", "40", "--export-pmf", "{pmf}"], "pmf_rows"),
+] + [
+    (engine, a, b, column)
+    for engine in ("mc", "des")
+    for a, b, column in [
+        (["--tcoh", "40"], ["--tcoh", "80"], "mean_w"),
+        (["--cutoff", "1"], ["--cutoff", "3"], "mean_t"),
+        (["--w0", "0.9"], ["--w0", "0.8"], "mean_w"),
+        (["--distill-rounds", "0"], ["--distill-rounds", "1"], "mean_t"),
+        (["--samples", "300"], ["--samples", "400"], "mean_t"),
+        (["--seed", "1"], ["--seed", "2"], "mean_t"),
+    ]
+] + [("des", ["--delay", "0"], ["--delay", "2"], "mean_t")]
+
+
+def _chain_output(tmp_path, engine, extra):
+    """The first row of a one-cell ``chain`` run and the number of exported
+    PMF lines (None without an export)."""
+    pmf = tmp_path / "pmf.csv"
+    pmf.unlink(missing_ok=True)
+    sampled = (["--samples", "300", "--seed", "1"]
+               if engine in ("mc", "des") else [])
+    out = tmp_path / "rows.csv"
+    assert main(["chain", engine, "--n", "1", "--pg", "0.5", *sampled,
+                 *[arg.format(pmf=pmf) for arg in extra],
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    row["pmf_rows"] = (len(pmf.read_text().splitlines()) if pmf.exists()
+                       else None)
+    return row
+
+
+class TestEngineTable:
+    @pytest.mark.parametrize("engine,option", [
+        (engine, option) for engine, options in UNREAD.items()
+        for option in options])
+    def test_unread_option_rejected_before_any_cell_runs(
+            self, engine, option, tmp_path, capsys):
+        out, pmf = tmp_path / "rows.csv", tmp_path / "pmf.csv"
+        argv = ["chain", engine, "--n", "1", "--pg", "0.5",
+                *[arg.format(pmf=pmf) for arg in option], "--out", str(out)]
+        assert main(argv) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert f"{option[0]} needs the" in stderr
+        assert not out.exists() and not pmf.exists()
+
+    @pytest.mark.parametrize("argv,options", DROPPED_BEFORE)
+    def test_formerly_dropped_options_rejected(self, argv, options, tmp_path,
+                                               capsys):
+        out = tmp_path / "rows.csv"
+        assert main(["chain", argv[0], "--n", "1", "--pg", "0.5", *argv[1:],
+                     "--out", str(out)]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert f"the {argv[0]} engine does not read" in stderr
+        for option in options:
+            assert f"{option} needs the" in stderr
+        assert not out.exists()
+
+    def test_markov_trunc_zero_reaches_the_pmf_check(self, tmp_path, capsys):
+        pmf = tmp_path / "f"
+        assert main(["chain", "markov", "--n", "1", "--pg", "0.5",
+                     "--trunc", "0", "--export-pmf", str(pmf)]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert "t_max must be at least 1" in stderr
+        assert not pmf.exists()
+
+    def test_rejection_names_the_engines_that_read_the_option(self, tmp_path,
+                                                              capsys):
+        assert main(["chain", "markov", "--n", "1", "--pg", "0.5", "--seed",
+                     "1", "--export-pmf", str(tmp_path / "f")]) == 3
+        err = capsys.readouterr().err
+        assert "--seed needs the mc or des engine" in err
+        assert ("--export-pmf needs the track engine, or markov with "
+                "--trunc") in err
+
+    @pytest.mark.parametrize("engine,a,b,column", READ)
+    def test_read_option_moves_the_output(self, engine, a, b, column,
+                                          tmp_path):
+        row_a = _chain_output(tmp_path, engine, a)
+        row_b = _chain_output(tmp_path, engine, b)
+        assert row_a[column] != row_b[column]
+
+    def test_matrices_cover_every_engine_and_option_once(self):
+        options = {"--tcoh", "--cutoff", "--w0", "--trunc", "--distill-rounds",
+                   "--swap-time", "--delay", "--samples", "--seed",
+                   "--export-pmf"}
+        for engine, unread in UNREAD.items():
+            read = {arg for e, a, b, _ in READ if e == engine
+                    for arg in a + b if arg.startswith("--")}
+            rejected = {option[0] for option in unread}
+            assert read | rejected == options, engine
+            # markov reads --trunc and --export-pmf only as a pair.
+            assert read & rejected == ({"--trunc", "--export-pmf"}
+                                       if engine == "markov" else set())
+            assert read == _ENGINES[engine].reads, engine
 
 
 class TestCompare:

@@ -5,10 +5,11 @@ has to match its snapshot byte for byte.  The one tolerance is the
 ``rel_err_det_swap`` column of ``compare``, which is compared to 1e-12
 absolute so the closed form may be re-evaluated by a different stable sum.
 
-The snapshots cover the criterion-12 commands, ``simulate --trace-hash``
-grids that pin the discrete-event traces, and every ``bounds`` task, usage
-unit and output format on ``net_mixed.json``, a network with an asymmetric
-pair of explicit channels and a lossless (eta = 1) channel.
+The snapshots cover the criterion-12 commands, ``chain`` runs that pin
+each engine's options, ``simulate --trace-hash`` grids that pin the
+discrete-event traces, and every ``bounds`` task, usage unit and output
+format on ``net_mixed.json``, a network with an asymmetric pair of
+explicit channels and a lossless (eta = 1) channel.
 
 Regenerate the snapshots, only when a change of output is intended, with::
 
@@ -76,6 +77,24 @@ def _commands():
             "simulate", "--n", "1,2", "--pg", "0.5", "--ps", "0.8",
             "--tcoh", "30", "--cutoff", "8", "--distill-rounds", "1",
             "--samples", "50", "--seed", "2", "--trace-hash"],
+        "chain_analytic_decay": ["chain", "analytic", "--n", "1,2", "--pg",
+                                 "0.3", "--ps", "0.5", "--tcoh", "40",
+                                 "--w0", "0.9"],
+        "chain_analytic_cutoff": ["chain", "analytic", "--n", "1,2", "--pg",
+                                  "0.3", "--ps", "1.0", "--cutoff", "5"],
+        "chain_track_distill": ["chain", "track", "--n", "1", "--pg", "0.5",
+                                "--ps", "0.8", "--tcoh", "100",
+                                "--distill-rounds", "1", "--w0", "0.95"],
+        "chain_markov_one_step": ["chain", "markov", "--n", "1,2", "--pg",
+                                  "0.5", "--ps", "0.5", "--swap-time",
+                                  "one-step"],
+        "chain_des_delay": ["chain", "des", "--n", "1", "--pg", "0.5", "--ps",
+                            "0.5", "--samples", "300", "--seed", "2",
+                            "--delay", "2"],
+        "chain_mc_distill": ["chain", "mc", "--n", "1", "--pg", "0.4", "--ps",
+                             "0.8", "--tcoh", "30", "--distill-rounds", "1",
+                             "--w0", "0.9", "--samples", "300", "--seed",
+                             "5"],
     }
     tasks = {
         "bipartite": ["--bipartite", "A", "C"],
