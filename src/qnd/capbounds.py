@@ -13,7 +13,10 @@ nested max-min loop.
 
 This module only weights the graph and reports: the programs are built,
 solved and verified by :mod:`qnd.flows`, so every bound rests on a flow
-assignment that passed :meth:`qnd.flows.FlowAssignment.verify`.
+assignment that passed :meth:`qnd.flows.FlowAssignment.verify`.  When the
+lower and the upper program of a sandwich are identical, as for pure-loss
+channels, whose achievable capacity equals their entanglement upper
+weight, that program is solved and verified once for both bounds.
 
 Multicommodity upper bounds carry an unavoidable O(log k) gap to the
 corresponding cut quantity; the gap factor is reported symbolically in the
@@ -96,6 +99,20 @@ def _require_nodes(net, nodes):
                 f"node {node!r} is not in the network")
 
 
+def _flow_program(net, unit, measure, esq_lossy):
+    """The graph and, under PER_CHANNEL_USE, the usage terms of one side."""
+    graph = undirect(net, measure, esq_lossy=esq_lossy)
+    if unit is not UsageUnit.PER_CHANNEL_USE:
+        return graph, None
+    edge_index = {(u, v): j for j, (u, v, _) in enumerate(graph.uedges)}
+    usage_terms = [[] for _ in graph.uedges]
+    for q_idx, e in enumerate(net.edges):
+        key = (min(e.tail, e.head), max(e.tail, e.head))
+        usage_terms[edge_index[key]].append(
+            (q_idx, channel_value(e.channel, measure, esq_lossy=esq_lossy)))
+    return graph, usage_terms
+
+
 def _solve_sandwich(net, unit, pairs, objective, esq_lossy_upper,
                     shared_capacity=True):
     """The lower and the upper flow LP of a capacity bound, solved and
@@ -107,30 +124,28 @@ def _solve_sandwich(net, unit, pairs, objective, esq_lossy_upper,
     ``shared_capacity`` False each pair gets its own private copy of the
     capacity constraints.
 
+    Both programs are built first.  When they are identical, as on
+    pure-loss channels without the squashed upper weight, the one program
+    is solved and verified once and its value is both bounds; the solver
+    is deterministic, so this is the value a second solve would return.
+
     Returns (lower, upper, q_opt), ``q_opt`` being the usage frequencies
     that attain the lower value, or None unless PER_CHANNEL_USE.
     """
     if unit is UsageUnit.PER_NETWORK_USE:
         net = replace(net, edges=tuple(Edge(e.tail, e.head, e.channel, 1.0)
                                        for e in net.edges))
-    results = []
-    for measure, esq_lossy in ((Measure.LOWER_CAPACITY, False),
-                               (Measure.UPPER_ENTANGLEMENT, esq_lossy_upper)):
-        graph = undirect(net, measure, esq_lossy=esq_lossy)
-        usage_terms = None
-        if unit is UsageUnit.PER_CHANNEL_USE:
-            edge_index = {(u, v): j
-                          for j, (u, v, _) in enumerate(graph.uedges)}
-            usage_terms = [[] for _ in graph.uedges]
-            for q_idx, e in enumerate(net.edges):
-                key = (min(e.tail, e.head), max(e.tail, e.head))
-                usage_terms[edge_index[key]].append(
-                    (q_idx, channel_value(e.channel, measure,
-                                          esq_lossy=esq_lossy)))
-        value, _, q = _solve_flow(graph, pairs, objective, usage_terms,
+    lower_program = _flow_program(net, unit, Measure.LOWER_CAPACITY, False)
+    upper_program = _flow_program(net, unit, Measure.UPPER_ENTANGLEMENT,
+                                  esq_lossy_upper)
+    graph, usage_terms = lower_program
+    lower, _, q_opt = _solve_flow(graph, pairs, objective, usage_terms,
                                   shared_capacity)
-        results.append((value, q))
-    (lower, q_opt), (upper, _) = results
+    if upper_program == lower_program:
+        return lower, lower, q_opt
+    graph, usage_terms = upper_program
+    upper, _, _ = _solve_flow(graph, pairs, objective, usage_terms,
+                              shared_capacity)
     return lower, upper, q_opt
 
 

@@ -28,6 +28,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -105,14 +106,14 @@ def _emit(text, out_path):
 
 def _float_list(text):
     try:
-        return [float(x) for x in text.split(",") if x != ""]
+        return [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"not a number list: {text!r}") from exc
 
 
 def _int_list(text):
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"not an integer list: {text!r}") from exc
 
@@ -280,6 +281,11 @@ def _analytic_cell(params, args):
             raise FeatureMismatchError(
                 "the analytic engine supports cut-offs only with "
                 "deterministic swapping (p_s = 1)")
+        if not math.isinf(params.t_coh) or args.w0 != 1.0:
+            raise FeatureMismatchError(
+                "the analytic engine's cut-off formula gives the waiting "
+                "time only: it models no memory decay (finite --tcoh) and "
+                "no link quality (--w0 other than 1)")
         mean = chainformulas.det_swap_mean_cutoff(
             params.segments, params.p_g, params.tau)
         return {"mean_t": mean, "stddev_t": None, "mean_w": None,
@@ -512,7 +518,10 @@ def _cmd_simulate(args):
 
 # --- entry point -------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call, not at import, and
+    shared by every later ``main`` call in the process."""
     parser = _Parser(prog="qnd", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -156,25 +156,42 @@ def _resolve_round(state, pairs, p_s):
     return out
 
 
-def _cascade(state, prob, p_s, n_segments, acc):
-    """Resolve swap rounds within one tick until no pair remains."""
+def _cascade_leaves(state, p_s, n_segments, factors, leaves):
+    """Resolve swap rounds within one tick until no pair remains: append
+    each end state to ``leaves`` in depth-first order, with the tuple of
+    branch probabilities on its path."""
     pairs = _mergeable_pairs(state, n_segments)
     if not pairs:
-        acc[state] = acc.get(state, 0.0) + prob
+        leaves.append((state, factors))
         return
     for branch_prob, next_state in _resolve_round(state, pairs, p_s):
-        _cascade(next_state, prob * branch_prob, p_s, n_segments, acc)
+        _cascade_leaves(next_state, p_s, n_segments,
+                        factors + (branch_prob,), leaves)
 
 
-def _transitions(state, params, mode, n_segments):
-    """Distribution over successor states for one tick."""
+def _transitions(state, params, mode, n_segments, cascades):
+    """Distribution over successor states for one tick.
+
+    ``cascades`` memoises the swap cascade of each post-generation state
+    for one build.  A leaf's probability is replayed as the product of the
+    generation probability and its branch factors, left to right, so every
+    product and sum is the one an unmemoised cascade computes.
+    """
     acc = {}
     p_g, p_s = params.p_g, params.p_s
     empty = _empty_segments(state, n_segments)
     if mode is SwapTimeMode.ZERO_STEP:
         for gen_prob, links in _gen_outcomes(empty, p_g):
-            _cascade(frozenset(state) | frozenset(links), gen_prob, p_s,
-                     n_segments, acc)
+            post = frozenset(state) | frozenset(links)
+            leaves = cascades.get(post)
+            if leaves is None:
+                leaves = cascades[post] = []
+                _cascade_leaves(post, p_s, n_segments, (), leaves)
+            for leaf, factors in leaves:
+                prob = gen_prob
+                for factor in factors:
+                    prob *= factor
+                acc[leaf] = acc.get(leaf, 0.0) + prob
     else:
         pairs = _mergeable_pairs(state, n_segments)
         for swap_prob, mid_state in _resolve_round(state, pairs, p_s):
@@ -205,6 +222,7 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP,
     index = {}
     states = []
     rows = []
+    cascades = {}
 
     def intern(state_fs):
         key = _canonical(state_fs, n_segments, merge_symmetric)
@@ -227,7 +245,7 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP,
         if done in state:
             rows[i] = {i: 1.0}
             continue
-        acc = _transitions(state, params, mode, n_segments)
+        acc = _transitions(state, params, mode, n_segments, cascades)
         row = {}
         for next_state, prob in acc.items():
             j = intern(next_state)

@@ -252,15 +252,6 @@ class WeightedUGraph:
                 return w
         return 0.0
 
-    def neighbors(self, u):
-        out = []
-        for a, b, _ in self.uedges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return out
-
 
 def undirect(net, measure, esq_lossy=False):
     """Collapse a directed network into the undirected weighted graph used

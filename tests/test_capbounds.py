@@ -1,14 +1,19 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qnd.capbounds import (TreePackingConstants, UsageUnit, bipartite_bounds,
-                           multipair_bounds, multipartite_bounds)
+from qnd import capbounds, flows, lpcore
+from qnd.capbounds import (BoundReport, TreePackingConstants, UsageUnit,
+                           bipartite_bounds, multipair_bounds,
+                           multipartite_bounds)
 from qnd.flows import FlowAssignment
 from qnd.netmodel import (Edge, Explicit, Lossy, Measure, NetworkSpec,
-                          channel_value)
+                          channel_value, undirect)
 
 NET = UsageUnit.PER_NETWORK_USE
 CHAN = UsageUnit.PER_CHANNEL_USE
@@ -26,6 +31,26 @@ def explicit_net(nodes, pairs_weights, commodities=(), users=None):
     edges = tuple(Edge(a, b, Explicit(E, Q)) for a, b, E, Q in pairs_weights)
     return NetworkSpec(nodes=tuple(nodes), edges=edges,
                        commodities=tuple(commodities), users=users)
+
+
+def lossy_grid(rng, k):
+    """A k x k grid of pure-loss channels, one directed edge per
+    neighbouring pair, with random orientation, eta and usage weight."""
+    nodes = [f"r{i}c{j}" for i in range(k) for j in range(k)]
+    edges = []
+    for i, j in itertools.product(range(k), repeat=2):
+        for di, dj in ((0, 1), (1, 0)):
+            if i + di < k and j + dj < k:
+                ends = [f"r{i}c{j}", f"r{i + di}c{j + dj}"]
+                if rng.random() < 0.5:
+                    ends.reverse()
+                edges.append(Edge(*ends, Lossy(float(rng.uniform(0.2, 0.9))),
+                                  q=float(rng.uniform(0.5, 1.5))))
+    last = f"r{k - 1}c{k - 1}"
+    return NetworkSpec(nodes=tuple(nodes), edges=tuple(edges),
+                       commodities=(("r0c0", last),
+                                    (f"r0c{k - 1}", f"r{k - 1}c0")),
+                       users=("r0c0", f"r0c{k - 1}", last))
 
 
 def random_mixed_network(rng, n_nodes=5):
@@ -272,6 +297,23 @@ class TestVerification:
         shared = [flag for _, flag in checks]
         assert shared == [True] * 6 + [False] * 2
 
+    @pytest.mark.parametrize("unit", list(UsageUnit))
+    def test_identical_sides_verified_once(self, checks, unit):
+        # Pure loss: the lower and the upper program are one program.
+        net = lossy_grid(np.random.default_rng(2), 3)
+        bipartite_bounds(net, "r0c0", "r2c2", unit)
+        multipair_bounds(net, net.commodities, "total", unit)
+        multipair_bounds(net, net.commodities, "worst", unit)
+        multipartite_bounds(net, unit=unit)
+        assert [flag for _, flag in checks] == [True] * 3 + [False]
+
+    @pytest.mark.parametrize("unit", list(UsageUnit))
+    def test_squashed_upper_solves_both_sides(self, checks, unit):
+        net = lossy_grid(np.random.default_rng(2), 3)
+        bipartite_bounds(net, "r0c0", "r2c2", unit, esq_lossy_upper=True)
+        multipartite_bounds(net, unit=unit, esq_lossy_upper=True)
+        assert [flag for _, flag in checks] == [True] * 2 + [False] * 2
+
     def test_channel_use_checked_against_q_opt(self, checks):
         report = bipartite_bounds(self.NET, "A", "C", CHAN)
         graph = checks[0][0]  # the lower-bound program
@@ -284,3 +326,97 @@ class TestVerification:
         assert {(u, v): w for u, v, w in graph.uedges} == pytest.approx(
             expected, abs=1e-12)
         assert math.isinf(graph.weight("C", "D"))
+
+
+def _two_solve_sandwich(net, unit, pairs, objective, esq_lossy_upper,
+                        shared_capacity=True):
+    """Reference for ``capbounds._solve_sandwich``: build and solve the
+    lower and the upper program separately, whether or not they agree."""
+    if unit is NET:
+        net = dataclasses.replace(net, edges=tuple(
+            Edge(e.tail, e.head, e.channel, 1.0) for e in net.edges))
+    results = []
+    for measure, esq in ((Measure.LOWER_CAPACITY, False),
+                         (Measure.UPPER_ENTANGLEMENT, esq_lossy_upper)):
+        graph = undirect(net, measure, esq_lossy=esq)
+        usage_terms = None
+        if unit is CHAN:
+            index = {(u, v): j for j, (u, v, _) in enumerate(graph.uedges)}
+            usage_terms = [[] for _ in graph.uedges]
+            for q_idx, e in enumerate(net.edges):
+                usage_terms[index[tuple(sorted((e.tail, e.head)))]].append(
+                    (q_idx, channel_value(e.channel, measure,
+                                          esq_lossy=esq)))
+        value, _, q = flows._solve_flow(graph, pairs, objective, usage_terms,
+                                        shared_capacity)
+        results.append((value, q))
+    (lower, q_opt), (upper, _) = results
+    return lower, upper, q_opt
+
+
+def _reports(net, unit, esq):
+    """The report of every task, or the solver error it raised: the
+    tableau can fail numerically on near-zero explicit weights under
+    channel-use, and both paths must then fail alike."""
+    pair = net.commodities[0]
+    tasks = [
+        lambda: bipartite_bounds(net, *pair, unit, esq_lossy_upper=esq),
+        lambda: multipair_bounds(net, net.commodities, "total", unit,
+                                 esq_lossy_upper=esq),
+        lambda: multipair_bounds(net, net.commodities, "worst", unit,
+                                 slack_factor=1.5, esq_lossy_upper=esq),
+        lambda: multipartite_bounds(net, unit=unit, esq_lossy_upper=esq)]
+    out = []
+    for task in tasks:
+        try:
+            out.append(task())
+        except lpcore.LPNumericError as exc:
+            out.append(repr(exc))
+    return out
+
+
+def _assert_same_as_two_solves(net, unit, esq=False):
+    reports = _reports(net, unit, esq)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capbounds, "_solve_sandwich", _two_solve_sandwich)
+        references = _reports(net, unit, esq)
+    for report, ref in zip(reports, references):
+        if isinstance(ref, BoundReport):
+            for field in dataclasses.fields(BoundReport):
+                assert getattr(report, field.name) == getattr(ref,
+                                                              field.name)
+        assert repr(report) == repr(ref)  # signed zeros and all digits
+
+
+class TestOneSolveSandwich:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("unit", list(UsageUnit))
+    def test_pure_loss_grid_matches_two_solves(self, seed, unit):
+        _assert_same_as_two_solves(
+            lossy_grid(np.random.default_rng(seed), 3 + seed % 2), unit)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mixed_network_matches_two_solves(self, data):
+        n = data.draw(st.integers(3, 5), label="nodes")
+        nodes = tuple(f"N{i}" for i in range(n))
+        lossy = st.builds(Lossy, st.one_of(st.floats(0.0, 0.95),
+                                           st.just(1.0)))
+        explicit = st.builds(
+            lambda q, d: Explicit(q + d, q), st.floats(0.0, 2.0),
+            st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+        edges = []
+        for i, j in itertools.combinations(range(n), 2):
+            if data.draw(st.booleans()):
+                ends = (nodes[i], nodes[j])
+                if data.draw(st.booleans()):
+                    ends = ends[::-1]
+                edges.append(Edge(*ends, data.draw(st.one_of(lossy,
+                                                             explicit)),
+                                  q=data.draw(st.floats(0.0, 2.0))))
+        net = NetworkSpec(nodes=nodes, edges=tuple(edges),
+                          commodities=((nodes[0], nodes[-1]),
+                                       (nodes[1], nodes[2])),
+                          users=nodes[:3])
+        _assert_same_as_two_solves(net, data.draw(st.sampled_from(UsageUnit)),
+                                   data.draw(st.booleans()))

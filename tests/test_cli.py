@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import qnd
+from qnd import cli
 from qnd.cli import _ENGINES, main
 from qnd.flows import FlowAssignment, FlowVerificationError
 
@@ -156,6 +158,24 @@ class TestChain:
     def test_analytic_rejects_distillation(self, capsys):
         assert main(["chain", "analytic", "--n", "1", "--pg", "0.5",
                      "--distill-rounds", "1"]) == 3
+
+    @pytest.mark.parametrize("extra", [
+        ["--tcoh", "10,20", "--w0", "0.9"], ["--tcoh", "10"],
+        ["--w0", "0.9"]])
+    def test_analytic_cutoff_rejects_decay_and_quality(self, extra, capsys):
+        # The cut-off closed form gives the mean wait alone; it used to
+        # print one identical row per t_coh with an empty mean_w.
+        assert main(["chain", "analytic", "--n", "1", "--pg", "0.3",
+                     "--ps", "1", "--cutoff", "5", *extra]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cut-off formula" in err
+
+    def test_analytic_cutoff_accepts_the_defaults_spelled_out(self, capsys):
+        assert main(["chain", "analytic", "--n", "1", "--pg", "0.3",
+                     "--ps", "1", "--cutoff", "5", "--tcoh", "inf",
+                     "--w0", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_grid_order_stable(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -476,6 +496,17 @@ class TestImport:
                               capture_output=True, text=True, timeout=60)
         assert done.stdout.strip() == "False"
 
+    def test_cli_import_builds_no_parser(self):
+        # The parser is built by the first main call, so importing the
+        # module stays cheap.
+        src = Path(qnd.__file__).resolve().parent.parent
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "import qnd.cli; "
+                "print(qnd.cli._build_parser.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.strip() == "0"
+
 
 class TestUsage:
     def test_unknown_engine(self):
@@ -486,3 +517,48 @@ class TestUsage:
 
     def test_bad_number_list(self):
         assert main(["chain", "track", "--n", "1", "--pg", "zero"]) == 64
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--pg", ","), ("--pg", "0.1,,0.2"), ("--pg", "0.1,"), ("--pg", ""),
+        ("--n", "1,"), ("--ps", ",0.5"), ("--tcoh", "10,"),
+        ("--cutoff", "5,,6")])
+    def test_empty_list_item_is_usage_error(self, flag, value, capsys):
+        argv = {"--n": "1", "--pg": "0.5", flag: value}
+        assert main(["chain", "mc", *(x for kv in argv.items() for x in kv),
+                     "--samples", "10"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage error" in err
+
+
+class TestRepeatedCalls:
+    MC = ["chain", "mc", "--n", "1", "--pg", "0.5", "--samples", "50"]
+
+    def test_parser_is_built_once(self, capsys):
+        main(self.MC)
+        before = cli._build_parser.cache_info()
+        main(self.MC)
+        main(["compare", "--n", "1", "--pg", "0.5"])
+        after = cli._build_parser.cache_info()
+        assert after.misses == before.misses == 1
+        assert after.hits == before.hits + 2
+
+    def test_given_option_does_not_stick(self, capsys):
+        main(self.MC + ["--seed", "3"])
+        seeded = capsys.readouterr().out
+        main(self.MC)
+        default = capsys.readouterr().out
+        main(self.MC + ["--seed", "0"])
+        assert default == capsys.readouterr().out
+        assert default != seeded
+
+    def test_shared_defaults_stay_unmutated(self, capsys):
+        for _ in range(2):
+            assert main(["compare", "--n", "1", "--pg", "0.5"]) == 0
+            assert main(self.MC) == 0
+        parser = cli._build_parser()
+        args = parser.parse_args(["compare", "--n", "1", "--pg", "0.5"])
+        assert args.tcoh == [math.inf]
+        assert args.ps == [1.0]
+        args = parser.parse_args(self.MC)
+        assert (args.seed, args.tcoh, args.w0) == (None, None, None)

@@ -85,6 +85,8 @@ def _commands():
         "chain_track_distill": ["chain", "track", "--n", "1", "--pg", "0.5",
                                 "--ps", "0.8", "--tcoh", "100",
                                 "--distill-rounds", "1", "--w0", "0.95"],
+        "chain_markov_n3": ["chain", "markov", "--n", "3", "--pg", "0.1",
+                            "--ps", "0.5"],
         "chain_markov_one_step": ["chain", "markov", "--n", "1,2", "--pg",
                                   "0.5", "--ps", "0.5", "--swap-time",
                                   "one-step"],

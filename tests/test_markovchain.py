@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qnd import markovchain
 from qnd.chainformulas import ChainParams
 from qnd.disttrack import chain_distribution
 from qnd.markovchain import (AbsorptionError, SwapTimeMode, build_chain,
@@ -94,6 +95,45 @@ class TestBuildChain:
         assert s_merged["mean"] == pytest.approx(s_full["mean"], rel=1e-10)
         assert s_merged["variance"] == pytest.approx(s_full["variance"],
                                                      rel=1e-10)
+
+
+def _unmemoised_transitions(state, params, mode, n_segments, cascades):
+    """Reference for ``markovchain._transitions`` under ZERO_STEP: the swap
+    cascade recursed from every generation outcome, multiplying the branch
+    probabilities on the way down, with no memo."""
+    acc = {}
+
+    def cascade(s, prob):
+        pairs = markovchain._mergeable_pairs(s, n_segments)
+        if not pairs:
+            acc[s] = acc.get(s, 0.0) + prob
+            return
+        for branch_prob, nxt in markovchain._resolve_round(s, pairs,
+                                                           params.p_s):
+            cascade(nxt, prob * branch_prob)
+
+    empty = markovchain._empty_segments(state, n_segments)
+    for gen_prob, links in markovchain._gen_outcomes(empty, params.p_g):
+        cascade(frozenset(state) | frozenset(links), gen_prob)
+    return acc
+
+
+class TestCascadeMemo:
+    @pytest.mark.parametrize("n, p_g, p_s", [
+        (1, 0.1, 0.5), (2, 0.1, 0.5), (3, 0.1, 0.5), (3, 0.3, 0.9),
+        (2, 0.5, 1.0)])
+    def test_bitwise_equal_to_unmemoised_cascade(self, monkeypatch,
+                                                 n, p_g, p_s):
+        params = ChainParams(n=n, p_g=p_g, p_s=p_s)
+        memo = build_chain(params, ZERO)
+        monkeypatch.setattr(markovchain, "_transitions",
+                            _unmemoised_transitions)
+        ref = build_chain(params, ZERO)
+        assert memo.states == ref.states
+        for field in ("data", "indices", "indptr"):
+            a, b = getattr(memo.tpm, field), getattr(ref.tpm, field)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes(), field
 
 
 class TestAbsorptionStats:
