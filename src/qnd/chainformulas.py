@@ -40,6 +40,8 @@ __all__ = [
 # truncation error.
 _DET_SWAP_TOL = 1e-16
 _DET_SWAP_BLOCK = 1 << 16
+# partial_links_mean stops once the survival function drops below this.
+_PARTIAL_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,6 @@ class ChainParams:
     tau : int or None
         Cut-off threshold: a stored link older than ``tau`` attempts is
         discarded.  None disables cut-offs.
-    delta : int
-        Attempt duration.  Fixed to one time step; kept as an explicit
-        field so the simplification is visible at call sites.
     """
 
     n: int
@@ -70,7 +69,6 @@ class ChainParams:
     p_s: float = 1.0
     t_coh: float = math.inf
     tau: int | None = None
-    delta: int = 1
 
     def __post_init__(self):
         if self.n < 0 or self.n != int(self.n):
@@ -83,8 +81,6 @@ class ChainParams:
             raise ValueError(f"t_coh must be positive, got {self.t_coh!r}")
         if self.tau is not None and (self.tau < 1 or self.tau != int(self.tau)):
             raise ValueError(f"tau must be a positive integer, got {self.tau!r}")
-        if self.delta != 1:
-            raise ValueError("the attempt duration is fixed to one time step")
 
     @property
     def segments(self):
@@ -278,12 +274,12 @@ def det_swap_mean_cutoff(n_segments, p_g, tau):
     return numerator / denominator
 
 
-def partial_links_mean(n_segments, k, p_g, tail_tol=1e-12):
+def partial_links_mean(n_segments, k, p_g):
     """Mean time until the first ``k`` of ``n_segments`` parallel
     generations have succeeded.
 
     Summed from the survival function, truncating once the residual tail
-    drops below ``tail_tol``.  ``k = n_segments`` coincides with
+    drops below 1e-12.  ``k = n_segments`` coincides with
     :func:`det_swap_mean`; ``k = 1`` is the minimum of the generations,
     itself geometric.
     """
@@ -312,7 +308,7 @@ def partial_links_mean(n_segments, k, p_g, tail_tol=1e-12):
         survival = 1.0 - cdf(t)
         mean += survival
         t += 1
-        if survival < tail_tol:
+        if survival < _PARTIAL_TAIL_TOL:
             return mean
 
 

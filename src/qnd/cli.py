@@ -42,7 +42,7 @@ from . import capbounds, chainformulas, deskernel, disttrack, markovchain
 from . import lpcore, montecarlo, netmodel
 from .flows import SizeLimitError
 
-__all__ = ["main"]
+__all__ = ["main", "UsageError", "FeatureMismatchError"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -532,8 +532,11 @@ def _build_parser():
     return parser
 
 
+# UnicodeDecodeError, a network file that is not UTF-8, is a ValueError and
+# must be caught here before _ENGINE_ERRORS sees it.
 _INPUT_ERRORS = (netmodel.NetworkParseError, netmodel.NetworkValidationError,
-                 FileNotFoundError, IsADirectoryError, PermissionError)
+                 FileNotFoundError, IsADirectoryError, PermissionError,
+                 UnicodeDecodeError)
 # AssertionError covers every invariant check that raises explicitly, such
 # as flows.FlowVerificationError, so a failed check exits 3.
 _ENGINE_ERRORS = (FeatureMismatchError, lpcore.LPNumericError,

@@ -48,7 +48,6 @@ __all__ = [
     "pop_next",
     "run_until",
     "ChainSimulation",
-    "simulate_chain",
     "simulate_batch",
 ]
 
@@ -340,16 +339,6 @@ class ChainSimulation:
             raise ValueError("run with trace=True to collect a trace")
         blob = "\n".join(self.state.trace).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-def simulate_chain(params, protocol=None, seed=0, delay=0):
-    """One run of the chain protocol; returns the delivered SampleRecord.
-
-    With zero delay the (time, quality) law coincides with
-    :func:`qnd.montecarlo.sample_chain`; a positive integer delay charges
-    that many extra steps per swap resolution.
-    """
-    return ChainSimulation(params, protocol, seed=seed, delay=delay).run()
 
 
 def simulate_batch(params, protocol=None, n_samples=1000, seed=0, delay=0):

@@ -59,6 +59,7 @@ __all__ = [
     "distill_step",
     "distill_success_prob",
     "distill_output_w",
+    "default_horizon",
     "chain_distribution",
     "werner_to_fidelity",
     "fidelity_to_werner",

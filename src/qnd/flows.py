@@ -83,8 +83,9 @@ class FlowAssignment:
     flows: np.ndarray
     values: tuple
 
-    def verify(self, graph, tol=_VERIFY_TOL, shared_capacity=True):
-        """Re-verify capacity and conservation against ``graph``.
+    def verify(self, graph, shared_capacity=True):
+        """Re-verify capacity and conservation against ``graph``, within
+        ``_VERIFY_TOL``.
 
         Raises :class:`FlowVerificationError`, an ``AssertionError``, on
         violation.  With ``shared_capacity`` True the summed load
@@ -92,6 +93,7 @@ class FlowAssignment:
         commodity is checked against the full edge weight separately (the
         regime of independent per-pair flow problems).
         """
+        tol = _VERIFY_TOL
         weight = {(u, v): wt for u, v, wt in graph.uedges}
         capacity = np.array([weight[e] for e in self.edges])
         occupancy = self.flows.sum(axis=2)  # (k, n_edges)
@@ -372,8 +374,9 @@ def _cut_weights_vectorized(graph, fixed_in, fixed_out):
     return masks, weights, free
 
 
-def min_cut_bruteforce(graph, s, t, limit=MAX_CUT_VERTICES):
-    """Minimum-weight s/t cut by enumerating all vertex bipartitions.
+def min_cut_bruteforce(graph, s, t):
+    """Minimum-weight s/t cut by enumerating all vertex bipartitions, on
+    at most ``MAX_CUT_VERTICES`` vertices.
 
     Ties are broken toward the lexicographically smallest vertex subset
     (compared as the sorted tuple of member names) for reproducibility.
@@ -381,10 +384,10 @@ def min_cut_bruteforce(graph, s, t, limit=MAX_CUT_VERTICES):
     _check_terminals(graph, s, t)
     if s == t:
         raise ValueError("source and target must differ")
-    if len(graph.vertices) > limit:
+    if len(graph.vertices) > MAX_CUT_VERTICES:
         raise SizeLimitError(
             f"{len(graph.vertices)} vertices exceed the enumeration "
-            f"limit of {limit}")
+            f"limit of {MAX_CUT_VERTICES}")
     masks, weights, free = _cut_weights_vectorized(graph, {s}, {t})
     best = weights.min()
     candidates = np.nonzero(weights <= best)[0]
@@ -437,8 +440,9 @@ def _components(vertices, edges):
     return {v: find(v) for v in vertices}
 
 
-def min_multicut_bruteforce(graph, commodities, limit=MAX_MULTICUT_EDGES):
-    """Minimum-weight edge set disconnecting every commodity pair.
+def min_multicut_bruteforce(graph, commodities):
+    """Minimum-weight edge set disconnecting every commodity pair, on at
+    most ``MAX_MULTICUT_EDGES`` edges.
 
     The search enumerates vertex partitions into at most ``k + 1`` blocks
     (the component structure of an optimal multicut never needs more; any
@@ -450,10 +454,10 @@ def min_multicut_bruteforce(graph, commodities, limit=MAX_MULTICUT_EDGES):
     commodities = [tuple(p) for p in commodities]
     for s, t in commodities:
         _check_terminals(graph, s, t)
-    if len(graph.uedges) > limit:
+    if len(graph.uedges) > MAX_MULTICUT_EDGES:
         raise SizeLimitError(
             f"{len(graph.uedges)} edges exceed the enumeration limit "
-            f"of {limit}")
+            f"of {MAX_MULTICUT_EDGES}")
     if not commodities:
         return 0.0, ()
     vertices = list(graph.vertices)
@@ -482,11 +486,12 @@ def min_multicut_bruteforce(graph, commodities, limit=MAX_MULTICUT_EDGES):
     return float(best_weight), cut
 
 
-def min_cut_ratio_bruteforce(graph, commodities, limit=MAX_RATIO_VERTICES):
+def min_cut_ratio_bruteforce(graph, commodities):
     """Minimum over vertex sets W of cut weight divided by the number of
     commodity pairs with endpoints on opposite sides of (W, V - W).
 
-    Subsets separating no pair are skipped.
+    Subsets separating no pair are skipped.  At most
+    ``MAX_RATIO_VERTICES`` vertices.
     """
     commodities = [tuple(p) for p in commodities]
     if not commodities:
@@ -494,9 +499,9 @@ def min_cut_ratio_bruteforce(graph, commodities, limit=MAX_RATIO_VERTICES):
     for s, t in commodities:
         _check_terminals(graph, s, t)
     n_v = len(graph.vertices)
-    if n_v > limit:
-        raise SizeLimitError(
-            f"{n_v} vertices exceed the enumeration limit of {limit}")
+    if n_v > MAX_RATIO_VERTICES:
+        raise SizeLimitError(f"{n_v} vertices exceed the enumeration limit "
+                             f"of {MAX_RATIO_VERTICES}")
     masks, weights, free = _cut_weights_vectorized(graph, set(), set())
     idx = {v: i for i, v in enumerate(free)}
     separated = np.zeros(len(masks), dtype=np.int64)
@@ -544,14 +549,15 @@ def _expand_multigraph(graph):
     return expanded
 
 
-def steiner_packing_bruteforce(graph, terminals, limit=MAX_STEINER_EDGES):
+def steiner_packing_bruteforce(graph, terminals):
     """Maximum number of edge-disjoint trees spanning ``terminals`` in a
     unit-capacity multigraph.
 
     ``graph`` is a WeightedUGraph whose integer weights count parallel
     edges.  Exhaustive: all tree-forming edge subsets are enumerated, then
     a best disjoint packing is found by memoized search over the remaining
-    edge set, so the guard on the total parallel-edge count is strict.
+    edge set, so the guard of ``MAX_STEINER_EDGES`` on the total
+    parallel-edge count is strict.
     """
     terminals = set(terminals)
     if len(terminals) < 2:
@@ -559,9 +565,9 @@ def steiner_packing_bruteforce(graph, terminals, limit=MAX_STEINER_EDGES):
     _check_terminals(graph, *terminals)
     edge_list = _expand_multigraph(graph)
     m = len(edge_list)
-    if m > limit:
-        raise SizeLimitError(
-            f"{m} parallel edges exceed the enumeration limit of {limit}")
+    if m > MAX_STEINER_EDGES:
+        raise SizeLimitError(f"{m} parallel edges exceed the enumeration "
+                             f"limit of {MAX_STEINER_EDGES}")
 
     def is_s_tree(subset_idx):
         edges = [edge_list[i] for i in subset_idx]

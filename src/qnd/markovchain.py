@@ -44,7 +44,7 @@ _DENSE_SOLVE_LIMIT = 2 ** 12
 
 
 class StateLimitError(RuntimeError):
-    """Chain construction would exceed the configured state budget."""
+    """Chain construction would exceed ``DEFAULT_STATE_LIMIT`` states."""
 
 
 class AbsorptionError(RuntimeError):
@@ -71,7 +71,6 @@ class RepeaterMarkovChain:
     absorbing: frozenset
     swap_time_mode: SwapTimeMode
     params: ChainParams
-    merged_symmetric: bool = False
 
     @property
     def n_states(self):
@@ -106,54 +105,36 @@ def _mergeable_pairs(state, n_segments):
     return pairs
 
 
-def _mirror(state, n_segments):
-    return frozenset((n_segments - b, n_segments - a) for a, b in state)
-
-
-def _canonical(state, n_segments, merge_symmetric):
-    if merge_symmetric:
-        mirrored = _mirror(state, n_segments)
-        if tuple(sorted(mirrored)) < tuple(sorted(state)):
-            state = mirrored
-    return tuple(sorted(state))
+def _subsets(items, p):
+    """(probability, chosen items) over every subset of independent events,
+    each item chosen with probability ``p``.  The factors multiply in item
+    order; zero-probability subsets are dropped."""
+    out = []
+    for mask in range(1 << len(items)):
+        prob = 1.0
+        chosen = []
+        for i, item in enumerate(items):
+            if (mask >> i) & 1:
+                prob *= p
+                chosen.append(item)
+            else:
+                prob *= 1.0 - p
+        if prob > 0.0:
+            out.append((prob, chosen))
+    return out
 
 
 def _gen_outcomes(empty, p_g):
     """(probability, new elementary links) over generation subsets."""
-    out = []
-    m = len(empty)
-    for mask in range(1 << m):
-        prob = 1.0
-        links = []
-        for i, seg in enumerate(empty):
-            if (mask >> i) & 1:
-                prob *= p_g
-                links.append((seg, seg + 1))
-            else:
-                prob *= 1.0 - p_g
-        if prob > 0.0:
-            out.append((prob, links))
-    return out
+    return [(prob, [(seg, seg + 1) for seg in done])
+            for prob, done in _subsets(empty, p_g)]
 
 
 def _resolve_round(state, pairs, p_s):
     """One simultaneous round of swap resolutions over disjoint pairs."""
-    out = []
-    m = len(pairs)
-    for mask in range(1 << m):
-        prob = 1.0
-        new_state = set(state)
-        for i, (left, right) in enumerate(pairs):
-            new_state.discard(left)
-            new_state.discard(right)
-            if (mask >> i) & 1:
-                prob *= p_s
-                new_state.add((left[0], right[1]))
-            else:
-                prob *= 1.0 - p_s
-        if prob > 0.0:
-            out.append((prob, frozenset(new_state)))
-    return out
+    rest = frozenset(state).difference(*pairs)
+    return [(prob, rest | {(left[0], right[1]) for left, right in merged})
+            for prob, merged in _subsets(pairs, p_s)]
 
 
 def _cascade_leaves(state, p_s, n_segments, factors, leaves):
@@ -202,15 +183,13 @@ def _transitions(state, params, mode, n_segments, cascades):
     return acc
 
 
-def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP,
-                merge_symmetric=False, state_limit=DEFAULT_STATE_LIMIT):
+def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP):
     """Enumerate the reachable state space and transition matrix.
 
     Swap-only protocols: a cut-off in ``params`` is rejected (the Markov
-    engine neither discards links nor tracks their age).  With
-    ``merge_symmetric`` the left-right mirror images of a state are
-    identified, halving the reachable space at no loss for the symmetric
-    chains modelled here.
+    engine neither discards links nor tracks their age).  Raises
+    StateLimitError once the chain would exceed ``DEFAULT_STATE_LIMIT``
+    states.
     """
     mode = SwapTimeMode(swap_time_mode)
     if params.tau is not None:
@@ -225,11 +204,11 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP,
     cascades = {}
 
     def intern(state_fs):
-        key = _canonical(state_fs, n_segments, merge_symmetric)
+        key = tuple(sorted(state_fs))
         if key not in index:
-            if len(states) >= state_limit:
-                raise StateLimitError(
-                    f"state count exceeds the limit of {state_limit}")
+            if len(states) >= DEFAULT_STATE_LIMIT:
+                raise StateLimitError("state count exceeds the limit of "
+                                      f"{DEFAULT_STATE_LIMIT}")
             index[key] = len(states)
             states.append(key)
             rows.append(None)
@@ -273,8 +252,7 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP,
                           if done in frozenset(s))
     return RepeaterMarkovChain(states=tuple(states), tpm=tpm,
                                absorbing=absorbing, swap_time_mode=mode,
-                               params=params,
-                               merged_symmetric=merge_symmetric)
+                               params=params)
 
 
 def _transient_structure(chain):
@@ -313,9 +291,10 @@ def absorption_stats(chain):
     n = len(transient)
     ones = np.ones(n)
     if n <= _DENSE_SOLVE_LIMIT:
-        iq = np.eye(n) - q.toarray()
+        q = q.toarray()
+        iq = np.eye(n) - q
         m = np.linalg.solve(iq, ones)
-        s = np.linalg.solve(iq, ones + 2.0 * (q.toarray() @ m))
+        s = np.linalg.solve(iq, ones + 2.0 * (q @ m))
     else:
         iq = scipy.sparse.identity(n, format="csc") - q.tocsc()
         m = scipy.sparse.linalg.spsolve(iq, ones)

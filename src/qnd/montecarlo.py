@@ -30,8 +30,6 @@ __all__ = [
     "sample_chain",
     "run_batch",
     "substream",
-    "batch_csv",
-    "batch_summary_dict",
 ]
 
 
@@ -65,7 +63,6 @@ class BatchSummary:
     stderr_w: float | None
     histogram: tuple
     seed: int
-    w_by_t: tuple = ()
 
     def histogram_dict(self):
         return dict(self.histogram)
@@ -166,14 +163,12 @@ def _batch(draw, n_samples, seed):
     times = np.empty(n_samples, dtype=np.int64)
     wvals = np.empty(n_samples, dtype=float)
     hist = {}
-    w_sum = {}
     for i in range(n_samples):
         record = draw(substream(seed, i))
         t, w = int(record.t), float(record.w)
         times[i] = t
         wvals[i] = w
         hist[t] = hist.get(t, 0) + 1
-        w_sum[t] = w_sum.get(t, 0.0) + w
     if n_samples > 1:
         stderr_t = float(times.std(ddof=1) / math.sqrt(n_samples))
         stderr_w = float(wvals.std(ddof=1) / math.sqrt(n_samples))
@@ -187,35 +182,5 @@ def _batch(draw, n_samples, seed):
         stderr_w=stderr_w,
         histogram=tuple(sorted(hist.items())),
         seed=seed,
-        w_by_t=tuple((t, w_sum[t] / c) for t, c in sorted(hist.items())),
     )
 
-
-def batch_csv(summary):
-    """CSV rendering of the empirical distribution, with the same columns
-    as the exact engine's export."""
-    lines = ["t,pmf,cdf,mean_w,mean_F"]
-    n = summary.n_samples
-    w_at = dict(summary.w_by_t)
-    cum = 0
-    for t, count in summary.histogram:
-        cum += count
-        w = w_at[t]
-        lines.append(f"{t},{count / n!r},{cum / n!r},{w!r},"
-                     f"{(1.0 + 3.0 * w) / 4.0!r}")
-    return "\n".join(lines) + "\n"
-
-
-def batch_summary_dict(summary):
-    """Summary dict mirroring the exact-engine export, plus seeding info."""
-    return {
-        "mean": summary.mean_t,
-        "stddev": (None if summary.stderr_t is None
-                   else summary.stderr_t * math.sqrt(summary.n_samples)),
-        "captured_mass": 1.0,
-        "mean_w": summary.mean_w,
-        "stderr_t": summary.stderr_t,
-        "stderr_w": summary.stderr_w,
-        "n_samples": summary.n_samples,
-        "seed": summary.seed,
-    }

@@ -109,11 +109,11 @@ def channel_value(channel, measure, esq_lossy=False):
     """
     measure = Measure(measure)
     if isinstance(channel, Lossy):
-        if esq_lossy and measure is Measure.UPPER_ENTANGLEMENT:
-            return esq_lossy_bound(channel.eta, allow_infinite=True)
-        # Upper and lower weights coincide for pure loss.
         if channel.eta == 1.0:
             return math.inf
+        if esq_lossy and measure is Measure.UPPER_ENTANGLEMENT:
+            return esq_lossy_bound(channel.eta)
+        # Upper and lower weights coincide for pure loss.
         return -math.log2(1.0 - channel.eta)
     if isinstance(channel, Explicit):
         if measure is Measure.UPPER_ENTANGLEMENT:
@@ -122,7 +122,7 @@ def channel_value(channel, measure, esq_lossy=False):
     raise TypeError(f"not a channel model: {channel!r}")
 
 
-def esq_lossy_bound(eta, allow_infinite=False):
+def esq_lossy_bound(eta):
     """Squashed-entanglement upper weight of a pure-loss channel.
 
     Returns ``log2((1 + eta) / (1 - eta))``, a looser alternative to the
@@ -132,19 +132,16 @@ def esq_lossy_bound(eta, allow_infinite=False):
     Parameters
     ----------
     eta : float
-        Transmittance in [0, 1).
-    allow_infinite : bool
-        If True, ``eta == 1`` returns ``math.inf`` instead of raising.
+        Transmittance in [0, 1); ``eta == 1`` raises, as the weight
+        diverges.  :func:`channel_value` returns its ``math.inf`` sentinel
+        for a lossless channel before calling this.
     """
     if not (0.0 <= eta <= 1.0):
         raise NetworkValidationError(
             f"eta out of range: {eta!r} (must be in [0, 1])")
     if eta == 1.0:
-        if allow_infinite:
-            return math.inf
         raise NetworkValidationError(
-            "squashed-entanglement weight diverges at eta = 1; "
-            "pass allow_infinite=True for the infinity sentinel")
+            "squashed-entanglement weight diverges at eta = 1")
     return math.log2((1.0 + eta) / (1.0 - eta))
 
 

@@ -263,6 +263,24 @@ class TestMultipartite:
         with pytest.raises(ValueError):
             multipartite_bounds(net, unit=NET)
 
+    @pytest.mark.parametrize("w", [
+        1e-4,
+        pytest.param(1e-5, marks=pytest.mark.xfail(
+            raises=lpcore.LPNumericError, strict=True,
+            reason="the tableau solver claims a negative component")),
+        pytest.param(1e-6, marks=pytest.mark.xfail(
+            raises=lpcore.LPNumericError, strict=True,
+            reason="the tableau solver claims a negative component")),
+        1e-8])
+    def test_near_zero_explicit_weight_channel_use(self, w):
+        net = NetworkSpec(
+            nodes=("N0", "N1", "N2"),
+            edges=(Edge("N0", "N2", Lossy(0.75)),
+                   Edge("N1", "N2", Explicit(E_upper=w, Q_lower=w))))
+        report = multipartite_bounds(net, users=("N0", "N1", "N2"),
+                                     unit=CHAN)
+        assert 0.0 < report.lower <= report.upper <= w
+
 
 class TestVerification:
     # An asymmetric pair of explicit channels and a lossless channel.
@@ -281,9 +299,9 @@ class TestVerification:
         calls = []
         verify = FlowAssignment.verify
 
-        def spy(assignment, graph, tol=1e-7, shared_capacity=True):
+        def spy(assignment, graph, shared_capacity=True):
             calls.append((graph, shared_capacity))
-            return verify(assignment, graph, tol, shared_capacity)
+            return verify(assignment, graph, shared_capacity)
 
         monkeypatch.setattr(FlowAssignment, "verify", spy)
         return calls

@@ -36,8 +36,6 @@ class TestParams:
             ChainParams(n=1, p_g=0.5, tau=0)
         with pytest.raises(ValueError):
             ChainParams(n=1, p_g=0.5, t_coh=0.0)
-        with pytest.raises(ValueError):
-            ChainParams(n=1, p_g=0.5, delta=2)
 
 
 class TestMeanOnly:

@@ -81,12 +81,18 @@ class TestBounds:
         bad.write_text('{"nodes": ["A"], "edges": [], "bogus": 1}')
         assert main(["bounds", str(bad), "--bipartite", "A", "B"]) == 2
 
+    def test_non_utf8_network_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00x")
+        assert main(["bounds", str(bad), "--bipartite", "A", "B"]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
     def test_unknown_node_exits_2(self, netfile, capsys):
         assert main(["bounds", netfile, "--bipartite", "A", "Z"]) == 2
 
     def test_failed_flow_verification_exits_3(self, netfile, monkeypatch,
                                               capsys):
-        def reject(self, graph, tol=1e-7, shared_capacity=True):
+        def reject(self, graph, shared_capacity=True):
             raise FlowVerificationError("capacity violated on {A, M}")
 
         monkeypatch.setattr(FlowAssignment, "verify", reject)

@@ -6,7 +6,7 @@ import pytest
 from qnd.chainformulas import ChainParams
 from qnd.deskernel import (ChainSimulation, EmptyQueueError, Event,
                            EventKind, SimState, pop_next, run_until,
-                           schedule, simulate_batch, simulate_chain)
+                           schedule, simulate_batch)
 from qnd.disttrack import ChainProtocol
 from qnd.montecarlo import run_batch, substream
 
@@ -56,7 +56,7 @@ class TestChainSimulation:
     def test_deterministic_protocol(self):
         params = ChainParams(n=1, p_g=1.0, p_s=1.0)
         protocol = ChainProtocol.swap_only(1, w0=0.9)
-        rec = simulate_chain(params, protocol, seed=0)
+        rec = ChainSimulation(params, protocol, seed=0).run()
         assert rec.t == 1
         assert rec.w == pytest.approx(0.81)
 

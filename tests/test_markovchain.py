@@ -80,21 +80,10 @@ class TestBuildChain:
         with pytest.raises(ValueError, match="cut-off"):
             build_chain(ChainParams(n=1, p_g=0.5, p_s=0.5, tau=3), ZERO)
 
-    def test_state_limit(self):
-        with pytest.raises(StateLimitError):
-            build_chain(ChainParams(n=3, p_g=0.5, p_s=0.5), ZERO,
-                        state_limit=10)
-
-    def test_symmetric_merge_halves_states_and_keeps_stats(self):
-        params = ChainParams(n=3, p_g=0.5, p_s=0.5)
-        full = build_chain(params, ZERO)
-        merged = build_chain(params, ZERO, merge_symmetric=True)
-        assert merged.n_states < full.n_states
-        s_full = absorption_stats(full)
-        s_merged = absorption_stats(merged)
-        assert s_merged["mean"] == pytest.approx(s_full["mean"], rel=1e-10)
-        assert s_merged["variance"] == pytest.approx(s_full["variance"],
-                                                     rel=1e-10)
+    def test_state_limit(self, monkeypatch):
+        monkeypatch.setattr(markovchain, "DEFAULT_STATE_LIMIT", 10)
+        with pytest.raises(StateLimitError, match="limit of 10"):
+            build_chain(ChainParams(n=3, p_g=0.5, p_s=0.5), ZERO)
 
 
 def _unmemoised_transitions(state, params, mode, n_segments, cascades):

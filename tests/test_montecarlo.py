@@ -5,9 +5,8 @@ import pytest
 
 from qnd.chainformulas import ChainParams, decay_factor
 from qnd.disttrack import ChainProtocol, chain_distribution
-from qnd.montecarlo import (BatchSummary, SampleRecord, batch_csv,
-                            batch_summary_dict, run_batch, sample_chain,
-                            substream)
+from qnd.montecarlo import (BatchSummary, SampleRecord, run_batch,
+                            sample_chain, substream)
 
 HALF_LOG2 = 1.0 / math.log(2.0)
 
@@ -140,23 +139,3 @@ class TestStatisticalAgreement:
         batch = run_batch(params, protocol, n_samples=50_000, seed=17)
         assert abs(batch.mean_w - dist.mean_werner()) < 4.0 * batch.stderr_w
         assert abs(batch.mean_t - dist.mean()) < 4.0 * batch.stderr_t
-
-
-class TestExports:
-    def test_csv_schema(self):
-        params = ChainParams(n=1, p_g=0.5, p_s=0.5)
-        batch = run_batch(params, n_samples=500, seed=1)
-        text = batch_csv(batch)
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,pmf,cdf,mean_w,mean_F"
-        parts = lines[1].split(",")
-        assert int(parts[0]) >= 1
-
-    def test_summary_schema(self):
-        params = ChainParams(n=1, p_g=0.5, p_s=0.5)
-        batch = run_batch(params, n_samples=500, seed=1)
-        summary = batch_summary_dict(batch)
-        assert {"mean", "stddev", "captured_mass", "seed",
-                "n_samples"} <= set(summary)
-        assert summary["seed"] == 1
-        assert summary["n_samples"] == 500

@@ -62,7 +62,6 @@ class TestEsqBound:
     def test_divergence_at_one(self):
         with pytest.raises(NetworkValidationError):
             esq_lossy_bound(1.0)
-        assert esq_lossy_bound(1.0, allow_infinite=True) == math.inf
 
     def test_selected_only_for_lossy_upper_weights(self):
         assert channel_value(Lossy(0.5), UP, esq_lossy=True) == \
