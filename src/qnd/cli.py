@@ -118,6 +118,17 @@ def _int_list(text):
         raise UsageError(f"not an integer list: {text!r}") from exc
 
 
+def _seed(text):
+    """A sample-stream seed: an integer that is a Philox key word."""
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise UsageError(f"not an integer: {text!r}") from exc
+    if not 0 <= seed < 2 ** 64:
+        raise UsageError(f"--seed must be in [0, 2**64): {text}")
+    return seed
+
+
 def _workers():
     raw = os.environ.get("QND_THREADS", "")
     if raw:
@@ -227,7 +238,7 @@ _GRID_OPTIONS = {
                     "swap timing convention"),
     "--delay": ("0", {"type": int}, "classical-communication delay per swap"),
     "--samples": ("10000", {"type": int}, "samples per grid cell"),
-    "--seed": ("0", {"type": int}, "seed of the sample streams"),
+    "--seed": ("0", {"type": _seed}, "seed of the sample streams"),
     "--export-pmf": (None, {}, "also write the full PMF as CSV to this path"),
 }
 

@@ -8,9 +8,15 @@ distillation.  The Werner-parameter updates are the same algebra the exact
 engine uses, so sample statistics converge to the tracked distribution.
 
 Reproducibility: sample ``i`` of a batch draws from a Philox stream keyed by
-``(master_seed, i)``.  Distinct keys give statistically independent streams,
-and results depend only on (parameters, protocol, sample count, seed), never
-on execution order, so batches may be partitioned across workers freely.
+``(master_seed, i)``, with ``master_seed`` in [0, 2**64).  Distinct keys give
+statistically independent streams, and results depend only on (parameters,
+protocol, sample count, seed), never on execution order, so batches may be
+partitioned across workers freely.  Philox is counter-based (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so a batch re-keys
+one generator per sample instead of building a new one, and gets the same
+``(seed, i)`` streams.  It draws uniforms in blocks; drawing ahead stays
+inside each sample's own stream, and the unread rest of a block is dropped
+when the next sample starts.
 
 The discrete-event engine (:mod:`qnd.deskernel`) reuses this module's batch
 loop, its geometric draw and its swap/distillation unit outcome, so both
@@ -64,13 +70,52 @@ class BatchSummary:
     histogram: tuple
     seed: int
 
-    def histogram_dict(self):
-        return dict(self.histogram)
+
+_BLOCK = 16  # uniforms per refill of a batch stream
 
 
 def substream(seed, index):
-    """The RNG of sample ``index`` in a batch with master seed ``seed``."""
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    """The RNG of sample ``index`` in a batch with master seed ``seed``.
+
+    ``seed`` is a Philox key word, in [0, 2**64); numpy would cast any
+    other value to an undefined key, or wrap it silently, so it raises
+    ValueError.
+    """
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64): {seed!r}")
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class _BatchStream:
+    """The substreams of one batch on a single re-keyed Philox generator.
+
+    After ``restart(i)``, ``random()`` returns the draws of
+    ``substream(seed, i).random()``: the generator is set to the fresh
+    state of key ``(seed, i)``, and for Philox ``random(k)`` gives the same
+    doubles as k calls to ``random()``.
+    """
+
+    def __init__(self, seed):
+        self._gen = substream(seed, 0)
+        # The state of a fresh key (seed, 0): counter 0, empty buffers.
+        self._fresh = self._gen.bit_generator.state
+        self._key = self._fresh["state"]["key"]
+        self._block = []
+
+    def restart(self, index):
+        """Start the stream of sample ``index``; the unread rest of the
+        previous sample's block is dropped."""
+        self._key[1] = index
+        self._gen.bit_generator.state = self._fresh
+        self._block = []
+
+    def random(self):
+        block = self._block
+        if not block:
+            block = self._block = self._gen.random(_BLOCK).tolist()
+            block.reverse()
+        return block.pop()
 
 
 def _geometric(rng, p, log_q):
@@ -147,7 +192,8 @@ def run_batch(params, protocol=None, n_samples=1000, seed=0):
 
     Deterministic given (params, protocol, n_samples, seed): sample i uses
     its own Philox substream keyed by (seed, i), so the batch result does
-    not depend on the order in which the samples are produced.
+    not depend on the order in which the samples are produced.  ``seed``
+    must lie in [0, 2**64).
     """
     protocol = ChainProtocol.for_chain(params, protocol)
     return _batch(lambda rng: sample_chain(params, protocol, rng),
@@ -160,11 +206,13 @@ def _batch(draw, n_samples, seed):
     discrete-event engines.  ``draw`` returns a SampleRecord."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    stream = _BatchStream(seed)
     times = np.empty(n_samples, dtype=np.int64)
     wvals = np.empty(n_samples, dtype=float)
     hist = {}
     for i in range(n_samples):
-        record = draw(substream(seed, i))
+        stream.restart(i)
+        record = draw(stream)
         t, w = int(record.t), float(record.w)
         times[i] = t
         wvals[i] = w

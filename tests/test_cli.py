@@ -536,6 +536,16 @@ class TestUsage:
         assert out == ""
         assert "usage error" in err
 
+    @pytest.mark.parametrize("command", ["mc", "des"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_the_key_range_is_usage_error(self, command, seed,
+                                                       capsys):
+        assert main(["chain", command, "--n", "1", "--pg", "0.5",
+                     "--samples", "10", "--seed", seed]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--seed must be in [0, 2**64)" in err
+
 
 class TestRepeatedCalls:
     MC = ["chain", "mc", "--n", "1", "--pg", "0.5", "--samples", "50"]

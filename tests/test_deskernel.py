@@ -8,7 +8,7 @@ from qnd.deskernel import (ChainSimulation, EmptyQueueError, Event,
                            EventKind, SimState, pop_next, run_until,
                            schedule, simulate_batch)
 from qnd.disttrack import ChainProtocol
-from qnd.montecarlo import run_batch, substream
+from qnd.montecarlo import run_batch
 
 
 class TestKernel:

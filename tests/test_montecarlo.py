@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qnd.chainformulas import ChainParams, decay_factor
+from qnd import montecarlo
+from qnd.chainformulas import ChainParams
+from qnd.deskernel import simulate_batch
 from qnd.disttrack import ChainProtocol, chain_distribution
-from qnd.montecarlo import (BatchSummary, SampleRecord, run_batch,
-                            sample_chain, substream)
+from qnd.montecarlo import SampleRecord, run_batch, sample_chain, substream
 
 HALF_LOG2 = 1.0 / math.log(2.0)
 
@@ -56,9 +57,9 @@ class TestRunBatch:
         params = ChainParams(n=1, p_g=0.5, p_s=0.5)
         short = run_batch(params, n_samples=100, seed=5)
         long = run_batch(params, n_samples=200, seed=5)
-        short_hist = short.histogram_dict()
+        short_hist = dict(short.histogram)
         # every sample of the short batch appears in the long one
-        long_hist = long.histogram_dict()
+        long_hist = dict(long.histogram)
         assert all(long_hist.get(t, 0) >= c for t, c in short_hist.items())
 
     def test_single_sample_has_no_stderr(self):
@@ -89,7 +90,7 @@ class TestStatisticalAgreement:
         params = ChainParams(n=2, p_g=0.5, p_s=0.5)
         dist = chain_distribution(params)
         batch = run_batch(params, n_samples=100_000, seed=11)
-        hist = batch.histogram_dict()
+        hist = dict(batch.histogram)
         tv = 0.5 * sum(
             abs(hist.get(t, 0) / batch.n_samples - dist.pmf[t])
             for t in range(1, dist.t_trunc + 1))
@@ -139,3 +140,83 @@ class TestStatisticalAgreement:
         batch = run_batch(params, protocol, n_samples=50_000, seed=17)
         assert abs(batch.mean_w - dist.mean_werner()) < 4.0 * batch.stderr_w
         assert abs(batch.mean_t - dist.mean()) < 4.0 * batch.stderr_t
+
+
+class _PerSampleSubstreams:
+    """The per-sample loop the batch stream replaces, as a test-only
+    reference: every restart builds a new ``substream(seed, i)``."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def restart(self, index):
+        self.random = substream(self.seed, index).random
+
+
+SEEDS = (0, 1, 2 ** 32 + 5, 2 ** 64 - 1)
+
+
+class TestBatchStream:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("index", (0, 1, 999, 2 ** 40))
+    def test_restart_replays_the_substream(self, seed, index):
+        stream = montecarlo._BatchStream(seed)
+        stream.restart(index)
+        reference = substream(seed, index)
+        # 100 draws cross several refill blocks.
+        assert [stream.random() for _ in range(100)] == \
+            [reference.random() for _ in range(100)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_restart_drops_a_half_used_block(self, seed):
+        stream = montecarlo._BatchStream(seed)
+        stream.restart(7)
+        for _ in range(montecarlo._BLOCK // 2):
+            stream.random()
+        stream.restart(8)
+        reference = substream(seed, 8)
+        assert [stream.random() for _ in range(40)] == \
+            [reference.random() for _ in range(40)]
+
+    @pytest.mark.parametrize("params, protocol", [
+        (ChainParams(n=2, p_g=0.3, p_s=0.5), None),
+        (ChainParams(n=2, p_g=0.3, p_s=0.5, t_coh=8.0, tau=4), None),
+        (ChainParams(n=1, p_g=0.5, p_s=0.5, t_coh=6.0),
+         ChainProtocol.with_distillation(1, 1)),
+        (ChainParams(n=2, p_g=1.0, p_s=0.5), None),
+    ], ids=["swap", "cutoff", "distill", "pg1"])
+    @pytest.mark.parametrize("seed", (0, 5, 2 ** 64 - 1))
+    def test_batches_equal_the_per_sample_loop(self, params, protocol, seed,
+                                               monkeypatch):
+        batches = [run_batch(params, protocol, n_samples=300, seed=seed),
+                   simulate_batch(params, protocol, n_samples=300, seed=seed)]
+        monkeypatch.setattr(montecarlo, "_BatchStream", _PerSampleSubstreams)
+        assert batches == [
+            run_batch(params, protocol, n_samples=300, seed=seed),
+            simulate_batch(params, protocol, n_samples=300, seed=seed)]
+
+    @pytest.mark.parametrize("tau", (None, 3))
+    def test_delayed_des_batch_equals_the_per_sample_loop(self, tau,
+                                                          monkeypatch):
+        params = ChainParams(n=2, p_g=0.4, p_s=0.5, t_coh=10.0, tau=tau)
+        batch = simulate_batch(params, n_samples=300, seed=3, delay=2)
+        monkeypatch.setattr(montecarlo, "_BatchStream", _PerSampleSubstreams)
+        assert batch == simulate_batch(params, n_samples=300, seed=3, delay=2)
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", (-1, 2 ** 64))
+    def test_substream_rejects_seed(self, seed):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            substream(seed, 0)
+
+    @pytest.mark.parametrize("seed", (-1, 2 ** 64))
+    @pytest.mark.parametrize("batch", (run_batch, simulate_batch))
+    def test_batches_reject_seed(self, seed, batch):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            batch(ChainParams(n=1, p_g=0.5), n_samples=10, seed=seed)
+
+    def test_largest_seed_keys_the_full_word(self):
+        # Under a float cast 2**64 - 1 and 2**64 - 2 collapse to one key.
+        assert substream(2 ** 64 - 1, 0).random() != \
+            substream(2 ** 64 - 2, 0).random()

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnd import netmodel
 from qnd.netmodel import (Edge, Explicit, Lossy, Measure, NetworkParseError,
                           NetworkSpec, NetworkValidationError, WeightedUGraph,
                           channel_value, esq_lossy_bound, parse_network,
