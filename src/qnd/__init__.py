@@ -17,7 +17,7 @@ and cross-engine comparison tables.
 """
 
 from .chainformulas import ChainParams
-from .disttrack import ChainProtocol, TruncatedDistribution, WernerParam
+from .disttrack import ChainProtocol, TruncatedDistribution
 from .netmodel import (Edge, Explicit, Lossy, Measure, NetworkSpec,
                        WeightedUGraph, parse_network, serialize_network)
 
@@ -27,7 +27,6 @@ __all__ = [
     "ChainParams",
     "ChainProtocol",
     "TruncatedDistribution",
-    "WernerParam",
     "Edge",
     "Explicit",
     "Lossy",

@@ -229,15 +229,18 @@ def multipartite_bounds(net, users=None, unit=UsageUnit.PER_NETWORK_USE,
     (default 1/2) reflecting that spanning trees consume edges faster than
     pairwise paths do.
 
-    ``users`` defaults to ``net.users``.
+    ``users`` defaults to ``net.users``; a missing or one-node user set
+    raises NetworkValidationError.
     """
     if users is None:
         users = net.users
     if users is None:
-        raise ValueError("no user set given and the network declares none")
+        raise NetworkValidationError(
+            "no user set given and the network declares none")
     users = list(users)
     if len(users) < 2:
-        raise ValueError("user set must contain at least two nodes")
+        raise NetworkValidationError(
+            "user set must contain at least two nodes")
     _require_nodes(net, users)
     unit = UsageUnit(unit)
     pairs = list(itertools.combinations(users, 2))

@@ -31,7 +31,6 @@ __all__ = [
     "det_swap_mean_harmonic",
     "det_swap_mean_cutoff",
     "partial_links_mean",
-    "second_gen_distribution",
     "decay_factor",
 ]
 
@@ -310,21 +309,3 @@ def partial_links_mean(n_segments, k, p_g):
         t += 1
         if survival < _PARTIAL_TAIL_TOL:
             return mean
-
-
-def second_gen_distribution(step_success_probs):
-    """Geometric parameter of an error-corrected repeater chain's
-    end-to-end waiting time.
-
-    When swapping and error correction are deterministic, one end-to-end
-    attempt succeeds only if every constituent step does, so the waiting
-    time in units of one end-to-end attempt is geometric with success
-    probability ``prod(step_success_probs)``.
-    """
-    probs = list(step_success_probs)
-    if not probs:
-        raise ValueError("at least one step probability required")
-    for p in probs:
-        if not (0.0 < p <= 1.0):
-            raise ValueError(f"step probabilities must be in (0, 1], got {p!r}")
-    return math.prod(probs)

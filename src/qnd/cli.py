@@ -162,20 +162,31 @@ def _add_bounds_parser(sub):
                       help="use the network's commodity list")
     task.add_argument("--multipartite", action="store_true",
                       help="use the network's user set")
+    # --objective and --slack-factor have no default here, so that one
+    # given off --multipair can be told apart and rejected.
     p.add_argument("--objective", choices=("total", "worst"),
-                   default="total")
+                   help="--multipair only (default: total)")
     p.add_argument("--unit", choices=[u.value for u in capbounds.UsageUnit],
                    default=capbounds.UsageUnit.PER_NETWORK_USE.value)
     p.add_argument("--esq-upper", action="store_true",
                    help="weight lossy channels with the squashed bound "
                         "on the upper side")
-    p.add_argument("--slack-factor", type=float, default=1.0)
+    p.add_argument("--slack-factor", type=float,
+                   help="--multipair only (default: 1.0)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(run=_cmd_bounds)
 
 
 def _cmd_bounds(args):
+    if not args.multipair:
+        given = [flag for flag, value in (("--objective", args.objective),
+                                          ("--slack-factor",
+                                           args.slack_factor))
+                 if value is not None]
+        if given:
+            raise UsageError(f"{' and '.join(given)} apply only to "
+                             f"--multipair")
     with open(args.network, encoding="utf-8") as fh:
         net = netmodel.parse_network(fh.read())
     unit = capbounds.UsageUnit(args.unit)
@@ -188,11 +199,13 @@ def _cmd_bounds(args):
         if not net.commodities:
             raise netmodel.NetworkValidationError(
                 "the network declares no commodities")
+        objective = args.objective or "total"
         report = capbounds.multipair_bounds(
-            net, net.commodities, objective=args.objective, unit=unit,
-            slack_factor=args.slack_factor,
+            net, net.commodities, objective=objective, unit=unit,
+            slack_factor=(1.0 if args.slack_factor is None
+                          else args.slack_factor),
             esq_lossy_upper=args.esq_upper)
-        task = f"multipair/{args.objective} k={len(net.commodities)}"
+        task = f"multipair/{objective} k={len(net.commodities)}"
     else:
         report = capbounds.multipartite_bounds(
             net, unit=unit, esq_lossy_upper=args.esq_upper)

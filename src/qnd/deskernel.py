@@ -23,8 +23,12 @@ and the root's Werner parameter.
 
 The model shares its sampling core with :mod:`qnd.montecarlo`: a resolve
 event draws its swap or distillation outcome with the same unit-outcome
-function, and :func:`simulate_batch` runs the Monte Carlo batch loop with
-one re-armed simulation per sample.
+function.  A run takes its random stream when it starts, not when the
+simulation is built: :meth:`ChainSimulation.run` arms the Philox stream
+``substream(seed, 0)`` of its int seed, and :func:`simulate_batch` runs
+the Monte Carlo batch loop, handing one simulation the stream of each
+sample in turn.  Either way the state is reset first, so a trajectory is
+fixed by the stream it is given.
 """
 
 import enum
@@ -189,8 +193,9 @@ class ChainSimulation:
     delivered (birth time and Werner parameter) or None, and ``epochs`` a
     counter for lazy cancellation of stale events.  A run ends as soon as
     the root delivers; with ``trace=True`` the trace then closes with an
-    ``end`` record.  ``seed`` is a generator or an int, which selects
-    ``substream(seed, 0)``.
+    ``end`` record.  ``seed`` is an int: :meth:`run` draws from
+    ``substream(seed, 0)``, armed afresh on every call, so a second run
+    replays the same trace.
     """
 
     def __init__(self, params, protocol=None, seed=0, delay=0, trace=False):
@@ -202,7 +207,8 @@ class ChainSimulation:
         self.delay = int(delay)
         self.depth = len(protocol.plan)
         self.tree = _tree_structure(self.depth)
-        self.rng = seed if hasattr(seed, "random") else substream(seed, 0)
+        self.seed = seed
+        self.rng = None
         n_nodes = len(self.tree.parent)
         self.links = [None] * n_nodes
         self.epochs = [0] * n_nodes
@@ -220,15 +226,10 @@ class ChainSimulation:
 
     def run(self):
         """Execute until the root delivers; returns a SampleRecord."""
-        state = self.state
-        for leaf in range(self.tree.n_leaves):
-            schedule(state, self._gen_draw(), EventKind.GEN_ATTEMPT,
-                     (leaf, 0))
-        run_until(state, lambda s: self.result is not None, self._perform)
-        return self.result
+        return self._run(substream(self.seed, 0))
 
-    def _rearm(self, rng):
-        """Reset clock, queue, and links for the next batch run."""
+    def _run(self, rng):
+        """Reset clock, queue and links, then run on ``rng``."""
         n = len(self.links)
         self.links[:] = [None] * n
         self.epochs[:] = [0] * n
@@ -240,6 +241,11 @@ class ChainSimulation:
         if state.trace is not None:
             state.trace.clear()
         self.result = None
+        for leaf in range(self.tree.n_leaves):
+            schedule(state, self._gen_draw(), EventKind.GEN_ATTEMPT,
+                     (leaf, 0))
+        run_until(state, lambda s: self.result is not None, self._perform)
+        return self.result
 
     def _perform(self, event):
         kind = event.kind
@@ -343,11 +349,7 @@ class ChainSimulation:
 
 def simulate_batch(params, protocol=None, n_samples=1000, seed=0, delay=0):
     """Seeded batch of runs, using the same per-sample substream rule as
-    the Monte Carlo engine; returns a BatchSummary."""
+    the Monte Carlo engine; returns a BatchSummary.  One simulation runs
+    every sample, each on its own batch stream."""
     sim = ChainSimulation(params, protocol, delay=delay)
-
-    def draw(rng):
-        sim._rearm(rng)
-        return sim.run()
-
-    return _batch(draw, n_samples, seed)
+    return _batch(sim._run, n_samples, seed)

@@ -49,20 +49,16 @@ import numpy as np
 
 __all__ = [
     "TruncatedDistribution",
-    "WernerParam",
     "ChainProtocol",
     "HorizonError",
     "geometric_pmf",
     "max_combine",
     "compound_geometric",
-    "swap_quality",
-    "distill_step",
     "distill_success_prob",
     "distill_output_w",
     "default_horizon",
     "chain_distribution",
     "werner_to_fidelity",
-    "fidelity_to_werner",
     "distribution_csv",
     "distribution_summary",
 ]
@@ -78,36 +74,6 @@ class HorizonError(RuntimeError):
 def werner_to_fidelity(w):
     """Fidelity (1 + 3w) / 4 of a Werner state with parameter w."""
     return (1.0 + 3.0 * np.asarray(w)) / 4.0
-
-
-def fidelity_to_werner(fidelity):
-    """Werner parameter (4F - 1) / 3 of a Werner state with fidelity F."""
-    return (4.0 * np.asarray(fidelity) - 1.0) / 3.0
-
-
-@dataclass(frozen=True)
-class WernerParam:
-    """State of a noisy Bell pair, ``w * target + (1 - w) * I/4``."""
-
-    w: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.w <= 1.0):
-            raise ValueError(f"Werner parameter out of [0, 1]: {self.w!r}")
-
-    @property
-    def fidelity(self):
-        return float(werner_to_fidelity(self.w))
-
-
-def swap_quality(w1, w2):
-    """Werner parameter after an entanglement swap of two Werner pairs.
-
-    The parameters multiply; a maximally mixed input absorbs everything.
-    """
-    w1 = w1.w if isinstance(w1, WernerParam) else w1
-    w2 = w2.w if isinstance(w2, WernerParam) else w2
-    return WernerParam(w1 * w2)
 
 
 def distill_success_prob(w1, w2):
@@ -129,20 +95,6 @@ def distill_output_w(w1, w2):
     back as a Werner parameter:  (w1 + w2 + 4 w1 w2) / (3 (1 + w1 w2)).
     """
     return (w1 + w2 + 4.0 * w1 * w2) / (3.0 * (1.0 + w1 * w2))
-
-
-def distill_step(w1, w2):
-    """One distillation attempt on two Werner pairs.
-
-    Returns ``(success_prob, WernerParam)`` where the state is the output
-    on success, twirled back to Werner form.
-    """
-    w1 = w1.w if isinstance(w1, WernerParam) else w1
-    w2 = w2.w if isinstance(w2, WernerParam) else w2
-    if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0):
-        raise ValueError("Werner parameters must lie in [0, 1]")
-    return (distill_success_prob(w1, w2),
-            WernerParam(distill_output_w(w1, w2)))
 
 
 @dataclass

@@ -24,6 +24,7 @@ samplers consume the same uniforms for the same protocol events.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,12 @@ _BLOCK = 16  # uniforms per refill of a batch stream
 def substream(seed, index):
     """The RNG of sample ``index`` in a batch with master seed ``seed``.
 
-    ``seed`` is a Philox key word, in [0, 2**64); numpy would cast any
-    other value to an undefined key, or wrap it silently, so it raises
-    ValueError.
+    ``seed`` is a Philox key word: an integer in [0, 2**64).  numpy would
+    truncate a float and cast any other value to an undefined key, or wrap
+    it silently, so a non-integer raises TypeError and an integer out of
+    range ValueError.
     """
+    seed = operator.index(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2**64): {seed!r}")
     key = np.array([seed, index], dtype=np.uint64)
@@ -168,19 +171,19 @@ def _sample_unit(level, params, protocol, rng, x, log_q):
         # failure: both sides regenerate from scratch
 
 
-def sample_chain(params, protocol=None, rng_state=None):
+def sample_chain(params, protocol, rng):
     """Draw one exact end-to-end trajectory.
 
     Parameters
     ----------
     params : ChainParams
-    protocol : ChainProtocol, optional
-        Defaults to the plain doubling protocol with ``params.n`` swaps.
-    rng_state : numpy.random.Generator
-        The stream to consume; see :func:`substream` for batch seeding.
+    protocol : ChainProtocol or None
+        None selects the plain doubling protocol with ``params.n`` swaps.
+    rng : numpy.random.Generator
+        The stream to consume, required: the trajectory is fixed by it.
+        :func:`substream` gives sample ``i`` of a seeded batch.
     """
     protocol = ChainProtocol.for_chain(params, protocol)
-    rng = rng_state if rng_state is not None else np.random.default_rng()
     x = params.decay_per_step
     log_q = math.log1p(-params.p_g) if params.p_g < 1.0 else 0.0
     t, w = _sample_unit(len(protocol.plan), params, protocol, rng, x, log_q)

@@ -241,14 +241,6 @@ class WeightedUGraph:
             canon.append((key[0], key[1], float(w)))
         object.__setattr__(self, "uedges", tuple(canon))
 
-    def weight(self, u, v):
-        """Weight of edge {u, v}, or 0.0 if absent."""
-        key = (u, v) if u < v else (v, u)
-        for a, b, w in self.uedges:
-            if (a, b) == key:
-                return w
-        return 0.0
-
 
 def undirect(net, measure, esq_lossy=False):
     """Collapse a directed network into the undirected weighted graph used

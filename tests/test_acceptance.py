@@ -326,11 +326,12 @@ def test_criterion_10_distillation_oracle():
     for f1 in np.linspace(0.5, 1.0, 10):
         for f2 in np.linspace(0.5, 1.0, 10):
             p_ref, f_ref = distill_oracle(f1, f2)
-            prob, out = disttrack.distill_step(
-                float(disttrack.fidelity_to_werner(f1)),
-                float(disttrack.fidelity_to_werner(f2)))
+            w1, w2 = (4.0 * f1 - 1.0) / 3.0, (4.0 * f2 - 1.0) / 3.0
+            prob = disttrack.distill_success_prob(w1, w2)
+            fidelity = disttrack.werner_to_fidelity(
+                disttrack.distill_output_w(w1, w2))
             worst_p = max(worst_p, abs(prob - p_ref))
-            worst_f = max(worst_f, abs(out.fidelity - f_ref))
+            worst_f = max(worst_f, abs(fidelity - f_ref))
     assert worst_p < 1e-12
     assert worst_f < 1e-12
     _report(10, f"distillation matches the 16x16 density-matrix oracle on "

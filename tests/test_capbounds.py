@@ -13,7 +13,7 @@ from qnd.capbounds import (BoundReport, TreePackingConstants, UsageUnit,
                            multipartite_bounds)
 from qnd.flows import FlowAssignment
 from qnd.netmodel import (Edge, Explicit, Lossy, Measure, NetworkSpec,
-                          channel_value, undirect)
+                          NetworkValidationError, channel_value, undirect)
 
 NET = UsageUnit.PER_NETWORK_USE
 CHAN = UsageUnit.PER_CHANNEL_USE
@@ -258,10 +258,13 @@ class TestMultipartite:
         report = multipartite_bounds(self.STAR, users=("A", "B"), unit=NET)
         assert report.upper == pytest.approx(1.0)
 
-    def test_requires_user_set(self):
-        net = explicit_net("AB", [("A", "B", 1.0, 1.0)])
-        with pytest.raises(ValueError):
-            multipartite_bounds(net, unit=NET)
+    @pytest.mark.parametrize("declared, given", [
+        (None, None), ((), None), (("A",), None), (("A", "B"), ("B",))])
+    def test_requires_user_set(self, declared, given):
+        net = explicit_net("AB", [("A", "B", 1.0, 1.0)], users=declared)
+        with pytest.raises(NetworkValidationError):
+            multipartite_bounds(net, users=given, unit=NET)
+        assert issubclass(NetworkValidationError, ValueError)
 
     @pytest.mark.parametrize("w", [
         1e-4,
@@ -341,9 +344,9 @@ class TestVerification:
             value = channel_value(e.channel, Measure.LOWER_CAPACITY)
             expected[key] = expected.get(key, 0.0) + (
                 math.inf if math.isinf(value) else q * value)
-        assert {(u, v): w for u, v, w in graph.uedges} == pytest.approx(
-            expected, abs=1e-12)
-        assert math.isinf(graph.weight("C", "D"))
+        weights = {(u, v): w for u, v, w in graph.uedges}
+        assert weights == pytest.approx(expected, abs=1e-12)
+        assert math.isinf(weights["C", "D"])
 
 
 def _two_solve_sandwich(net, unit, pairs, objective, esq_lossy_upper,

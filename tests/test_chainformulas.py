@@ -6,8 +6,8 @@ import pytest
 from qnd.chainformulas import (ChainParams, decay_factor, det_swap_mean,
                                det_swap_mean_cutoff, det_swap_mean_harmonic,
                                geometric_level_mean, mean_only,
-                               partial_links_mean, second_gen_distribution,
-                               single_repeater, three_over_two)
+                               partial_links_mean, single_repeater,
+                               three_over_two)
 
 
 def max_of_geometrics_mean(n, p, tail_tol=1e-15):
@@ -248,23 +248,3 @@ class TestPartialLinks:
     def test_monotone_in_k(self):
         values = [partial_links_mean(5, k, 0.4) for k in range(1, 6)]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-
-class TestSecondGeneration:
-    def test_all_deterministic(self):
-        assert second_gen_distribution([1.0, 1.0, 1.0]) == 1.0
-
-    def test_product(self):
-        assert second_gen_distribution([0.5, 0.5]) == pytest.approx(0.25)
-
-    def test_ten_steps(self):
-        assert second_gen_distribution([0.9] * 10) == pytest.approx(
-            0.9 ** 10)
-        assert second_gen_distribution([0.9] * 10) == pytest.approx(
-            0.34868, abs=5e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            second_gen_distribution([])
-        with pytest.raises(ValueError):
-            second_gen_distribution([0.5, 0.0])

@@ -90,6 +90,46 @@ class TestBounds:
     def test_unknown_node_exits_2(self, netfile, capsys):
         assert main(["bounds", netfile, "--bipartite", "A", "Z"]) == 2
 
+    def test_multipartite_without_users_exits_2(self, netfile, capsys):
+        assert main(["bounds", netfile, "--multipartite"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert "no user set" in err
+
+    def test_multipartite_with_one_user_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        doc = json.loads(TWO_SEGMENT)
+        doc["users"] = ["A"]
+        path.write_text(json.dumps(doc))
+        assert main(["bounds", str(path), "--multipartite"]) == 2
+        assert "at least two nodes" in capsys.readouterr().err
+
+    def test_multipair_without_commodities_exits_2(self, netfile, capsys):
+        assert main(["bounds", netfile, "--multipair"]) == 2
+        assert "no commodities" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", [["--bipartite", "A", "B"],
+                                      ["--multipartite"]])
+    @pytest.mark.parametrize("option", [
+        ["--objective", "total"], ["--slack-factor", "1.0"],
+        ["--objective", "worst", "--slack-factor", "3"]])
+    def test_multipair_options_rejected_off_multipair(self, multifile, task,
+                                                      option, capsys):
+        assert main(["bounds", multifile] + task + option) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert option[0] in err and "--multipair" in err
+
+    def test_multipair_defaults_when_options_omitted(self, multifile,
+                                                     capsys):
+        assert main(["bounds", multifile, "--multipair"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["bounds", multifile, "--multipair", "--objective",
+                     "total", "--slack-factor", "1.0"]) == 0
+        assert capsys.readouterr().out == plain
+        assert json.loads(plain)["task"] == "multipair/total k=2"
+
     def test_failed_flow_verification_exits_3(self, netfile, monkeypatch,
                                               capsys):
         def reject(self, graph, shared_capacity=True):

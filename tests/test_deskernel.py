@@ -72,6 +72,30 @@ class TestChainSimulation:
         other.run()
         assert other.trace_hash() not in hashes
 
+    def test_second_run_replays_the_run(self):
+        params = ChainParams(n=2, p_g=0.4, p_s=0.6, t_coh=9.0, tau=4)
+        sim = ChainSimulation(params, seed=123, trace=True)
+
+        def snapshot():
+            state = sim.state
+            return (sim.run(), list(state.trace), sorted(state.queue),
+                    state.clock, list(sim.links), list(sim.epochs))
+
+        assert snapshot() == snapshot()
+
+    @pytest.mark.parametrize("seed", (0, 9, 2 ** 64 - 1))
+    def test_run_is_sample_zero_of_the_batch(self, seed):
+        params = ChainParams(n=2, p_g=0.3, p_s=0.5, t_coh=20.0, tau=8)
+        rec = ChainSimulation(params, seed=seed).run()
+        batch = simulate_batch(params, n_samples=1, seed=seed)
+        assert (batch.mean_t, batch.mean_w) == (rec.t, rec.w)
+
+    def test_seed_must_be_an_int(self):
+        sim = ChainSimulation(ChainParams(n=1, p_g=0.5),
+                              seed=np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            sim.run()
+
     def test_trace_format(self):
         sim = ChainSimulation(ChainParams(n=1, p_g=1.0, p_s=1.0),
                               seed=1, trace=True)

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from qnd import disttrack
 from qnd.chainformulas import ChainParams, decay_factor, det_swap_mean
 from qnd.disttrack import (ChainProtocol, HorizonError, TruncatedDistribution,
-                           WernerParam, _fft_len, chain_distribution,
-                           compound_geometric, distill_step,
+                           _fft_len, chain_distribution, compound_geometric,
+                           distill_output_w, distill_success_prob,
                            distribution_csv, distribution_summary,
-                           fidelity_to_werner, geometric_pmf, max_combine,
-                           swap_quality, werner_to_fidelity)
+                           geometric_pmf, max_combine, werner_to_fidelity)
 from qnd.markovchain import absorption_stats, build_chain
-from qnd.montecarlo import run_batch
+from qnd.montecarlo import _unit_outcome, run_batch
 
 HALF_LOG2 = 1.0 / math.log(2.0)  # t_coh with per-step decay exactly 0.5
 
@@ -69,12 +69,18 @@ class TestInvariants:
                                   mean_w=np.array([0.0, 1.5]))
 
 
+def fidelity_to_werner(fidelity):
+    """Inverse of F = (1 + 3w) / 4."""
+    return (4.0 * fidelity - 1.0) / 3.0
+
+
 class TestWernerAlgebra:
+    # A deterministic swap (p_s = 1) draws no uniform, so no stream is given.
     def test_swap_perfect(self):
-        assert swap_quality(1.0, 1.0).w == 1.0
+        assert _unit_outcome("swap", 1.0, 1.0, 1.0, None) == 1.0
 
     def test_swap_mixed_absorbs(self):
-        assert swap_quality(0.7, 0.0).w == 0.0
+        assert _unit_outcome("swap", 0.7, 0.0, 1.0, None) == 0.0
 
     def test_fidelity_conversions(self):
         assert werner_to_fidelity(1.0) == 1.0
@@ -82,10 +88,6 @@ class TestWernerAlgebra:
         for w in np.linspace(0, 1, 11):
             assert fidelity_to_werner(werner_to_fidelity(w)) == \
                 pytest.approx(w)
-
-    def test_werner_param_validation(self):
-        with pytest.raises(ValueError):
-            WernerParam(1.2)
 
 
 def _bell_state(which):
@@ -139,34 +141,67 @@ def distill_oracle(f1, f2):
     return p, f_out
 
 
+def distill(f1, f2):
+    """Success probability and output fidelity of the per-state formulas
+    on inputs of fidelity f1, f2."""
+    w1, w2 = fidelity_to_werner(f1), fidelity_to_werner(f2)
+    return (distill_success_prob(w1, w2),
+            float(werner_to_fidelity(distill_output_w(w1, w2))))
+
+
 class TestDistillation:
     def test_perfect_inputs_fixed_point(self):
-        prob, out = distill_step(1.0, 1.0)
-        assert prob == 1.0
-        assert out.w == 1.0
+        assert distill_success_prob(1.0, 1.0) == 1.0
+        assert distill_output_w(1.0, 1.0) == 1.0
 
     def test_success_probability_at_least_half(self):
         for w1 in np.linspace(0, 1, 7):
             for w2 in np.linspace(0, 1, 7):
-                prob, _ = distill_step(w1, w2)
-                assert 0.5 <= prob <= 1.0
+                assert 0.5 <= distill_success_prob(w1, w2) <= 1.0
 
     def test_against_density_matrix_oracle(self):
         for f1 in np.linspace(0.5, 1.0, 10):
             for f2 in np.linspace(0.5, 1.0, 10):
                 p_ref, f_ref = distill_oracle(f1, f2)
-                prob, out = distill_step(float(fidelity_to_werner(f1)),
-                                         float(fidelity_to_werner(f2)))
+                prob, fidelity = distill(f1, f2)
                 assert prob == pytest.approx(p_ref, abs=1e-12)
-                assert out.fidelity == pytest.approx(f_ref, abs=1e-12)
+                assert fidelity == pytest.approx(f_ref, abs=1e-12)
 
     def test_seven_tenths_example(self):
         p_ref, f_ref = distill_oracle(0.7, 0.7)
-        prob, out = distill_step(float(fidelity_to_werner(0.7)),
-                                 float(fidelity_to_werner(0.7)))
+        prob, fidelity = distill(0.7, 0.7)
         assert prob == pytest.approx(p_ref, abs=1e-12)
-        assert out.fidelity == pytest.approx(f_ref, abs=1e-12)
+        assert fidelity == pytest.approx(f_ref, abs=1e-12)
         assert f_ref > 0.7  # distillation improves above the fixed point
+
+    @pytest.mark.parametrize("x", [1.0, 0.97])
+    @pytest.mark.parametrize("gap", [0, 1, 2, 3])
+    @pytest.mark.parametrize("w1, w2", [(0.9, 0.8), (0.6, 1.0), (0.0, 0.7)])
+    @pytest.mark.parametrize("swap_sides", [False, True])
+    def test_tracker_round_masses_match_the_per_state_formulas(
+            self, x, gap, w1, w2, swap_sides):
+        # The earlier link delivers w1 at t1, the later one w2 at
+        # t2 = t1 + gap: the round is ready at t2, with the earlier link
+        # decayed by x**gap while stored.
+        t1, t2, n = 2, 2 + gap, 8
+        p1, p2 = np.zeros(n), np.zeros(n)
+        p1[t1] = p2[t2] = 1.0
+        sides = [(p1, w1 * p1), (p2, w2 * p2)]
+        if swap_sides:
+            sides.reverse()
+        (pa, ua), (pb, ub) = sides
+        _, (success, w_mass), _, _ = disttrack._unit_rounds(
+            "distill", pa, ua, pb, ub, x, None)
+        w1_stored = w1 * x ** gap
+        prob = distill_success_prob(w1_stored, w2)
+        expected_success = np.zeros(n)
+        expected_success[t2] = prob
+        expected_mass = np.zeros(n)
+        expected_mass[t2] = distill_output_w(w1_stored, w2) * prob
+        np.testing.assert_allclose(success, expected_success, rtol=1e-15,
+                                   atol=0.0)
+        np.testing.assert_allclose(w_mass, expected_mass, rtol=1e-15,
+                                   atol=0.0)
 
 
 class TestMaxCombine:

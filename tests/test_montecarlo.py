@@ -120,7 +120,7 @@ class TestStatisticalAgreement:
         counts = {}
         sq_sums = {}
         for i in range(n):
-            rec = sample_chain(params, rng_state=substream(23, i))
+            rec = sample_chain(params, None, substream(23, i))
             sums[rec.t] = sums.get(rec.t, 0.0) + rec.w
             sq_sums[rec.t] = sq_sums.get(rec.t, 0.0) + rec.w * rec.w
             counts[rec.t] = counts.get(rec.t, 0) + 1
@@ -215,6 +215,24 @@ class TestSeedRange:
     def test_batches_reject_seed(self, seed, batch):
         with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
             batch(ChainParams(n=1, p_g=0.5), n_samples=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", (1.5, 2.0))
+    def test_substream_rejects_float_seed(self, seed):
+        # numpy would truncate 1.5 to the key of seed 1.
+        with pytest.raises(TypeError):
+            substream(seed, 0)
+
+    @pytest.mark.parametrize("batch", (run_batch, simulate_batch))
+    def test_batches_reject_float_seed(self, batch):
+        with pytest.raises(TypeError):
+            batch(ChainParams(n=1, p_g=0.5), n_samples=10, seed=1.5)
+
+    def test_numpy_integer_seed_keys_its_value(self):
+        assert substream(np.int64(3), 0).random() == \
+            substream(3, 0).random()
+        params = ChainParams(n=1, p_g=0.5, p_s=0.5)
+        assert run_batch(params, n_samples=50, seed=np.int64(3)) == \
+            run_batch(params, n_samples=50, seed=3)
 
     def test_largest_seed_keys_the_full_word(self):
         # Under a float cast 2**64 - 1 and 2**64 - 2 collapse to one key.
