@@ -200,7 +200,7 @@ def multipair_bounds(net, pairs, objective="total",
         if s == t:
             raise NetworkValidationError(f"pair endpoints coincide: {s!r}")
         _require_nodes(net, (s, t))
-    if slack_factor < 1.0:
+    if not slack_factor >= 1.0:
         raise ValueError("slack_factor must be >= 1")
     objective = str(objective)
     if objective not in ("total", "worst"):

@@ -242,8 +242,8 @@ _GRID_OPTIONS = {
     "--cutoff": (None, {"type": _int_list},
                  "cut-off thresholds (comma list; none disables them)"),
     "--w0": ("1.0", {"type": float}, "Werner parameter of a fresh link"),
-    "--trunc": (None, {"type": int}, "output length and horizon cap of the "
-                "exact engine (none: the certified horizon)"),
+    "--trunc": (None, {"type": int}, "output length of the exact engine "
+                "(none: the certified horizon)"),
     "--distill-rounds": ("0", {"type": int},
                          "distillation rounds before each swap level"),
     "--swap-time": ("zero-step",
@@ -300,12 +300,13 @@ def _protocol(params, args):
 
 
 def _analytic_cell(params, args):
+    w0 = _protocol(params, args).w0
     if params.tau is not None:
         if params.p_s < 1.0:
             raise FeatureMismatchError(
                 "the analytic engine supports cut-offs only with "
                 "deterministic swapping (p_s = 1)")
-        if not math.isinf(params.t_coh) or args.w0 != 1.0:
+        if not math.isinf(params.t_coh) or w0 != 1.0:
             raise FeatureMismatchError(
                 "the analytic engine's cut-off formula gives the waiting "
                 "time only: it models no memory decay (finite --tcoh) and "
@@ -317,7 +318,7 @@ def _analytic_cell(params, args):
     mean = chainformulas.geometric_level_mean(params)
     # Level-by-level quality estimate: each level squares the parameter
     # and the stored side decays by the level's mean factor.
-    w = args.w0
+    w = w0
     level_mean = 1.0 / params.p_g
     x = params.decay_per_step
     for _ in range(params.n):

@@ -36,10 +36,10 @@ an unused zero slot.  Each level is certified on its own: the elementary
 horizon by its closed-form geometric tail, every unit level's horizon from
 the exact mean of its output (mass and first moment of the round arrays),
 with the level redone on a doubled horizon until it captures, up to float
-rounding, the mass its inputs imply.  A given ``t_trunc`` caps those
-horizons and sets the output length.  Mass beyond the truncation horizon
-is dropped, never renormalized; the captured mass is reported and
-enforced against a floor.
+rounding, the mass its inputs imply.  A given ``t_trunc`` only cuts or
+zero-pads the certified output, so a cut head is exactly the head of the
+full run.  Mass beyond the output is dropped, never renormalized; the
+captured mass is reported and enforced against a floor.
 """
 
 import math
@@ -68,7 +68,8 @@ __all__ = [
 DEFAULT_MASS_FLOOR = 1.0 - 1e-6
 
 class HorizonError(RuntimeError):
-    """The truncation horizon captured too little probability mass."""
+    """A level's horizon exceeds the limit, or the output captured too
+    little probability mass."""
 
 
 def werner_to_fidelity(w):
@@ -540,48 +541,42 @@ TAIL_MASS = 1e-16
 #: amplifies the rounding of the failure-round mass.
 ROUNDING_MASS = 16 * np.finfo(float).eps
 
-#: Largest horizon a renewal-sum level may take without an explicit
-#: ``t_trunc``: its Fourier buffers then hold about 2^27 complex entries,
-#: two gigabytes each.  Swap-only chains stay below it up to n=12 at p_g=0.1,
-#: p_s=0.5; a cut-off that makes restarts dominate can push a chain past
-#: it, which is then reported instead of attempted.  The elementary level
-#: is closed form and never refused on its own.
+#: Largest horizon any level may take: a unit level's Fourier buffers then
+#: hold about 2^27 complex entries, two gigabytes each.  Swap-only chains
+#: stay below it up to n=12 at p_g=0.1, p_s=0.5; a small p_g, or a cut-off
+#: that makes restarts dominate, can push a chain past it, which is then
+#: reported instead of attempted.
 HORIZON_LIMIT = 1 << 27
 
 
-def _level_horizon(span, t_cap, limited=True):
-    """``span`` steps rounded up, capped by ``t_cap`` or, without one and
-    when ``limited``, refused beyond ``HORIZON_LIMIT``."""
-    if t_cap is not None:
-        return min(math.ceil(span), t_cap)
-    if limited and not span <= HORIZON_LIMIT:
+def _level_horizon(span):
+    """``span`` steps rounded up, refused beyond ``HORIZON_LIMIT``."""
+    if not span <= HORIZON_LIMIT:
         raise HorizonError(
             f"a level needs a horizon of {span:.3g} steps, beyond the "
-            f"default limit {HORIZON_LIMIT}; pass t_trunc to cap it")
+            f"default limit {HORIZON_LIMIT}")
     return math.ceil(span)
 
 
-def _certify(level, horizon, mass, tolerance, t_cap):
+def _certify(level, horizon, mass, tolerance):
     """Run ``level(horizon)``, which returns (pmf, quality mass) on
     ``horizon + 1`` entries, doubling the horizon until the captured mass
-    falls short of ``mass`` by at most ``tolerance``.  A horizon at the
-    cap ``t_cap`` is accepted unaudited, and so is one whose doubling
-    captured at most ``tolerance`` more: what is still missing then is
-    rounding in ``mass``, which no horizon recovers.  Returns (horizon,
-    pmf, quality mass)."""
+    falls short of ``mass`` by at most ``tolerance``.  A horizon whose
+    doubling captured at most ``tolerance`` more is accepted too: what is
+    still missing then is rounding in ``mass``, which no horizon recovers.
+    Returns (horizon, pmf, quality mass)."""
     captured = -math.inf
     while True:
         pmf, wmass = level(horizon)
         gained, captured = pmf.sum() - captured, pmf.sum()
-        if (horizon == t_cap or mass - captured <= tolerance
-                or gained <= tolerance):
+        if mass - captured <= tolerance or gained <= tolerance:
             return horizon, pmf, wmass
-        horizon = _level_horizon(2 * horizon, t_cap)
+        horizon = _level_horizon(2 * horizon)
 
 
-def _track(params, protocol, t_cap):
+def _track(params, protocol):
     """(pmf, quality mass) of the protocol's output on its last level's
-    horizon.
+    certified horizon.
 
     The elementary level runs on ``ln(1 / TAIL_MASS) / p_g`` steps, which
     leaves at most ``(1 - p_g)^h <= exp(-p_g h) = TAIL_MASS`` beyond it.
@@ -589,18 +584,11 @@ def _track(params, protocol, t_cap):
     mean of its own output, computed from its join arrays.  Its renewal
     sum is then audited: when the captured mass falls short of the mass
     its inputs imply by more than float rounding, the horizon doubles and
-    the level is redone.
-
-    ``t_cap`` caps every horizon, and a capped level is accepted unaudited.
-    Every unit is causal, so entries 1..t_cap do not depend on the cap,
-    up to the mass beyond twice the cap that the Fourier-space renewal
-    sums wrap around: negligible whenever the output meets a mass floor.
+    the level is redone.  Every horizon is refused beyond
+    ``HORIZON_LIMIT`` before its arrays exist.
     """
     span = math.log(1.0 / TAIL_MASS)
-    # Every unit level runs on at least the elementary horizon, so a
-    # chain with units is refused before the elementary arrays exist.
-    horizon = _level_horizon(span / params.p_g, t_cap,
-                             limited=bool(protocol.plan))
+    horizon = _level_horizon(span / params.p_g)
     pmf, wmass = _as_masses(geometric_pmf(params.p_g, horizon,
                                           w0=protocol.w0))
     for op in protocol.plan:
@@ -612,8 +600,8 @@ def _track(params, protocol, t_cap):
         horizon, pmf, wmass = _certify(
             lambda h: _renewal_sum(kernel, firsts, h + 1, round_prob,
                                    restarts),
-            max(horizon, _level_horizon(span * mean, t_cap)), mass,
-            ROUNDING_MASS / ending, t_cap)
+            max(horizon, _level_horizon(span * mean)), mass,
+            ROUNDING_MASS / ending)
     return pmf, wmass
 
 
@@ -622,12 +610,11 @@ def default_horizon(params, protocol=None):
     horizon of the protocol's last level.  Computing it runs the tracker.
     """
     protocol = ChainProtocol.for_chain(params, protocol)
-    pmf, _ = _track(params, protocol, None)
+    pmf, _ = _track(params, protocol)
     return len(pmf) - 1
 
 
-def chain_distribution(params, protocol=None, t_trunc=None,
-                       mass_floor=DEFAULT_MASS_FLOOR):
+def chain_distribution(params, protocol=None, t_trunc=None):
     """Exact waiting-time PMF and per-time mean Werner parameter of a
     nested repeater chain.
 
@@ -638,29 +625,33 @@ def chain_distribution(params, protocol=None, t_trunc=None,
         Defaults to the plain doubling protocol with ``params.n`` swaps.
         The plan's swap count must equal ``params.n``.
     t_trunc : int, optional
-        Output length, and a cap on every level's horizon; defaults to the
-        last level's certified horizon (:func:`default_horizon`).
-    mass_floor : float or None
-        Minimum captured probability mass; a shortfall raises
-        :class:`HorizonError` rather than silently biasing results.
+        Output length; defaults to the last level's certified horizon
+        (:func:`default_horizon`).  A shorter output is the head of the
+        full one, bit for bit, and a longer one is zero-padded.
 
     Each level is certified on its own: it runs on a horizon sized from
     the exact mean of its output, and a unit level is redone on a doubled
     horizon until it captures the mass its inputs imply.  Levels are
     zero-extended upward, which keeps the cost polynomial in the horizon
-    and the nesting level.
+    and the nesting level.  An output that captures less than
+    ``DEFAULT_MASS_FLOOR`` raises :class:`HorizonError` rather than
+    silently biasing results.
     """
     protocol = ChainProtocol.for_chain(params, protocol)
     if t_trunc is not None and t_trunc < 1:
         raise ValueError("t_trunc must be at least 1")
-    pmf, wmass = _track(params, protocol, t_trunc)
-    if t_trunc is not None and len(pmf) <= t_trunc:
-        pmf, wmass = _pad(pmf, t_trunc + 1), _pad(wmass, t_trunc + 1)
-    result = _finish(pmf, wmass)
-    if mass_floor is not None and result.captured_mass < mass_floor:
+    result = _finish(*_track(params, protocol))
+    if t_trunc is not None:
+        if t_trunc < result.t_trunc:
+            result = TruncatedDistribution(pmf=result.pmf[:t_trunc + 1],
+                                           mean_w=result.mean_w[:t_trunc + 1])
+        else:
+            result = result.extended(t_trunc)
+    if result.captured_mass < DEFAULT_MASS_FLOOR:
         raise HorizonError(
             f"captured mass {result.captured_mass:.9f} is below the floor "
-            f"{mass_floor}; increase t_trunc (current {result.t_trunc})")
+            f"{DEFAULT_MASS_FLOOR}; increase t_trunc (current "
+            f"{result.t_trunc})")
     return result
 
 

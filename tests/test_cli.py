@@ -130,6 +130,27 @@ class TestBounds:
         assert capsys.readouterr().out == plain
         assert json.loads(plain)["task"] == "multipair/total k=2"
 
+    @pytest.mark.parametrize("factor", ["nan", "0.5"])
+    def test_bad_slack_factor_exits_3_before_any_solve(self, multifile,
+                                                       factor, monkeypatch,
+                                                       capsys):
+        from qnd import capbounds, flows
+        solved = []
+
+        def spy(*args, **kwargs):
+            solved.append(args)
+            return flows._solve_flow(*args, **kwargs)
+
+        # capbounds binds the name at import; spy on both references.
+        monkeypatch.setattr(flows, "_solve_flow", spy)
+        monkeypatch.setattr(capbounds, "_solve_flow", spy)
+        assert main(["bounds", multifile, "--multipair", "--slack-factor",
+                     factor]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "slack_factor must be >= 1" in err
+        assert solved == []
+
     def test_failed_flow_verification_exits_3(self, netfile, monkeypatch,
                                               capsys):
         def reject(self, graph, shared_capacity=True):
@@ -216,6 +237,15 @@ class TestChain:
         out, err = capsys.readouterr()
         assert out == ""
         assert "cut-off formula" in err
+
+    @pytest.mark.parametrize("w0", ["1.5", "-0.1", "nan"])
+    def test_analytic_rejects_w0_outside_the_unit_interval(self, w0, capsys):
+        # The analytic engine used to square such a value into mean_w.
+        assert main(["chain", "analytic", "--n", "1", "--pg", "0.5",
+                     "--w0", w0]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "w0 out of [0, 1]" in err
 
     def test_analytic_cutoff_accepts_the_defaults_spelled_out(self, capsys):
         assert main(["chain", "analytic", "--n", "1", "--pg", "0.3",

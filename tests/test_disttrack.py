@@ -7,9 +7,10 @@ from qnd import disttrack
 from qnd.chainformulas import ChainParams, decay_factor, det_swap_mean
 from qnd.disttrack import (ChainProtocol, HorizonError, TruncatedDistribution,
                            _fft_len, chain_distribution, compound_geometric,
-                           distill_output_w, distill_success_prob,
-                           distribution_csv, distribution_summary,
-                           geometric_pmf, max_combine, werner_to_fidelity)
+                           default_horizon, distill_output_w,
+                           distill_success_prob, distribution_csv,
+                           distribution_summary, geometric_pmf, max_combine,
+                           werner_to_fidelity)
 from qnd.markovchain import absorption_stats, build_chain
 from qnd.montecarlo import _unit_outcome, run_batch
 
@@ -455,22 +456,20 @@ class TestCertifiedHorizons:
          ChainProtocol.with_distillation(1, 1, w0=0.95))])
     def test_t_trunc_only_sets_the_output_length(self, params, protocol):
         full = chain_distribution(params, protocol)
-        # Capped at half the certified horizon the last level drops about
-        # 1e-8 of the mass; what the FFT wraps around, the mass beyond the
-        # full horizon, is at rounding level.
-        for t_trunc in (full.t_trunc // 2, full.t_trunc - 1,
-                        full.t_trunc + 50):
-            short = chain_distribution(params, protocol, t_trunc=t_trunc,
-                                       mass_floor=None)
+        # A cut output is the head of the full one, bit for bit: no level
+        # runs on a shorter horizon, so nothing wraps around into the head.
+        for t_trunc in (full.t_trunc // 2, full.t_trunc - 1):
+            short = chain_distribution(params, protocol, t_trunc=t_trunc)
             assert short.t_trunc == t_trunc
-            common = min(t_trunc, full.t_trunc) + 1
-            assert np.abs(short.pmf[:common] - full.pmf[:common]).max() \
-                <= 1e-14
-            quality = short.pmf * short.mean_w
-            quality_full = full.pmf * full.mean_w
-            assert np.abs(quality[:common] - quality_full[:common]).max() \
-                <= 1e-14
-            assert short.pmf[common:].sum() == 0.0
+            assert np.array_equal(short.pmf, full.pmf[:t_trunc + 1])
+            assert np.array_equal(short.mean_w, full.mean_w[:t_trunc + 1])
+        longer = chain_distribution(params, protocol,
+                                    t_trunc=full.t_trunc + 50)
+        assert longer.t_trunc == full.t_trunc + 50
+        assert np.array_equal(longer.pmf[:full.t_trunc + 1], full.pmf)
+        assert np.array_equal(longer.mean_w[:full.t_trunc + 1], full.mean_w)
+        assert not longer.pmf[full.t_trunc + 1:].any()
+        assert not longer.mean_w[full.t_trunc + 1:].any()
 
     def test_short_first_guess_is_doubled_until_certified(self,
                                                           monkeypatch):
@@ -534,21 +533,21 @@ class TestCertifiedHorizons:
         common = reference.t_trunc + 1
         assert np.abs(dist.pmf[:common] - reference.pmf).max() <= 1e-14
 
-    def test_horizon_limit_refuses_unit_levels_only(self, monkeypatch):
-        from qnd import disttrack
-        params = ChainParams(n=2, p_g=0.1, p_s=0.5)
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_horizon_limit_refuses_every_level(self, n, given, monkeypatch):
+        params = ChainParams(n=n, p_g=0.1, p_s=0.5)
         horizon = chain_distribution(params).t_trunc
+        t_trunc = horizon // 2 if given else None
         monkeypatch.setattr(disttrack, "HORIZON_LIMIT", horizon)
         assert chain_distribution(params).t_trunc == horizon
+        # The elementary level of an n=0 chain is refused like any other:
+        # a given t_trunc cuts the output, never a level's horizon.
         monkeypatch.setattr(disttrack, "HORIZON_LIMIT", horizon - 1)
         with pytest.raises(HorizonError, match="beyond the default limit"):
-            chain_distribution(params)
-        assert chain_distribution(params, t_trunc=horizon).t_trunc == horizon
-        # The elementary level alone is closed form and never refused.
-        monkeypatch.setattr(disttrack, "HORIZON_LIMIT", 10)
-        assert chain_distribution(ChainParams(n=0, p_g=0.1)).t_trunc > 10
+            chain_distribution(params, t_trunc=t_trunc)
         with pytest.raises(HorizonError, match="beyond the default limit"):
-            chain_distribution(ChainParams(n=1, p_g=0.1))
+            default_horizon(params)
 
     def test_uncapped_horizon_beyond_the_limit_is_refused(self):
         # A cut-off of one step puts the last level's mean near 1.6e7 steps:
@@ -609,9 +608,7 @@ class TestForChain:
 
 class TestExports:
     def test_csv_schema(self):
-        d = chain_distribution(ChainParams(n=1, p_g=0.5, p_s=0.5),
-                               t_trunc=50, mass_floor=None)
-        text = distribution_csv(d)
+        text = distribution_csv(geometric_pmf(0.5, 50))
         lines = text.strip().split("\n")
         assert lines[0] == "t,pmf,cdf,mean_w,mean_F"
         assert len(lines) == 51

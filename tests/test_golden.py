@@ -11,9 +11,13 @@ discrete-event traces, and every ``bounds`` task, usage unit and output
 format on ``net_mixed.json``, a network with an asymmetric pair of
 explicit channels and a lossless (eta = 1) channel.
 
-Regenerate the snapshots, only when a change of output is intended, with::
+Write the snapshots of new commands with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+It writes only missing snapshots.  An existing snapshot whose output
+differs is listed, never rewritten; to re-baseline one on purpose, when a
+change of output is intended, delete its file first.
 """
 
 import csv
@@ -82,6 +86,8 @@ def _commands():
                                  "--w0", "0.9"],
         "chain_analytic_cutoff": ["chain", "analytic", "--n", "1,2", "--pg",
                                   "0.3", "--ps", "1.0", "--cutoff", "5"],
+        "chain_track_trunc_cut": ["chain", "track", "--n", "3", "--pg", "0.1",
+                                  "--ps", "0.5", "--trunc", "4000"],
         "chain_track_distill": ["chain", "track", "--n", "1", "--pg", "0.5",
                                 "--ps", "0.8", "--tcoh", "100",
                                 "--distill-rounds", "1", "--w0", "0.95"],
@@ -150,12 +156,20 @@ def test_cli_output_matches_snapshot(name, tmp_path):
         assert actual == expected
 
 
+def test_snapshot_files_match_commands_one_to_one():
+    assert {p.stem for p in GOLDEN.glob("*.out")} == set(COMMANDS)
+
+
 def _regenerate():
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in sorted(COMMANDS.items()):
+            path = _snapshot(name)
             data = _run(argv, Path(tmp) / "out")
-            _snapshot(name).write_bytes(data)
-            print(f"wrote {_snapshot(name).name}", file=sys.stderr)
+            if not path.exists():
+                path.write_bytes(data)
+                print(f"wrote {path.name}", file=sys.stderr)
+            elif path.read_bytes() != data:
+                print(f"differs, not written: {path.name}", file=sys.stderr)
 
 
 if __name__ == "__main__":
