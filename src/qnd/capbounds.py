@@ -18,13 +18,21 @@ lower and the upper program of a sandwich are identical, as for pure-loss
 channels, whose achievable capacity equals their entanglement upper
 weight, that program is solved and verified once for both bounds.
 
+Multipartite bounds need the least pairwise flow among k users, which is
+a connectivity, not a concurrent flow.  Pairwise max-flow values obey
+lambda(a, b) >= min(lambda(a, c), lambda(c, b)) (Gomory & Hu,
+"Multi-terminal network flows", J. SIAM 1961), so the least over all
+k(k-1)/2 pairs equals the least over the k-1 hub pairs (u0, u) from one
+user u0.  This holds for every usage vector q, hence also under the joint
+optimization of PER_CHANNEL_USE, and the programs carry k-1 private
+commodities instead of k(k-1)/2.
+
 Multicommodity upper bounds carry an unavoidable O(log k) gap to the
 corresponding cut quantity; the gap factor is reported symbolically in the
 ``slack_note`` and a numeric slack factor (default 1) may be applied.
 """
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -225,12 +233,16 @@ def multipartite_bounds(net, users=None, unit=UsageUnit.PER_NETWORK_USE,
     Both bounds maximize the least pairwise flow among the users, each
     pair solving its own private copy of the capacity constraints (the
     pairs do not compete: the quantity is a connectivity, not a concurrent
-    flow).  The lower bound is scaled by the tree-packing constant g3
-    (default 1/2) reflecting that spanning trees consume edges faster than
-    pairwise paths do.
+    flow).  Only the k-1 hub pairs ``(users[0], u)`` are solved: by the
+    Gomory-Hu inequality lambda(a, b) >= min(lambda(a, c), lambda(c, b)),
+    their least flow equals the least over all k(k-1)/2 pairs for every
+    usage vector q, so both sides keep their value under every usage
+    unit, PER_CHANNEL_USE's maximization over q included.  The lower bound
+    is scaled by the tree-packing constant g3 (default 1/2) reflecting
+    that spanning trees consume edges faster than pairwise paths do.
 
-    ``users`` defaults to ``net.users``; a missing or one-node user set
-    raises NetworkValidationError.
+    ``users`` defaults to ``net.users``; a missing or one-node user set,
+    or one that repeats a node, raises NetworkValidationError.
     """
     if users is None:
         users = net.users
@@ -241,9 +253,11 @@ def multipartite_bounds(net, users=None, unit=UsageUnit.PER_NETWORK_USE,
     if len(users) < 2:
         raise NetworkValidationError(
             "user set must contain at least two nodes")
+    if len(set(users)) < len(users):
+        raise NetworkValidationError("user set repeats a node")
     _require_nodes(net, users)
     unit = UsageUnit(unit)
-    pairs = list(itertools.combinations(users, 2))
+    pairs = [(users[0], u) for u in users[1:]]
     lower_raw, upper, q_opt = _solve_sandwich(
         net, unit, pairs, FlowObjective.WORST, esq_lossy_upper,
         shared_capacity=False)

@@ -250,11 +250,10 @@ def _build_multiflow_lp(graph, commodities, objective, usage_terms=None,
 
 def _usage_capacity(terms, q):
     """Capacity of one edge under usage frequencies ``q``, as the LP sees
-    it: unbounded as soon as one channel on the edge is lossless, and never
-    below zero (the solver may return frequencies like -1e-17)."""
+    it: unbounded as soon as one channel on the edge is lossless."""
     if any(math.isinf(val) for _, val in terms):
         return math.inf
-    return max(0.0, sum(val * q[q_idx] for q_idx, val in terms))
+    return sum(val * q[q_idx] for q_idx, val in terms)
 
 
 def _solve_flow(graph, commodities, objective, usage_terms=None,
@@ -295,7 +294,9 @@ def _solve_flow(graph, commodities, objective, usage_terms=None,
     q = None
     capacities = graph
     if usage_terms is not None:
-        q = tuple(float(v) for v in x[q_offset:])
+        # Frequencies are nonnegative; the solver's float noise is not
+        # reported as a negative one.
+        q = tuple(float(v) if v > 0.0 else 0.0 for v in x[q_offset:])
         capacities = WeightedUGraph(
             vertices=graph.vertices,
             uedges=tuple((u, v, _usage_capacity(terms, q))

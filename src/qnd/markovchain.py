@@ -17,13 +17,12 @@ statistics follow from the standard absorbing-chain linear systems and from
 iterated vector-matrix products.
 """
 
+from __future__ import annotations
+
 import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.sparse.csgraph import breadth_first_order
 
 from .chainformulas import ChainParams
 from .disttrack import TruncatedDistribution
@@ -40,11 +39,13 @@ __all__ = [
 ]
 
 DEFAULT_STATE_LIMIT = 2 ** 20
+DEFAULT_TRANSITION_LIMIT = 2 ** 20
 _DENSE_SOLVE_LIMIT = 2 ** 12
 
 
 class StateLimitError(RuntimeError):
-    """Chain construction would exceed ``DEFAULT_STATE_LIMIT`` states."""
+    """Chain construction would exceed ``DEFAULT_STATE_LIMIT`` states or
+    ``DEFAULT_TRANSITION_LIMIT`` generation outcomes."""
 
 
 class AbsorptionError(RuntimeError):
@@ -190,12 +191,22 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP):
     engine neither discards links nor tracks their age).  Raises
     StateLimitError once the chain would exceed ``DEFAULT_STATE_LIMIT``
     states.
+
+    The work lies in the generation outcomes: a state with e empty
+    segments has 2**e of them, and summed over the 2**S occupancy patterns
+    of S segments they number 3**S.  A chain whose count exceeds
+    ``DEFAULT_TRANSITION_LIMIT`` is refused with StateLimitError before
+    any state is enumerated.
     """
     mode = SwapTimeMode(swap_time_mode)
     if params.tau is not None:
         raise ValueError(
             "the Markov engine covers swap-only protocols without cut-off")
     n_segments = params.segments
+    if 3 ** n_segments > DEFAULT_TRANSITION_LIMIT:
+        raise StateLimitError(
+            f"{n_segments} segments have 3**{n_segments} generation "
+            f"outcomes, over the limit of {DEFAULT_TRANSITION_LIMIT}")
     done = (0, n_segments)
 
     index = {}
@@ -246,6 +257,8 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP):
         if abs(total - 1.0) > 1e-12:
             raise AssertionError(
                 f"row {i} sums to {total!r}, not 1")
+    # scipy is imported on use: commands that build no chain skip its cost.
+    import scipy.sparse
     tpm = scipy.sparse.csr_matrix(
         (data, (ri, ci)), shape=(n, n))
     absorbing = frozenset(i for i, s in enumerate(states)
@@ -256,6 +269,7 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP):
 
 
 def _transient_structure(chain):
+    from scipy.sparse.csgraph import breadth_first_order
     transient = [i for i in range(chain.n_states) if i not in chain.absorbing]
     if not transient:
         raise AbsorptionError("no transient states")
@@ -296,6 +310,8 @@ def absorption_stats(chain):
         m = np.linalg.solve(iq, ones)
         s = np.linalg.solve(iq, ones + 2.0 * (q @ m))
     else:
+        import scipy.sparse
+        import scipy.sparse.linalg
         iq = scipy.sparse.identity(n, format="csc") - q.tocsc()
         m = scipy.sparse.linalg.spsolve(iq, ones)
         s = scipy.sparse.linalg.spsolve(iq, ones + 2.0 * q.dot(m))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from qnd.capbounds import (BoundReport, TreePackingConstants, UsageUnit,
                            multipartite_bounds)
 from qnd.flows import FlowAssignment
 from qnd.netmodel import (Edge, Explicit, Lossy, Measure, NetworkSpec,
-                          NetworkValidationError, channel_value, undirect)
+                          NetworkValidationError, channel_value,
+                          parse_network, undirect)
 
 NET = UsageUnit.PER_NETWORK_USE
 CHAN = UsageUnit.PER_CHANNEL_USE
@@ -65,6 +67,13 @@ def random_mixed_network(rng, n_nodes=5):
     return NetworkSpec(nodes=nodes, edges=tuple(edges))
 
 
+def _with_q(net, q):
+    """``net`` with usage weights ``q``, e.g. a q_opt fed back as fixed-q."""
+    return dataclasses.replace(net, edges=tuple(
+        Edge(e.tail, e.head, e.channel, q=qe)
+        for e, qe in zip(net.edges, q)))
+
+
 class TestBipartite:
     def test_two_segment_pure_loss_chain(self):
         report = bipartite_bounds(lossy_chain(2), "A", "B", NET)
@@ -107,11 +116,8 @@ class TestBipartite:
             report = bipartite_bounds(net, "N0", "N4", CHAN)
             if report.q_opt is None:
                 continue
-            refit = NetworkSpec(
-                nodes=net.nodes,
-                edges=tuple(Edge(e.tail, e.head, e.channel, q=q)
-                            for e, q in zip(net.edges, report.q_opt)))
-            fixed = bipartite_bounds(refit, "N0", "N4", FIXED)
+            fixed = bipartite_bounds(_with_q(net, report.q_opt), "N0",
+                                     "N4", FIXED)
             assert fixed.lower == pytest.approx(report.lower, abs=1e-7)
 
     def test_lossless_channel_infinite_bound(self):
@@ -202,6 +208,18 @@ class TestMultipair:
         # analytic optimum: 2 q1 = 1 - q1 at q1 = 1/3, worst flow 2/3
         assert report.lower == pytest.approx(2.0 / 3.0, abs=1e-9)
 
+    def test_q_opt_clamps_solver_noise(self):
+        # The solver puts -1.4e-17 on the first edge of this program; a
+        # frequency is reported as 0.0 instead, and still refits.
+        path = Path(__file__).resolve().parent / "golden" / "net_mixed.json"
+        net = parse_network(path.read_text())
+        report = multipair_bounds(net, net.commodities, "total", CHAN)
+        assert report.q_opt[0] == 0.0
+        assert min(report.q_opt) >= 0.0
+        refit = multipair_bounds(_with_q(net, report.q_opt),
+                                 net.commodities, "total", FIXED)
+        assert refit.lower == pytest.approx(report.lower, abs=1e-9)
+
     def test_sandwich_on_random_networks(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -266,15 +284,19 @@ class TestMultipartite:
             multipartite_bounds(net, users=given, unit=NET)
         assert issubclass(NetworkValidationError, ValueError)
 
+    def test_repeated_user_rejected(self):
+        # A repeated user is no second party; the hub pairs would
+        # otherwise depend on where the repeat stands.
+        with pytest.raises(NetworkValidationError, match="repeats"):
+            multipartite_bounds(self.TRIANGLE, users=("A", "B", "B"),
+                                unit=NET)
+
     @pytest.mark.parametrize("w", [
         1e-4,
         pytest.param(1e-5, marks=pytest.mark.xfail(
             raises=lpcore.LPNumericError, strict=True,
             reason="the tableau solver claims a negative component")),
-        pytest.param(1e-6, marks=pytest.mark.xfail(
-            raises=lpcore.LPNumericError, strict=True,
-            reason="the tableau solver claims a negative component")),
-        1e-8])
+        1e-6, 1e-8])
     def test_near_zero_explicit_weight_channel_use(self, w):
         net = NetworkSpec(
             nodes=("N0", "N1", "N2"),
@@ -283,6 +305,72 @@ class TestMultipartite:
         report = multipartite_bounds(net, users=("N0", "N1", "N2"),
                                      unit=CHAN)
         assert 0.0 < report.lower <= report.upper <= w
+
+
+def _all_pairs(net, users, unit, esq):
+    """The multipartite sandwich on every one of the k(k-1)/2 user pairs,
+    the program the hub pairs replace: (raw lower, upper, q_opt)."""
+    return capbounds._solve_sandwich(
+        net, unit, list(itertools.combinations(users, 2)),
+        flows.FlowObjective.WORST, esq, shared_capacity=False)
+
+
+class TestHubPairs:
+    """The least pairwise flow over the k-1 hub pairs equals the least over
+    all k(k-1)/2 pairs (Gomory-Hu), for every usage vector q."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_all_pairs(self, data):
+        n = data.draw(st.integers(2, 5), label="nodes")
+        nodes = tuple(f"N{i}" for i in range(n))
+        # Weights stay clear of the near-zero explicit channels on which
+        # the tableau fails (test_near_zero_explicit_weight_channel_use).
+        weight = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+        lossy = st.builds(Lossy, st.one_of(st.floats(0.05, 0.95),
+                                           st.just(1.0)))
+        explicit = st.builds(lambda q, d: Explicit(q + d, q), weight, weight)
+        edges = []
+        for i, j in itertools.combinations(range(n), 2):
+            if data.draw(st.booleans()):
+                ends = (nodes[i], nodes[j])
+                if data.draw(st.booleans()):
+                    ends = ends[::-1]
+                edges.append(Edge(*ends, data.draw(st.one_of(lossy,
+                                                             explicit)),
+                                  q=data.draw(st.floats(0.05, 2.0))))
+        net = NetworkSpec(nodes=nodes, edges=tuple(edges))
+        users = data.draw(st.permutations(nodes), label="users")
+        users = users[:data.draw(st.integers(2, n), label="k")]
+        unit = data.draw(st.sampled_from(UsageUnit), label="unit")
+        esq = data.draw(st.booleans(), label="esq")
+
+        report = multipartite_bounds(net, users=users, unit=unit,
+                                     esq_lossy_upper=esq)
+        lower, upper, _ = _all_pairs(net, users, unit, esq)
+        assert report.lower == pytest.approx(0.5 * lower, rel=1e-9,
+                                             abs=1e-12)
+        assert report.upper == pytest.approx(upper, rel=1e-9, abs=1e-12)
+        # Under channel-use a lossless channel is unbounded at any q, but
+        # fixed-q weights it 0 at q = 0, so its q_opt does not refit.
+        lossless = any(e.channel == Lossy(1.0) for e in edges)
+        if unit is CHAN and report.q_opt is not None and not lossless:
+            refit, _, _ = _all_pairs(_with_q(net, report.q_opt), users,
+                                     FIXED, esq)
+            assert refit == pytest.approx(lower, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("unit", list(UsageUnit))
+    def test_hub_choice_moves_no_bound(self, unit):
+        net = lossy_grid(np.random.default_rng(5), 3)
+        corners = ("r0c0", "r0c2", "r2c2", "r2c0")
+        reports = [multipartite_bounds(net, users=corners[i:] + corners[:i],
+                                       unit=unit)
+                   for i in range(len(corners))]
+        for report in reports[1:]:
+            assert report.lower == pytest.approx(reports[0].lower,
+                                                 rel=1e-12)
+            assert report.upper == pytest.approx(reports[0].upper,
+                                                 rel=1e-12)
 
 
 class TestVerification:

@@ -80,6 +80,17 @@ class TestBuildChain:
         with pytest.raises(ValueError, match="cut-off"):
             build_chain(ChainParams(n=1, p_g=0.5, p_s=0.5, tau=3), ZERO)
 
+    def test_transition_limit_refuses_before_enumeration(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("a state was enumerated")
+
+        monkeypatch.setattr(markovchain, "_transitions", no_enumeration)
+        with pytest.raises(StateLimitError, match="3\\*\\*16 generation"):
+            build_chain(ChainParams(n=4, p_g=0.1, p_s=0.5), ZERO)
+        monkeypatch.setattr(markovchain, "DEFAULT_TRANSITION_LIMIT", 80)
+        with pytest.raises(StateLimitError, match="limit of 80"):
+            build_chain(ChainParams(n=2, p_g=0.5, p_s=0.5), ZERO)
+
     def test_state_limit(self, monkeypatch):
         monkeypatch.setattr(markovchain, "DEFAULT_STATE_LIMIT", 10)
         with pytest.raises(StateLimitError, match="limit of 10"):
