@@ -77,8 +77,11 @@ class BoundReport:
     ``q_opt`` is the optimized usage-frequency vector (one entry per
     directed edge of the network, summing to one) when the unit is
     PER_CHANNEL_USE; it is the optimizer of the lower-bound program, so
-    feeding it back as FIXED_Q reproduces the lower value.  ``slack_note``
-    carries the symbolic gap factors that the upper bound is subject to.
+    feeding it back as FIXED_Q reproduces the lower value, except with a
+    lossless (eta = 1) channel: PER_CHANNEL_USE leaves that edge unbounded
+    at any q, q = 0 included, and FIXED_Q weights it 0 at q = 0 (see
+    ``undirect``).  ``slack_note`` carries the symbolic gap factors that
+    the upper bound is subject to.
     """
 
     lower: float

@@ -369,21 +369,41 @@ def _decayed_window_sum(u, x, tau):
     """
     if x == 1.0:
         return _window_sum(u, tau)  # the same sums, as u[0] is always 0
-    # scipy.signal takes most of a second to import; only decaying
-    # memories need it.
-    from scipy.signal import lfilter
-    n = len(u)
-    v = np.zeros(n)
-    v[1:] = x * u[:-1]
-    full = lfilter([1.0], [1.0, -x], v)
+    if x == 0.0:
+        return np.zeros(len(u))  # the decay underflows within one step
+    a = _decayed_scan(np.concatenate(([0.0], x * u[:-1])), x)
     if tau is None:
-        return full
-    a = full.copy()
+        return a
     shift = tau + 1
-    if shift < n:
-        correction = x ** shift * (full[:-shift] + u[:-shift])
-        a[shift:] -= correction
+    if shift < len(u):
+        a[shift:] -= x ** shift * (a[:-shift] + u[:-shift])
     return np.clip(a, 0.0, None)
+
+
+def _decayed_scan(v, x):
+    """``y[t] = x * y[t - 1] + v[t]`` for ``0 < x < 1``: within each block
+    ``y[j] = x**j * cumsum(v * x**-j)[j]``, with blocks short enough that
+    ``x**-j`` stays below e^345, plus the carry of the block before,
+    decayed by ``x**(j + 1)``; only the loop over carries runs in Python.
+    """
+    n = len(v)
+    rate = -math.log(x)
+    block = max(1, min(n, int(345.0 / rate)))
+    rows = -(-n // block)
+    rise = np.exp(rate * np.arange(block))
+    fall = 1.0 / rise
+    y = np.zeros((rows, block))
+    y.ravel()[:n] = v
+    y *= rise
+    np.cumsum(y, axis=1, out=y)
+    y *= fall
+    if rows > 1:
+        step, carry, carries = x ** block, 0.0, [0.0]
+        for end in y[:-1, -1].tolist():
+            carry = end + carry * step
+            carries.append(carry)
+        y += np.array(carries)[:, None] * (x * fall)
+    return y.ravel()[:n]
 
 
 def _window_sum(p, tau):
@@ -541,12 +561,13 @@ TAIL_MASS = 1e-16
 #: amplifies the rounding of the failure-round mass.
 ROUNDING_MASS = 16 * np.finfo(float).eps
 
-#: Largest horizon any level may take: a unit level's Fourier buffers then
-#: hold about 2^27 complex entries, two gigabytes each.  Swap-only chains
-#: stay below it up to n=12 at p_g=0.1, p_s=0.5; a small p_g, or a cut-off
-#: that makes restarts dominate, can push a chain past it, which is then
-#: reported instead of attempted.
-HORIZON_LIMIT = 1 << 27
+#: Largest horizon any level may take.  A level peaks at about 90 bytes
+#: per step (n=3, p_g=0.01, p_s=0.5, t_coh=100, tau=50: 1.76 GB on a last
+#: level of 1.94e7 steps), so 2^25 steps need about 3 GB.  Swap-only
+#: chains at p_g=0.1, p_s=0.5 stay below it up to n=10 (1.37e7 steps); a
+#: small p_g, or a cut-off that makes restarts dominate, can push a chain
+#: past it, which is then reported instead of attempted.
+HORIZON_LIMIT = 1 << 25
 
 
 def _level_horizon(span):

@@ -17,8 +17,6 @@ statistics follow from the standard absorbing-chain linear systems and from
 iterated vector-matrix products.
 """
 
-from __future__ import annotations
-
 import enum
 from dataclasses import dataclass
 
@@ -38,14 +36,11 @@ __all__ = [
     "to_dot",
 ]
 
-DEFAULT_STATE_LIMIT = 2 ** 20
 DEFAULT_TRANSITION_LIMIT = 2 ** 20
-_DENSE_SOLVE_LIMIT = 2 ** 12
 
 
 class StateLimitError(RuntimeError):
-    """Chain construction would exceed ``DEFAULT_STATE_LIMIT`` states or
-    ``DEFAULT_TRANSITION_LIMIT`` generation outcomes."""
+    """A chain would exceed ``DEFAULT_TRANSITION_LIMIT`` outcomes."""
 
 
 class AbsorptionError(RuntimeError):
@@ -63,12 +58,12 @@ class RepeaterMarkovChain:
     """States, transition matrix, and absorbing set of a repeater chain.
 
     ``states`` are canonically sorted tuples of link intervals; index 0 is
-    the empty start state.  Rows of ``tpm`` sum to one and absorbing rows
-    are identity.
+    the empty start state.  ``tpm`` is a dense row-stochastic matrix whose
+    absorbing rows are identity.
     """
 
     states: tuple
-    tpm: scipy.sparse.csr_matrix
+    tpm: np.ndarray
     absorbing: frozenset
     swap_time_mode: SwapTimeMode
     params: ChainParams
@@ -188,15 +183,18 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP):
     """Enumerate the reachable state space and transition matrix.
 
     Swap-only protocols: a cut-off in ``params`` is rejected (the Markov
-    engine neither discards links nor tracks their age).  Raises
-    StateLimitError once the chain would exceed ``DEFAULT_STATE_LIMIT``
-    states.
+    engine neither discards links nor tracks their age).
 
     The work lies in the generation outcomes: a state with e empty
     segments has 2**e of them, and summed over the 2**S occupancy patterns
     of S segments they number 3**S.  A chain whose count exceeds
     ``DEFAULT_TRANSITION_LIMIT`` is refused with StateLimitError before
-    any state is enumerated.
+    any state is enumerated, so at most 8 segments are built.
+
+    That caps the state count too: a state is a set of disjoint aligned
+    dyadic links, which on 2S segments is either the link over all of
+    them or a pair of such sets on the two halves.  So g(2S) = g(S)**2 + 1
+    with g(1) = 2, and g(8) = 677 states bound a dense ``tpm`` by 3.7 MB.
     """
     mode = SwapTimeMode(swap_time_mode)
     if params.tau is not None:
@@ -217,9 +215,6 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP):
     def intern(state_fs):
         key = tuple(sorted(state_fs))
         if key not in index:
-            if len(states) >= DEFAULT_STATE_LIMIT:
-                raise StateLimitError("state count exceeds the limit of "
-                                      f"{DEFAULT_STATE_LIMIT}")
             index[key] = len(states)
             states.append(key)
             rows.append(None)
@@ -246,21 +241,12 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP):
                 frontier.append(j)
 
     n = len(states)
-    data, ri, ci = [], [], []
+    tpm = np.zeros((n, n))
     for i, row in enumerate(rows):
-        total = 0.0
-        for j, prob in sorted(row.items()):
-            data.append(prob)
-            ri.append(i)
-            ci.append(j)
-            total += prob
-        if abs(total - 1.0) > 1e-12:
-            raise AssertionError(
-                f"row {i} sums to {total!r}, not 1")
-    # scipy is imported on use: commands that build no chain skip its cost.
-    import scipy.sparse
-    tpm = scipy.sparse.csr_matrix(
-        (data, (ri, ci)), shape=(n, n))
+        tpm[i, list(row)] = list(row.values())
+    bad = np.flatnonzero(np.abs(tpm.sum(axis=1) - 1.0) > 1e-12)
+    if bad.size:
+        raise AssertionError(f"rows {bad.tolist()} do not sum to 1")
     absorbing = frozenset(i for i, s in enumerate(states)
                           if done in frozenset(s))
     return RepeaterMarkovChain(states=tuple(states), tpm=tpm,
@@ -268,56 +254,45 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP):
                                params=params)
 
 
-def _transient_structure(chain):
-    from scipy.sparse.csgraph import breadth_first_order
+def _transient_block(chain):
+    """Q, the transitions among the transient states in index order."""
     transient = [i for i in range(chain.n_states) if i not in chain.absorbing]
     if not transient:
         raise AbsorptionError("no transient states")
-    pos = {s: k for k, s in enumerate(transient)}
-    tpm = chain.tpm.tocsr()
-    q = tpm[transient][:, transient]
     # Reverse reachability from the absorbing set: every transient state
     # must be able to reach absorption or the hitting-time system is
-    # singular.  Only positive entries are edges; the comparison drops the
-    # stored zeros that a graph traversal would otherwise follow.
-    reverse = (tpm > 0.0).T.tocsr()
+    # singular.  A state reaches it once one positive entry of its row
+    # leads to a state that does; grow that set to its fixed point.
+    edges = chain.tpm > 0.0
     reach = np.zeros(chain.n_states, dtype=bool)
-    for a in sorted(chain.absorbing):
-        reach[breadth_first_order(reverse, a,
-                                  return_predecessors=False)] = True
+    reach[sorted(chain.absorbing)] = True
+    while True:
+        grown = reach | edges[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
     for s in transient:
         if not reach[s]:
             raise AbsorptionError(
                 f"state {chain.states[s]!r} cannot reach absorption")
-    return transient, pos, q
+    return chain.tpm[np.ix_(transient, transient)]
 
 
 def absorption_stats(chain):
     """Mean and variance of the absorption (waiting) time from the start.
 
     Solves the fundamental systems ``(I - Q) m = 1`` and
-    ``(I - Q) s = 1 + 2 Q m`` on the transient block, densely for small
-    chains and with a sparse factorization beyond 4096 states.
+    ``(I - Q) s = 1 + 2 Q m`` on the transient block.
     """
-    transient, pos, q = _transient_structure(chain)
+    q = _transient_block(chain)
     if 0 in chain.absorbing:
         return {"mean": 0.0, "variance": 0.0}
-    n = len(transient)
-    ones = np.ones(n)
-    if n <= _DENSE_SOLVE_LIMIT:
-        q = q.toarray()
-        iq = np.eye(n) - q
-        m = np.linalg.solve(iq, ones)
-        s = np.linalg.solve(iq, ones + 2.0 * (q @ m))
-    else:
-        import scipy.sparse
-        import scipy.sparse.linalg
-        iq = scipy.sparse.identity(n, format="csc") - q.tocsc()
-        m = scipy.sparse.linalg.spsolve(iq, ones)
-        s = scipy.sparse.linalg.spsolve(iq, ones + 2.0 * q.dot(m))
-    k = pos[0]
-    mean = float(m[k])
-    variance = float(s[k] - mean ** 2)
+    ones = np.ones(len(q))
+    iq = np.eye(len(q)) - q
+    m = np.linalg.solve(iq, ones)
+    s = np.linalg.solve(iq, ones + 2.0 * (q @ m))
+    mean = float(m[0])  # the start state 0 is the first transient state
+    variance = float(s[0] - mean ** 2)
     return {"mean": mean, "variance": max(variance, 0.0)}
 
 
@@ -329,11 +304,10 @@ def waiting_pmf(chain, t_max):
     absorbing = sorted(chain.absorbing)
     dist = np.zeros(chain.n_states)
     dist[0] = 1.0
-    tpm = chain.tpm.tocsr()
     pmf = np.zeros(t_max + 1)
     absorbed_prev = dist[absorbing].sum()
     for t in range(1, t_max + 1):
-        dist = dist @ tpm
+        dist = dist @ chain.tpm
         absorbed = dist[absorbing].sum()
         pmf[t] = absorbed - absorbed_prev
         absorbed_prev = absorbed
@@ -364,10 +338,10 @@ def to_dot(chain):
         label = _state_label(state, n_segments)
         shape = "doublecircle" if i in chain.absorbing else "circle"
         lines.append(f'  s{i} [label="{label}", shape={shape}];')
-    coo = chain.tpm.tocoo()
-    for i, j, v in sorted(zip(coo.row, coo.col, coo.data)):
+    for i, j in zip(*np.nonzero(chain.tpm)):
         if i in chain.absorbing:
             continue
+        v = chain.tpm[i, j]
         lines.append(f'  s{i} -> s{j} [label="{v:.6g}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

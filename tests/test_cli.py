@@ -576,17 +576,39 @@ class TestSimulate:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_out(self):
-        # Importing scipy costs from a fifth to most of a second; the
-        # tracker and the Markov engine load it only when they need it.
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy made
+        # unimportable, one command of each kind and every chain engine
+        # must still succeed, and none may load a scipy module.
         src = Path(qnd.__file__).resolve().parent.parent
-        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
-                "import qnd.cli; "
-                "print(sorted(m for m in sys.modules "
-                "if m.startswith('scipy')))")
-        done = subprocess.run([sys.executable, "-c", code], check=True,
-                              capture_output=True, text=True, timeout=60)
-        assert done.stdout.strip() == "[]"
+        mixed = Path(__file__).resolve().parent / "golden" / "net_mixed.json"
+        chain = ["--n", "1", "--pg", "0.5", "--ps", "0.5"]
+        sampled = ["--samples", "100", "--seed", "1"]
+        commands = [
+            ["bounds", str(mixed), "--bipartite", "A", "C"],
+            ["chain", "analytic", *chain, "--tcoh", "10"],
+            ["chain", "track", *chain, "--tcoh", "10", "--cutoff", "5"],
+            ["chain", "markov", *chain, "--trunc", "50", "--export-pmf",
+             str(tmp_path / "pmf")],
+            ["chain", "mc", *chain, "--tcoh", "10", *sampled],
+            ["chain", "des", *chain, "--tcoh", "10", *sampled],
+            ["compare", "--n", "1,2", "--pg", "0.5", "--ps", "0.5"],
+            ["simulate", *chain, *sampled],
+        ]
+        commands = [argv + ["--out", str(tmp_path / f"out{i}")]
+                    for i, argv in enumerate(commands)]
+        code = (f"import json, sys; sys.path.insert(0, {str(src)!r}); "
+                "sys.modules['scipy'] = None; "
+                "from qnd.cli import main; "
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+                "print(json.dumps([codes, sorted(m for m, mod in "
+                "sys.modules.items() if m.startswith('scipy') and mod)]))")
+        done = subprocess.run([sys.executable, "-c", code,
+                               json.dumps(commands)], check=True,
+                              capture_output=True, text=True, timeout=120)
+        codes, loaded = json.loads(done.stdout)
+        assert codes == [0] * len(commands)
+        assert loaded == []
 
     def test_cli_import_builds_no_parser(self):
         # The parser is built by the first main call, so importing the
@@ -598,6 +620,34 @@ class TestImport:
         done = subprocess.run([sys.executable, "-c", code], check=True,
                               capture_output=True, text=True, timeout=60)
         assert done.stdout.strip() == "0"
+
+
+class TestThreads:
+    TRACK = ["chain", "track", "--n", "1,2,3", "--pg", "0.3", "--ps", "0.7",
+             "--tcoh", "50", "--cutoff", "20"]
+    COMPARE = ["compare", "--n", "1,2", "--pg", "0.3,0.6", "--ps", "0.5,1.0"]
+
+    def test_non_integer_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("QND_THREADS", "two")
+        assert main(self.TRACK) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "QND_THREADS" in err
+
+    @pytest.mark.parametrize("command", ["TRACK", "COMPARE"])
+    def test_one_thread_matches_the_pool(self, command, monkeypatch,
+                                         tmp_path):
+        argv = getattr(self, command)
+        outputs = {}
+        for threads in (None, "3", "1"):
+            if threads is None:
+                monkeypatch.delenv("QND_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("QND_THREADS", threads)
+            out = tmp_path / f"out_{threads}"
+            assert main(argv + ["--out", str(out)]) == 0
+            outputs[threads] = out.read_bytes()
+        assert outputs["1"] == outputs[None] == outputs["3"]
 
 
 class TestUsage:

@@ -420,6 +420,55 @@ class TestChainDistribution:
         assert swapped.captured_mass <= combined.captured_mass + 1e-12
 
 
+class TestDecayedWindowSum:
+    """``_decayed_window_sum`` against sums written out from its
+    definition, ``A[t] = sum_{t1 = max(1, t - tau)}^{t - 1} u[t1] *
+    x**(t - t1)``."""
+
+    @staticmethod
+    def _exact(u, x, tau, t):
+        low = 1 if tau is None else max(1, t - tau)
+        return math.fsum(u[t1] * x ** (t - t1) for t1 in range(low, t))
+
+    @pytest.mark.parametrize("tau", [None, 1, 7, 40])
+    @pytest.mark.parametrize("t_coh", [0.5, 1.0, 3.0, 10.0, 200.0, 1000.0,
+                                       1e5])
+    def test_matches_fsum_reference(self, t_coh, tau):
+        # The scan runs in blocks of about 345 * t_coh steps; the arrays
+        # cross one or two block boundaries up to t_coh = 10.
+        block = int(345.0 * t_coh)
+        n = min(2 * block + 7, 7000)
+        rng = np.random.default_rng(17)
+        u = rng.random(n) * np.exp(-np.arange(n) / (n / 4.0))
+        u[0] = 0.0
+        x = math.exp(-1.0 / t_coh)
+        got = disttrack._decayed_window_sum(u, x, tau)
+        times = set(range(min(n, 50))) | set(range(n - 5, n))
+        times |= {b + d for b in (block, 2 * block) for d in range(-3, 4)
+                  if 0 <= b + d < n}
+        times |= set(rng.integers(1, n, 30).tolist())
+        for t in sorted(times):
+            # A bounded window is the unbounded sum minus its decayed tail,
+            # so its rounding scales with the unbounded sum.
+            scale = self._exact(u, x, None, t)
+            assert abs(got[t] - self._exact(u, x, tau, t)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("tau", [None, 3])
+    def test_decay_that_underflows_in_one_step(self, tau):
+        u = np.array([0.0, 0.5, 0.25, 0.125])
+        got = disttrack._decayed_window_sum(u, math.exp(-1.0 / 1e-3), tau)
+        assert np.array_equal(got, np.zeros(4))
+
+    @pytest.mark.parametrize("t_coh", [0.5, 3.0, 10.0, 1000.0, 1e5])
+    def test_scan_matches_lfilter_on_long_arrays(self, t_coh):
+        signal = pytest.importorskip("scipy.signal")
+        x = math.exp(-1.0 / t_coh)
+        v = np.random.default_rng(5).random(200_000)
+        want = signal.lfilter([1.0], [1.0, -x], v)
+        assert np.all(np.abs(disttrack._decayed_scan(v, x) - want)
+                      <= 1e-13 * want)
+
+
 class TestCertifiedHorizons:
     @pytest.mark.parametrize("kwargs, seed", [
         (dict(n=2, p_g=0.05, p_s=0.5, t_coh=20.0, tau=5), 21),

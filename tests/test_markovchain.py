@@ -28,7 +28,7 @@ class TestBuildChain:
         chain = build_chain(ChainParams(n=1, p_g=p_g, p_s=p_s), ONE)
         assert chain.n_states == 5
         labels = label_map(chain)
-        t = chain.tpm.toarray()
+        t = chain.tpm
         i00 = labels["00"]
         i10, i01 = labels["10"], labels["01"]
         i11 = labels["11"]
@@ -52,12 +52,12 @@ class TestBuildChain:
         for mode in (ZERO, ONE):
             for n in (1, 2):
                 chain = build_chain(ChainParams(n=n, p_g=0.4, p_s=0.6), mode)
-                sums = np.asarray(chain.tpm.sum(axis=1)).ravel()
+                sums = chain.tpm.sum(axis=1)
                 assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_absorbing_rows_are_identity(self):
         chain = build_chain(ChainParams(n=1, p_g=0.5, p_s=0.5), ONE)
-        t = chain.tpm.toarray()
+        t = chain.tpm
         for i in chain.absorbing:
             row = np.zeros(chain.n_states)
             row[i] = 1.0
@@ -91,10 +91,14 @@ class TestBuildChain:
         with pytest.raises(StateLimitError, match="limit of 80"):
             build_chain(ChainParams(n=2, p_g=0.5, p_s=0.5), ZERO)
 
-    def test_state_limit(self, monkeypatch):
-        monkeypatch.setattr(markovchain, "DEFAULT_STATE_LIMIT", 10)
-        with pytest.raises(StateLimitError, match="limit of 10"):
-            build_chain(ChainParams(n=3, p_g=0.5, p_s=0.5), ZERO)
+    @pytest.mark.parametrize("mode, states", [(ZERO, 256), (ONE, 677)])
+    def test_largest_chain_within_the_transition_limit(self, mode, states):
+        # 3**8 <= 2**20 < 3**16: eight segments are the most a chain may
+        # have, and the one-step chain there holds every set of disjoint
+        # aligned dyadic links, g(8) = 677 with g(2S) = g(S)**2 + 1.
+        chain = build_chain(ChainParams(n=3, p_g=0.5, p_s=0.5), mode)
+        assert chain.n_states == states
+        assert chain.tpm.shape == (states, states)
 
 
 def _unmemoised_transitions(state, params, mode, n_segments, cascades):
@@ -130,10 +134,7 @@ class TestCascadeMemo:
                             _unmemoised_transitions)
         ref = build_chain(params, ZERO)
         assert memo.states == ref.states
-        for field in ("data", "indices", "indptr"):
-            a, b = getattr(memo.tpm, field), getattr(ref.tpm, field)
-            assert a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes(), field
+        assert memo.tpm.tobytes() == ref.tpm.tobytes()
 
 
 class TestAbsorptionStats:
@@ -261,11 +262,9 @@ class TestDotExport:
 
 class TestAbsorptionReachability:
     def test_unreachable_absorption_detected(self):
-        import scipy.sparse
-
         from qnd.markovchain import RepeaterMarkovChain
         # A hand-built chain whose transient state loops forever.
-        tpm = scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        tpm = np.array([[1.0, 0.0], [0.0, 1.0]])
         chain = RepeaterMarkovChain(
             states=((), ((0, 2),)), tpm=tpm, absorbing=frozenset({1}),
             swap_time_mode=ZERO,
@@ -273,20 +272,21 @@ class TestAbsorptionReachability:
         with pytest.raises(AbsorptionError):
             absorption_stats(chain)
 
-    def test_stored_zero_is_not_a_route_to_absorption(self):
-        import scipy.sparse
-
+    def test_absorption_reached_through_transient_states(self):
         from qnd.markovchain import RepeaterMarkovChain
-        # Row 0 stores an explicit 0.0 towards the absorbing state: a
-        # structural entry that carries no probability.
-        tpm = scipy.sparse.csr_matrix(
-            (np.array([1.0, 0.0, 1.0]), np.array([0, 1, 1]),
-             np.array([0, 2, 3])), shape=(2, 2))
-        assert tpm.nnz == 3
+        # States 0 and 1 reach the absorbing state 3 only through state 2:
+        # the fixed point needs two rounds to find them.
+        tpm = np.array([[0.5, 0.0, 0.5, 0.0],
+                        [0.0, 0.5, 0.5, 0.0],
+                        [0.0, 0.0, 0.0, 1.0],
+                        [0.0, 0.0, 0.0, 1.0]])
+        params = ChainParams(n=1, p_g=0.5, p_s=0.5)
         chain = RepeaterMarkovChain(
-            states=((), ((0, 2),)), tpm=tpm, absorbing=frozenset({1}),
-            swap_time_mode=ZERO,
-            params=ChainParams(n=1, p_g=0.5, p_s=0.5))
+            states=((), ((0, 1),), ((1, 2),), ((0, 2),)), tpm=tpm,
+            absorbing=frozenset({3}), swap_time_mode=ZERO, params=params)
+        assert absorption_stats(chain)["mean"] == pytest.approx(3.0)
+        tpm[2] = [0.0, 0.0, 1.0, 0.0]  # state 2 now loops forever
+        before = tpm.copy()
         with pytest.raises(AbsorptionError, match="cannot reach"):
             absorption_stats(chain)
-        assert chain.tpm.nnz == 3  # the check leaves the matrix untouched
+        assert np.array_equal(chain.tpm, before)  # the check is read-only
