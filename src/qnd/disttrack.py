@@ -21,7 +21,8 @@ scratch.  A failed swap or distillation likewise restarts both sides.  These
 restart rounds are independent and identically distributed, so each unit is
 one geometric sum of convolutions of its failure rounds with one success
 round; the sums are evaluated in Fourier space on arrays zero-padded to a
-5-smooth length.
+5-smooth length.  The two copies of a level share their window sums, and
+without decay a quality mass equal to its pmf (w = 1) shares its transform.
 
 Werner-parameter algebra: storage decay multiplies ``w`` (the deviation from
 the maximally mixed state decays exponentially), swapping multiplies the two
@@ -303,9 +304,11 @@ def _renewal_sum(kernel, firsts, n, round_prob=None, restarts=None):
     The sums are evaluated in Fourier space on arrays zero-padded to at
     least twice the horizon; wrap-around mass is negligible whenever the
     horizon itself captures the distribution, which the caller's mass
-    accounting checks.  A first that is the kernel itself, as in every
-    swap unit, reuses its transform; transforms are released as soon as
-    they are used, which bounds the memory of long horizons.
+    accounting checks.  Each distinct first is transformed once: the
+    kernel itself, as in every swap unit, reuses its transform, and a
+    repeated first (a quality mass that is the pmf) the earlier output.
+    Transforms are released as soon as they are used, which bounds the
+    memory of long horizons.
     """
     size = _fft_len(n)
     khat = np.fft.rfft(kernel[:n], size)
@@ -318,16 +321,18 @@ def _renewal_sum(kernel, firsts, n, round_prob=None, restarts=None):
     np.divide(1.0 if round_prob is None else round_prob, gain, out=gain)
     if not any(first is kernel for first in firsts):
         khat = None
-    out = []
+    out = {}
     for first in firsts:
+        if id(first) in out:
+            continue
         if first is kernel:
             fhat, khat = khat, None
         else:
             fhat = np.fft.rfft(first[:n], size)
         fhat *= gain
-        out.append(np.clip(np.fft.irfft(fhat, size)[:n], 0.0, None))
+        out[id(first)] = np.clip(np.fft.irfft(fhat, size)[:n], 0.0, None)
         fhat = None
-    return out
+    return [out[id(first)] for first in firsts]
 
 
 def _renewal_law(kernel, first, round_prob=None, restarts=None):
@@ -430,21 +435,27 @@ def _join(p1, u1, p2, u2, x, tau):
     m_sum[t]   E[w' + w'' ; ready at t],
     fail[t]    probability the first link arrived at t and the partner
                stayed absent past t + tau (None when tau is None).
+
+    Copies of one level (the same objects) share their window sums.  With
+    no decay and quality masses equal to the pmfs, ``m_prod`` is ``ready``.
     """
+    copies = p2 is p1 and u2 is u1
     w1 = _window_sum(p1, tau)
-    w2 = _window_sum(p2, tau)
+    w2 = w1 if copies else _window_sum(p2, tau)
     a1 = _decayed_window_sum(u1, x, tau)
-    a2 = _decayed_window_sum(u2, x, tau)
+    a2 = a1 if copies else _decayed_window_sum(u2, x, tau)
 
     ready = p2 * w1 + p1 * w2 + p1 * p2
-    m_prod = u2 * a1 + u1 * a2 + u1 * u2
+    plain = x == 1.0 and all(u is p or np.array_equal(u, p)
+                             for p, u in ((p1, u1), (p2, u2)))
+    m_prod = ready if plain else u2 * a1 + u1 * a2 + u1 * u2
     m_sum = (p2 * a1 + u2 * w1) + (p1 * a2 + u1 * w2) + (u1 * p2 + p1 * u2)
 
     fail = None
     if tau is not None:
         n = len(p1)
         c1 = np.cumsum(p1)
-        c2 = np.cumsum(p2)
+        c2 = c1 if copies else np.cumsum(p2)
         # Survival of the partner beyond t + tau; indices past the horizon
         # keep the full uncaptured tail.
         idx = np.minimum(np.arange(n) + tau, n - 1)

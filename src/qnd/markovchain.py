@@ -297,21 +297,24 @@ def absorption_stats(chain):
 
 
 def waiting_pmf(chain, t_max):
-    """PMF of the first-absorption tick, by iterated vector-matrix
-    products; returns a distribution without state-quality tracking."""
+    """PMF of the first-absorption tick, without state-quality tracking:
+    ``pmf[t]`` is the transient mass, propagated on the transient block,
+    times each state's one-step absorption probability, a sum of positive
+    terms that keeps its relative accuracy in the tail."""
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     absorbing = sorted(chain.absorbing)
-    dist = np.zeros(chain.n_states)
-    dist[0] = 1.0
+    transient = np.setdiff1d(np.arange(chain.n_states), absorbing)
+    q = chain.tpm[np.ix_(transient, transient)]
+    r = chain.tpm[np.ix_(transient, absorbing)].sum(axis=1)
+    dist = np.zeros(len(transient))
+    if 0 not in chain.absorbing:
+        dist[0] = 1.0  # the start state 0 is the first transient state
     pmf = np.zeros(t_max + 1)
-    absorbed_prev = dist[absorbing].sum()
     for t in range(1, t_max + 1):
-        dist = dist @ chain.tpm
-        absorbed = dist[absorbing].sum()
-        pmf[t] = absorbed - absorbed_prev
-        absorbed_prev = absorbed
-    return TruncatedDistribution(pmf=np.clip(pmf, 0.0, None), mean_w=None)
+        pmf[t] = dist @ r
+        dist = dist @ q
+    return TruncatedDistribution(pmf=pmf, mean_w=None)
 
 
 def _state_label(state, n_segments):

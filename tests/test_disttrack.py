@@ -498,6 +498,13 @@ class TestCertifiedHorizons:
             assert dist.mean() == pytest.approx(det_swap_mean(2 ** n, p_g),
                                                 rel=1e-12)
 
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_deep_deterministic_swap_means_match_closed_form(self, n):
+        dist = chain_distribution(ChainParams(n=n, p_g=0.1, p_s=1.0))
+        assert dist.captured_mass >= 1.0 - 1e-12
+        assert dist.mean() == pytest.approx(det_swap_mean(2 ** n, 0.1),
+                                            rel=1e-12)
+
     @pytest.mark.parametrize("params, protocol", [
         (ChainParams(n=3, p_g=0.1, p_s=0.5), None),
         (ChainParams(n=2, p_g=0.2, p_s=0.5, t_coh=30.0, tau=8), None),
@@ -610,6 +617,68 @@ class TestCertifiedHorizons:
                         for j in range(16) for k in range(11))
         for n in list(range(1, 300)) + [591203, 5_000_001]:
             assert _fft_len(n) == next(m for m in smooth if m >= 2 * n)
+
+
+class TestSharedWork:
+    """Each distinct array is transformed and window-summed once, with
+    results bitwise equal to those of distinct copies."""
+
+    @staticmethod
+    def _spy(monkeypatch, module, name, calls):
+        inner = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    @pytest.mark.parametrize("w0, transforms", [(1.0, 1), (0.95, 2)])
+    def test_transforms_per_renewal_sum(self, w0, transforms, monkeypatch):
+        # With w = 1 and no decay a swap unit's quality mass is its pmf,
+        # bitwise, and shares its transform; otherwise it has its own.
+        ffts = []
+        for name in ("rfft", "irfft"):
+            self._spy(monkeypatch, np.fft, name, ffts)
+        per_call = []
+        renewal_sum = disttrack._renewal_sum
+
+        def counting(*args):
+            start = len(ffts)
+            out = renewal_sum(*args)
+            per_call.append((ffts[start:].count("rfft"),
+                             ffts[start:].count("irfft")))
+            return out
+
+        monkeypatch.setattr(disttrack, "_renewal_sum", counting)
+        params = ChainParams(n=3, p_g=0.5, p_s=0.5)
+        chain_distribution(params, ChainProtocol.swap_only(3, w0=w0))
+        assert len(per_call) >= 3
+        assert set(per_call) == {(transforms, transforms)}
+
+    def test_copies_share_their_window_sums(self, monkeypatch):
+        calls = []
+        self._spy(monkeypatch, disttrack, "_decayed_window_sum", calls)
+        chain_distribution(ChainParams(n=3, p_g=0.5, p_s=0.5, t_coh=200.0,
+                                       tau=40))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("op", ["swap", "distill"])
+    @pytest.mark.parametrize("x", [1.0, math.exp(-1.0 / 200.0)])
+    @pytest.mark.parametrize("tau", [None, 5])
+    @pytest.mark.parametrize("w0", [None, 1.0, 0.9])
+    def test_shared_inputs_match_copies_bitwise(self, op, x, tau, w0):
+        p = geometric_pmf(0.3, 120).pmf
+        u = p if w0 is None else p * w0  # None: the quality mass is p
+        shared = disttrack._unit_rounds(op, p, u, p, u, x, tau, 0.5)
+        copied = disttrack._unit_rounds(op, p.copy(), u.copy(), p.copy(),
+                                        u.copy(), x, tau, 0.5)
+        kernel, firsts, round_prob, restarts = shared
+        assert round_prob == copied[2]
+        for got, want in zip([kernel, *firsts, restarts],
+                             [copied[0], *copied[1], copied[3]]):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
 
 
 class TestForChain:

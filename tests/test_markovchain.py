@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,6 +237,23 @@ class TestWaitingPmf:
         pmf_markov = waiting_pmf(build_chain(params, ZERO), 1500)
         pmf_track = chain_distribution(params, t_trunc=1500)
         assert np.abs(pmf_markov.pmf - pmf_track.pmf).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tail_against_exact_recursion(self, n):
+        # Exact propagation of the whole distribution on the same matrix.
+        # The pmf falls to 4e-13 (n = 1) by t = 120, far below the rounding
+        # of an absorbed mass near 1.
+        chain = build_chain(ChainParams(n=n, p_g=0.5, p_s=0.5), ZERO)
+        tpm = [[Fraction(v) for v in row] for row in chain.tpm.tolist()]
+        dist = [Fraction(int(i == 0)) for i in range(chain.n_states)]
+        absorbed = Fraction(0)
+        got = waiting_pmf(chain, 120).pmf
+        for t in range(1, 121):
+            dist = [sum(d * row[j] for d, row in zip(dist, tpm) if row[j])
+                    for j in range(chain.n_states)]
+            now = sum(dist[i] for i in chain.absorbing)
+            exact, absorbed = now - absorbed, now
+            assert abs(Fraction(got[t]) - exact) <= Fraction(1, 10**12) * exact
 
     def test_partial_sums_converge_to_one(self):
         chain = build_chain(ChainParams(n=2, p_g=0.5, p_s=0.5), ZERO)
