@@ -423,7 +423,7 @@ def _window_sum(p, tau):
     return np.clip(w, 0.0, None)
 
 
-def _join(p1, u1, p2, u2, x, tau):
+def _join(p1, u1, p2, u2, x, tau, with_sum=False):
     """Merge two independent links: both must exist before the unit fires.
 
     ``p_i`` are delivery PMFs, ``u_i = pmf * mean_w`` the unnormalized
@@ -432,7 +432,8 @@ def _join(p1, u1, p2, u2, x, tau):
 
     ready[t]   probability both links coexist at t with storage age <= tau,
     m_prod[t]  E[w' * w'' ; ready at t]  (earlier link decayed by its age),
-    m_sum[t]   E[w' + w'' ; ready at t],
+    m_sum[t]   E[w' + w'' ; ready at t]; only distillation reads it, so it
+               is None unless ``with_sum`` is set,
     fail[t]    probability the first link arrived at t and the partner
                stayed absent past t + tau (None when tau is None).
 
@@ -449,7 +450,10 @@ def _join(p1, u1, p2, u2, x, tau):
     plain = x == 1.0 and all(u is p or np.array_equal(u, p)
                              for p, u in ((p1, u1), (p2, u2)))
     m_prod = ready if plain else u2 * a1 + u1 * a2 + u1 * u2
-    m_sum = (p2 * a1 + u2 * w1) + (p1 * a2 + u1 * w2) + (u1 * p2 + p1 * u2)
+    m_sum = None
+    if with_sum:
+        m_sum = ((p2 * a1 + u2 * w1) + (p1 * a2 + u1 * w2)
+                 + (u1 * p2 + p1 * u2))
 
     fail = None
     if tau is not None:
@@ -487,7 +491,8 @@ def _unit_rounds(op, p1, u1, p2, u2, x, tau, p_s=None):
     quality masses; the delivered quality mass follows from
     ``w_out * p_success = (w' + w'' + 4 w'w'') / 6``.
     """
-    ready, m_prod, m_sum, fail = _join(p1, u1, p2, u2, x, tau)
+    ready, m_prod, m_sum, fail = _join(p1, u1, p2, u2, x, tau,
+                                       with_sum=op == "distill")
     restarts = _restarts(fail, tau)
     if op == "swap":
         return ready, [ready, m_prod], p_s, restarts

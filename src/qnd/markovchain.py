@@ -12,9 +12,13 @@ conventions differ on when a swap charges time:
   links wait for the next one.
 
 A failed swap destroys its two input links; links elsewhere in the chain
-persist.  Reaching the end-to-end link is absorption, and waiting-time
-statistics follow from the standard absorbing-chain linear systems and from
-iterated vector-matrix products.
+persist.  So the two halves of a chain evolve independently until their top
+swap, and the chain is built as a product: the transition matrix of 2S
+segments is the Kronecker product of two copies of the S-segment matrix,
+with the one state where both halves are finished rewired to the top swap.
+Reaching the end-to-end link is absorption, and waiting-time statistics
+follow from the standard absorbing-chain linear systems and from iterated
+vector-matrix products.
 """
 
 import enum
@@ -57,9 +61,12 @@ class SwapTimeMode(str, enum.Enum):
 class RepeaterMarkovChain:
     """States, transition matrix, and absorbing set of a repeater chain.
 
-    ``states`` are canonically sorted tuples of link intervals; index 0 is
-    the empty start state.  ``tpm`` is a dense row-stochastic matrix whose
-    absorbing rows are identity.
+    ``states`` are sorted tuples of link intervals, in the row-major order
+    of the level-by-level product (left half major), restricted to the
+    states reachable from the start.  Index 0 is the empty start state and
+    the last index is the end-to-end link, the one absorbing state.
+    ``tpm`` is a dense row-stochastic matrix whose absorbing row is
+    identity.
     """
 
     states: tuple
@@ -73,128 +80,59 @@ class RepeaterMarkovChain:
         return len(self.states)
 
 
-def _empty_segments(state, n_segments):
-    covered = np.zeros(n_segments, dtype=bool)
-    for a, b in state:
-        covered[a:b] = True
-    return [i for i in range(n_segments) if not covered[i]]
+def _doubled(states, tpm, p_s, mode):
+    """T(2S) from the chain T(S) of one half.
 
-
-def _sibling(interval, n_segments):
-    a, b = interval
-    length = b - a
-    if length >= n_segments:
-        return None
-    if (a // length) % 2 == 0:
-        return (b, b + length)
-    return (a - length, a)
-
-
-def _mergeable_pairs(state, n_segments):
-    """Sibling link pairs ready to swap; each link has one unique sibling,
-    so the pairs are disjoint."""
-    pairs = []
-    for interval in sorted(state):
-        sib = _sibling(interval, n_segments)
-        if sib is not None and sib in state and interval < sib:
-            pairs.append((interval, sib))
-    return pairs
-
-
-def _subsets(items, p):
-    """(probability, chosen items) over every subset of independent events,
-    each item chosen with probability ``p``.  The factors multiply in item
-    order; zero-probability subsets are dropped."""
-    out = []
-    for mask in range(1 << len(items)):
-        prob = 1.0
-        chosen = []
-        for i, item in enumerate(items):
-            if (mask >> i) & 1:
-                prob *= p
-                chosen.append(item)
-            else:
-                prob *= 1.0 - p
-        if prob > 0.0:
-            out.append((prob, chosen))
-    return out
-
-
-def _gen_outcomes(empty, p_g):
-    """(probability, new elementary links) over generation subsets."""
-    return [(prob, [(seg, seg + 1) for seg in done])
-            for prob, done in _subsets(empty, p_g)]
-
-
-def _resolve_round(state, pairs, p_s):
-    """One simultaneous round of swap resolutions over disjoint pairs."""
-    rest = frozenset(state).difference(*pairs)
-    return [(prob, rest | {(left[0], right[1]) for left, right in merged})
-            for prob, merged in _subsets(pairs, p_s)]
-
-
-def _cascade_leaves(state, p_s, n_segments, factors, leaves):
-    """Resolve swap rounds within one tick until no pair remains: append
-    each end state to ``leaves`` in depth-first order, with the tuple of
-    branch probabilities on its path."""
-    pairs = _mergeable_pairs(state, n_segments)
-    if not pairs:
-        leaves.append((state, factors))
-        return
-    for branch_prob, next_state in _resolve_round(state, pairs, p_s):
-        _cascade_leaves(next_state, p_s, n_segments,
-                        factors + (branch_prob,), leaves)
-
-
-def _transitions(state, params, mode, n_segments, cascades):
-    """Distribution over successor states for one tick.
-
-    ``cascades`` memoises the swap cascade of each post-generation state
-    for one build.  A leaf's probability is replayed as the product of the
-    generation probability and its branch factors, left to right, so every
-    product and sum is the one an unmemoised cascade computes.
+    The halves evolve independently until both hold their full link, so
+    the pair chain is ``kron(T(S), T(S))`` over the product states in
+    row-major order; the last of them holds both finished links.  Under
+    ZERO_STEP the top swap resolves in the tick that finishes the second
+    half: that state becomes the end-to-end link, and the mass entering it
+    is split into ``p_s`` kept there and ``1 - p_s`` moved to the empty
+    start state.  Under ONE_STEP the pair waits one tick: the state is kept
+    and its row swaps to the end-to-end link, appended last.
     """
-    acc = {}
-    p_g, p_s = params.p_g, params.p_s
-    empty = _empty_segments(state, n_segments)
+    span = states[-1][0][1]  # the finished half's link is (0, span)
+    shifted = [tuple((a + span, b + span) for a, b in s) for s in states]
+    pairs = [left + right for left in states for right in shifted]
+    tpm = np.kron(tpm, tpm)
+    both = len(pairs) - 1
+    full = ((0, 2 * span),)
     if mode is SwapTimeMode.ZERO_STEP:
-        for gen_prob, links in _gen_outcomes(empty, p_g):
-            post = frozenset(state) | frozenset(links)
-            leaves = cascades.get(post)
-            if leaves is None:
-                leaves = cascades[post] = []
-                _cascade_leaves(post, p_s, n_segments, (), leaves)
-            for leaf, factors in leaves:
-                prob = gen_prob
-                for factor in factors:
-                    prob *= factor
-                acc[leaf] = acc.get(leaf, 0.0) + prob
+        tpm[:, 0] += (1.0 - p_s) * tpm[:, both]
+        tpm[:, both] *= p_s
+        tpm[both] = 0.0
+        tpm[both, both] = 1.0
+        pairs[both] = full
     else:
-        pairs = _mergeable_pairs(state, n_segments)
-        for swap_prob, mid_state in _resolve_round(state, pairs, p_s):
-            for gen_prob, links in _gen_outcomes(empty, p_g):
-                next_state = mid_state | frozenset(links)
-                prob = swap_prob * gen_prob
-                acc[next_state] = acc.get(next_state, 0.0) + prob
-    return acc
+        tpm = np.pad(tpm, ((0, 1), (0, 1)))
+        tpm[both, both] = 0.0
+        tpm[both, 0] = 1.0 - p_s
+        tpm[both, -1] = p_s
+        tpm[-1, -1] = 1.0
+        pairs.append(full)
+    return pairs, tpm
 
 
 def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP):
-    """Enumerate the reachable state space and transition matrix.
+    """Build the state space and transition matrix level by level.
 
     Swap-only protocols: a cut-off in ``params`` is rejected (the Markov
     engine neither discards links nor tracks their age).
 
-    The work lies in the generation outcomes: a state with e empty
-    segments has 2**e of them, and summed over the 2**S occupancy patterns
-    of S segments they number 3**S.  A chain whose count exceeds
-    ``DEFAULT_TRANSITION_LIMIT`` is refused with StateLimitError before
-    any state is enumerated, so at most 8 segments are built.
+    One segment is the chain ``[[1 - p_g, p_g], [0, 1]]`` over the empty
+    state and its link; each level doubles the chain (``_doubled``), and
+    the states unreachable from the empty start are dropped at the end.
 
-    That caps the state count too: a state is a set of disjoint aligned
-    dyadic links, which on 2S segments is either the link over all of
-    them or a pair of such sets on the two halves.  So g(2S) = g(S)**2 + 1
-    with g(1) = 2, and g(8) = 677 states bound a dense ``tpm`` by 3.7 MB.
+    A state is a set of disjoint aligned dyadic links, which on 2S segments
+    is either the link over all of them or a pair of such sets on the two
+    halves.  So g(2S) = g(S)**2 + 1 with g(1) = 2, and the dense ``tpm``
+    grows with the square of that count.  The guard bounds it: a chain
+    whose 3**S generation outcomes (2**e for each state with e empty
+    segments, summed over the 2**S occupancy patterns) exceed
+    ``DEFAULT_TRANSITION_LIMIT`` is refused with StateLimitError before
+    any matrix is built.  That admits at most 8 segments, so at most
+    g(8) = 677 states and a 3.7 MB ``tpm``; 16 segments would have 458330.
     """
     mode = SwapTimeMode(swap_time_mode)
     if params.tau is not None:
@@ -205,53 +143,37 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP):
         raise StateLimitError(
             f"{n_segments} segments have 3**{n_segments} generation "
             f"outcomes, over the limit of {DEFAULT_TRANSITION_LIMIT}")
-    done = (0, n_segments)
 
-    index = {}
-    states = []
-    rows = []
-    cascades = {}
+    p_g = params.p_g
+    states = [(), ((0, 1),)]
+    tpm = np.array([[1.0 - p_g, p_g], [0.0, 1.0]])
+    for _ in range(params.n):
+        states, tpm = _doubled(states, tpm, params.p_s, mode)
+    keep = np.flatnonzero(_closure(tpm.T > 0.0, [0]))
+    tpm = tpm[np.ix_(keep, keep)]
+    states = tuple(states[i] for i in keep)
 
-    def intern(state_fs):
-        key = tuple(sorted(state_fs))
-        if key not in index:
-            index[key] = len(states)
-            states.append(key)
-            rows.append(None)
-        return index[key]
-
-    start = intern(frozenset())
-    frontier = [start]
-    while frontier:
-        i = frontier.pop()
-        if rows[i] is not None:
-            continue
-        state = frozenset(states[i])
-        if done in state:
-            rows[i] = {i: 1.0}
-            continue
-        acc = _transitions(state, params, mode, n_segments, cascades)
-        row = {}
-        for next_state, prob in acc.items():
-            j = intern(next_state)
-            row[j] = row.get(j, 0.0) + prob
-        rows[i] = row
-        for j in row:
-            if rows[j] is None:
-                frontier.append(j)
-
-    n = len(states)
-    tpm = np.zeros((n, n))
-    for i, row in enumerate(rows):
-        tpm[i, list(row)] = list(row.values())
     bad = np.flatnonzero(np.abs(tpm.sum(axis=1) - 1.0) > 1e-12)
     if bad.size:
         raise AssertionError(f"rows {bad.tolist()} do not sum to 1")
-    absorbing = frozenset(i for i, s in enumerate(states)
-                          if done in frozenset(s))
-    return RepeaterMarkovChain(states=tuple(states), tpm=tpm,
-                               absorbing=absorbing, swap_time_mode=mode,
-                               params=params)
+    # p_g, p_s > 0: the end-to-end link, last in every level's order, is
+    # reachable.
+    return RepeaterMarkovChain(states=states, tpm=tpm,
+                               absorbing=frozenset({len(states) - 1}),
+                               swap_time_mode=mode, params=params)
+
+
+def _closure(edges, seed):
+    """The states that reach ``seed`` along the boolean matrix ``edges``:
+    a state joins once one positive entry of its row leads into the set;
+    grow the set to its fixed point."""
+    reach = np.zeros(len(edges), dtype=bool)
+    reach[seed] = True
+    while True:
+        grown = reach | edges[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
 
 
 def _transient_block(chain):
@@ -259,18 +181,9 @@ def _transient_block(chain):
     transient = [i for i in range(chain.n_states) if i not in chain.absorbing]
     if not transient:
         raise AbsorptionError("no transient states")
-    # Reverse reachability from the absorbing set: every transient state
-    # must be able to reach absorption or the hitting-time system is
-    # singular.  A state reaches it once one positive entry of its row
-    # leads to a state that does; grow that set to its fixed point.
-    edges = chain.tpm > 0.0
-    reach = np.zeros(chain.n_states, dtype=bool)
-    reach[sorted(chain.absorbing)] = True
-    while True:
-        grown = reach | edges[:, reach].any(axis=1)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
+    # Every transient state must be able to reach absorption or the
+    # hitting-time system is singular.
+    reach = _closure(chain.tpm > 0.0, sorted(chain.absorbing))
     for s in transient:
         if not reach[s]:
             raise AbsorptionError(

@@ -221,7 +221,7 @@ class TestChain:
 
     def test_markov_refuses_n4_fast(self):
         # 16 segments have 3**16 generation outcomes; the chain is refused
-        # before any state is enumerated, not left to run for minutes.
+        # before any matrix is built, not left to run out of memory.
         src = Path(qnd.__file__).resolve().parent.parent
         done = subprocess.run(
             [sys.executable, "-m", "qnd.cli", "chain", "markov", "--n", "4",

@@ -81,11 +81,12 @@ class TestBuildChain:
         with pytest.raises(ValueError, match="cut-off"):
             build_chain(ChainParams(n=1, p_g=0.5, p_s=0.5, tau=3), ZERO)
 
-    def test_transition_limit_refuses_before_enumeration(self, monkeypatch):
-        def no_enumeration(*args):
-            raise AssertionError("a state was enumerated")
+    def test_transition_limit_refuses_before_any_matrix(self, monkeypatch):
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} was used before the refusal")
 
-        monkeypatch.setattr(markovchain, "_transitions", no_enumeration)
+        monkeypatch.setattr(markovchain, "np", NoArrays())
         with pytest.raises(StateLimitError, match="3\\*\\*16 generation"):
             build_chain(ChainParams(n=4, p_g=0.1, p_s=0.5), ZERO)
         monkeypatch.setattr(markovchain, "DEFAULT_TRANSITION_LIMIT", 80)
@@ -102,40 +103,181 @@ class TestBuildChain:
         assert chain.tpm.shape == (states, states)
 
 
-def _unmemoised_transitions(state, params, mode, n_segments, cascades):
-    """Reference for ``markovchain._transitions`` under ZERO_STEP: the swap
-    cascade recursed from every generation outcome, multiplying the branch
-    probabilities on the way down, with no memo."""
+# The state enumerator the product build replaced, kept as an independent
+# reference: it walks the reachable states from the empty one and expands
+# each tick outcome by outcome.
+
+
+def _empty_segments(state, n_segments):
+    covered = np.zeros(n_segments, dtype=bool)
+    for a, b in state:
+        covered[a:b] = True
+    return [i for i in range(n_segments) if not covered[i]]
+
+
+def _sibling(interval, n_segments):
+    a, b = interval
+    length = b - a
+    if length >= n_segments:
+        return None
+    if (a // length) % 2 == 0:
+        return (b, b + length)
+    return (a - length, a)
+
+
+def _mergeable_pairs(state, n_segments):
+    """Sibling link pairs ready to swap; each link has one unique sibling,
+    so the pairs are disjoint."""
+    pairs = []
+    for interval in sorted(state):
+        sib = _sibling(interval, n_segments)
+        if sib is not None and sib in state and interval < sib:
+            pairs.append((interval, sib))
+    return pairs
+
+
+def _subsets(items, p):
+    """(probability, chosen items) over every subset of independent events,
+    each item chosen with probability ``p``.  The factors multiply in item
+    order; zero-probability subsets are dropped."""
+    out = []
+    for mask in range(1 << len(items)):
+        prob = 1.0
+        chosen = []
+        for i, item in enumerate(items):
+            if (mask >> i) & 1:
+                prob *= p
+                chosen.append(item)
+            else:
+                prob *= 1.0 - p
+        if prob > 0.0:
+            out.append((prob, chosen))
+    return out
+
+
+def _gen_outcomes(empty, p_g):
+    """(probability, new elementary links) over generation subsets."""
+    return [(prob, [(seg, seg + 1) for seg in done])
+            for prob, done in _subsets(empty, p_g)]
+
+
+def _resolve_round(state, pairs, p_s):
+    """One simultaneous round of swap resolutions over disjoint pairs."""
+    rest = frozenset(state).difference(*pairs)
+    return [(prob, rest | {(left[0], right[1]) for left, right in merged})
+            for prob, merged in _subsets(pairs, p_s)]
+
+
+def _cascade_leaves(state, p_s, n_segments, factors, leaves):
+    """Resolve swap rounds within one tick until no pair remains: append
+    each end state to ``leaves`` in depth-first order, with the tuple of
+    branch probabilities on its path."""
+    pairs = _mergeable_pairs(state, n_segments)
+    if not pairs:
+        leaves.append((state, factors))
+        return
+    for branch_prob, next_state in _resolve_round(state, pairs, p_s):
+        _cascade_leaves(next_state, p_s, n_segments,
+                        factors + (branch_prob,), leaves)
+
+
+def _transitions(state, params, mode, n_segments, cascades):
+    """Distribution over successor states for one tick.
+
+    ``cascades`` memoises the swap cascade of each post-generation state
+    for one build.  A leaf's probability is replayed as the product of the
+    generation probability and its branch factors, left to right, so every
+    product and sum is the one an unmemoised cascade computes.
+    """
     acc = {}
-
-    def cascade(s, prob):
-        pairs = markovchain._mergeable_pairs(s, n_segments)
-        if not pairs:
-            acc[s] = acc.get(s, 0.0) + prob
-            return
-        for branch_prob, nxt in markovchain._resolve_round(s, pairs,
-                                                           params.p_s):
-            cascade(nxt, prob * branch_prob)
-
-    empty = markovchain._empty_segments(state, n_segments)
-    for gen_prob, links in markovchain._gen_outcomes(empty, params.p_g):
-        cascade(frozenset(state) | frozenset(links), gen_prob)
+    p_g, p_s = params.p_g, params.p_s
+    empty = _empty_segments(state, n_segments)
+    if mode is SwapTimeMode.ZERO_STEP:
+        for gen_prob, links in _gen_outcomes(empty, p_g):
+            post = frozenset(state) | frozenset(links)
+            leaves = cascades.get(post)
+            if leaves is None:
+                leaves = cascades[post] = []
+                _cascade_leaves(post, p_s, n_segments, (), leaves)
+            for leaf, factors in leaves:
+                prob = gen_prob
+                for factor in factors:
+                    prob *= factor
+                acc[leaf] = acc.get(leaf, 0.0) + prob
+    else:
+        pairs = _mergeable_pairs(state, n_segments)
+        for swap_prob, mid_state in _resolve_round(state, pairs, p_s):
+            for gen_prob, links in _gen_outcomes(empty, p_g):
+                next_state = mid_state | frozenset(links)
+                prob = swap_prob * gen_prob
+                acc[next_state] = acc.get(next_state, 0.0) + prob
     return acc
 
 
-class TestCascadeMemo:
-    @pytest.mark.parametrize("n, p_g, p_s", [
-        (1, 0.1, 0.5), (2, 0.1, 0.5), (3, 0.1, 0.5), (3, 0.3, 0.9),
-        (2, 0.5, 1.0)])
-    def test_bitwise_equal_to_unmemoised_cascade(self, monkeypatch,
-                                                 n, p_g, p_s):
+def _enumerated_chain(params, mode):
+    """(states, tpm) of the reachable chain, by a frontier walk over the
+    states from the empty one."""
+    n_segments = params.segments
+    done = (0, n_segments)
+
+    index = {}
+    states = []
+    rows = []
+    cascades = {}
+
+    def intern(state_fs):
+        key = tuple(sorted(state_fs))
+        if key not in index:
+            index[key] = len(states)
+            states.append(key)
+            rows.append(None)
+        return index[key]
+
+    start = intern(frozenset())
+    frontier = [start]
+    while frontier:
+        i = frontier.pop()
+        if rows[i] is not None:
+            continue
+        state = frozenset(states[i])
+        if done in state:
+            rows[i] = {i: 1.0}
+            continue
+        acc = _transitions(state, params, mode, n_segments, cascades)
+        row = {}
+        for next_state, prob in acc.items():
+            j = intern(next_state)
+            row[j] = row.get(j, 0.0) + prob
+        rows[i] = row
+        for j in row:
+            if rows[j] is None:
+                frontier.append(j)
+
+    n = len(states)
+    tpm = np.zeros((n, n))
+    for i, row in enumerate(rows):
+        tpm[i, list(row)] = list(row.values())
+    return states, tpm
+
+
+class TestEnumeratorParity:
+    @pytest.mark.parametrize("mode", [ZERO, ONE])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("p_g, p_s", [
+        (0.5, 0.5), (0.1, 0.5), (0.05, 0.05), (0.9, 0.3), (0.3, 1.0),
+        (1.0, 0.5), (1.0, 1.0)])
+    def test_product_build_matches_enumeration(self, n, mode, p_g, p_s):
         params = ChainParams(n=n, p_g=p_g, p_s=p_s)
-        memo = build_chain(params, ZERO)
-        monkeypatch.setattr(markovchain, "_transitions",
-                            _unmemoised_transitions)
-        ref = build_chain(params, ZERO)
-        assert memo.states == ref.states
-        assert memo.tpm.tobytes() == ref.tpm.tobytes()
+        chain = build_chain(params, mode)
+        states, tpm = _enumerated_chain(params, mode)
+        assert set(chain.states) == set(states)
+        assert len(chain.states) == len(states)
+        index = {s: i for i, s in enumerate(states)}
+        perm = [index[s] for s in chain.states]
+        assert np.abs(chain.tpm - tpm[np.ix_(perm, perm)]).max() <= 1e-15
+        assert chain.states[0] == ()
+        assert chain.absorbing == {chain.n_states - 1}
+        assert chain.states[-1] == ((0, params.segments),)
 
 
 class TestAbsorptionStats:
