@@ -43,31 +43,24 @@ from .netmodel import (Edge, Measure, NetworkValidationError,
 __all__ = [
     "UsageUnit",
     "BoundReport",
-    "TreePackingConstants",
     "bipartite_bounds",
     "multipair_bounds",
     "multipartite_bounds",
 ]
 
 _REPORT_TOL = 1e-9
+# Constants (g3, g4) of the tree-packing lower bound on multipartite rates:
+# the conjectured (1/2, 0).  The proven alternatives are Lau's (1/26, 0)
+# and, for terminal sets leaving r non-terminals, (r/2, 1).  Only g3 enters
+# the asymptotic rate; g4 is recorded in the annotation.
+_TREE_G3 = 0.5
+_TREE_G4 = 0.0
 
 
 class UsageUnit(str, enum.Enum):
     PER_CHANNEL_USE = "channel-use"
     PER_NETWORK_USE = "network-use"
     FIXED_Q = "fixed-q"
-
-
-@dataclass(frozen=True)
-class TreePackingConstants:
-    """Constants (g3, g4) of the tree-packing lower bound used for
-    multipartite rates.  The default is the conjectured (1/2, 0); the
-    proven alternatives are Lau's (1/26, 0) and, for terminal sets leaving
-    r non-terminals, (r/2, 1).  Only g3 enters the asymptotic rate; g4 is
-    recorded in the annotation."""
-
-    g3: float = 0.5
-    g4: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -228,7 +221,6 @@ def multipair_bounds(net, pairs, objective="total",
 
 
 def multipartite_bounds(net, users=None, unit=UsageUnit.PER_NETWORK_USE,
-                        tree_constants=TreePackingConstants(),
                         esq_lossy_upper=False):
     """Capacity sandwich for distributing multipartite entanglement among
     a user set.
@@ -241,7 +233,7 @@ def multipartite_bounds(net, users=None, unit=UsageUnit.PER_NETWORK_USE,
     their least flow equals the least over all k(k-1)/2 pairs for every
     usage vector q, so both sides keep their value under every usage
     unit, PER_CHANNEL_USE's maximization over q included.  The lower bound
-    is scaled by the tree-packing constant g3 (default 1/2) reflecting
+    is scaled by the conjectured tree-packing constant g3 = 1/2, reflecting
     that spanning trees consume edges faster than pairwise paths do.
 
     ``users`` defaults to ``net.users``; a missing or one-node user set,
@@ -264,10 +256,9 @@ def multipartite_bounds(net, users=None, unit=UsageUnit.PER_NETWORK_USE,
     lower_raw, upper, q_opt = _solve_sandwich(
         net, unit, pairs, FlowObjective.WORST, esq_lossy_upper,
         shared_capacity=False)
-    g3 = tree_constants.g3
-    lower = g3 * lower_raw
-    note = (f"lower = g3 * least pairwise flow with g3={g3:g} "
-            f"(g4={tree_constants.g4:g} dropped in the asymptotic rate); "
+    lower = _TREE_G3 * lower_raw
+    note = (f"lower = g3 * least pairwise flow with g3={_TREE_G3:g} "
+            f"(g4={_TREE_G4:g} dropped in the asymptotic rate); "
             f"upper = least pairwise cut bound")
     return BoundReport(lower=lower, upper=upper, unit=unit, q_opt=q_opt,
                        slack_note=note)

@@ -249,7 +249,8 @@ _GRID_OPTIONS = {
     "--swap-time": ("zero-step",
                     {"choices": [m.value for m in markovchain.SwapTimeMode]},
                     "swap timing convention"),
-    "--delay": ("0", {"type": int}, "classical-communication delay per swap"),
+    "--delay": ("0", {"type": int},
+                "classical-communication delay per swap, at most --cutoff"),
     "--samples": ("10000", {"type": int}, "samples per grid cell"),
     "--seed": ("0", {"type": _seed}, "seed of the sample streams"),
     "--export-pmf": (None, {}, "also write the full PMF as CSV to this path"),

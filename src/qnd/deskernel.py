@@ -9,17 +9,21 @@ that repeatability is the point of the single-queue design, and the
 optional event-trace log hashes to a seed-stable fingerprint.
 
 The chain model executes the same protocol language as the analytical
-engines: a tree of combine units over generation leaves.  Each unit stores
-the earlier of its two input links until the later arrives; with a cut-off
+engines: a complete binary tree of combine units over L = 2**depth
+generation leaves.  Node ids run level by level, left to right (leaves
+0..L-1, root 2L-2), so the tree is index arithmetic: parent L + i // 2,
+sibling i ^ 1, children 2(p-L) and 2(p-L)+1.  Each unit stores the
+earlier of its two input links until the later arrives; with a cut-off
 the stored link expires once its age would exceed ``tau``, resetting the
 whole subtree (the identical restart the exact and sampling engines use).
 Expiry events are scheduled when a link is stored, hence always precede
 resolve events carrying the same timestamp.  An optional integer
 classical-communication delay per swap shifts resolve events; with zero
 delay the delivered (time, quality) statistics coincide with direct
-Monte Carlo sampling of the protocol.  A run ends when the root delivers;
-the trace then closes with an ``end`` record carrying the delivery time
-and the root's Werner parameter.
+Monte Carlo sampling of the protocol.  A delay may not exceed the
+cut-off: the stored link would always expire before its swap resolves.
+A run ends when the root delivers; the trace then closes with an ``end``
+record carrying the delivery time and the root's Werner parameter.
 
 The model shares its sampling core with :mod:`qnd.montecarlo`: a resolve
 event draws its swap or distillation outcome with the same unit-outcome
@@ -32,7 +36,6 @@ fixed by the stream it is given.
 """
 
 import enum
-import functools
 import hashlib
 import heapq
 import math
@@ -130,86 +133,40 @@ def run_until(state, condition, perform):
     return state
 
 
-@dataclass(frozen=True)
-class _Tree:
-    """Static shape of a protocol tree of a given depth.
-
-    Nodes are numbered level by level, leaves first: ids
-    [offset(level), offset(level) + 2**(depth-level)) for level 0..depth.
-    """
-
-    n_leaves: int
-    level: tuple
-    parent: tuple
-    sibling: tuple
-    children: tuple
-    subtree: tuple
-    leaves_of: tuple
-
-
-@functools.cache
-def _tree_structure(depth):
-    offsets = []
-    total = 0
-    for level in range(depth + 1):
-        offsets.append(total)
-        total += 2 ** (depth - level)
-    level_of = [0] * total
-    parent = [-1] * total
-    sibling = [-1] * total
-    children = [None] * total
-    for level in range(depth + 1):
-        for pos in range(2 ** (depth - level)):
-            i = offsets[level] + pos
-            level_of[i] = level
-            if level < depth:
-                parent[i] = offsets[level + 1] + pos // 2
-                sibling[i] = offsets[level] + (pos ^ 1)
-            if level > 0:
-                children[i] = (offsets[level - 1] + 2 * pos,
-                               offsets[level - 1] + 2 * pos + 1)
-    subtree = [None] * total
-    leaves_of = [None] * total
-    for i in range(total):
-        if level_of[i] == 0:
-            subtree[i] = (i,)
-            leaves_of[i] = (i,)
-        else:
-            a, b = children[i]
-            subtree[i] = (i,) + subtree[a] + subtree[b]
-            leaves_of[i] = leaves_of[a] + leaves_of[b]
-    return _Tree(n_leaves=2 ** depth, level=tuple(level_of),
-                 parent=tuple(parent), sibling=tuple(sibling),
-                 children=tuple(children), subtree=tuple(subtree),
-                 leaves_of=tuple(leaves_of))
-
-
 class ChainSimulation:
     """One seeded run of a nested repeater protocol on the event kernel.
 
-    The protocol tree has ``2**len(plan)`` generation leaves; the unit at
-    level L combines two copies of the level L-1 output using plan[L-1].
-    Nodes carry integer ids; ``links`` holds, per node, the link it has
-    delivered (birth time and Werner parameter) or None, and ``epochs`` a
-    counter for lazy cancellation of stale events.  A run ends as soon as
-    the root delivers; with ``trace=True`` the trace then closes with an
-    ``end`` record.  ``seed`` is an int: :meth:`run` draws from
-    ``substream(seed, 0)``, armed afresh on every call, so a second run
-    replays the same trace.
+    The protocol tree has L = ``2**len(plan)`` generation leaves; the unit
+    at level l combines two copies of the level l-1 output using
+    plan[l-1].  Node ids: leaves 0..L-1, then each level left to right,
+    root 2L-2.  Node i has parent L + i // 2 (2L-1 marks the root),
+    sibling i ^ 1, children 2(i-L) and 2(i-L)+1, and unit
+    ``plan[depth - (2L-1-i).bit_length()]``.  ``links`` holds, per node,
+    the link it has delivered (birth time and Werner parameter) or None,
+    and ``epochs`` a counter for lazy cancellation of stale events.  A run
+    ends as soon as the root delivers; with ``trace=True`` the trace then
+    closes with an ``end`` record.  ``seed`` is an int: :meth:`run` draws
+    from ``substream(seed, 0)``, armed afresh on every call, so a second
+    run replays the same trace.  With a cut-off, a delay above ``tau``
+    raises ValueError: no swap could resolve before its stored link expires.
     """
 
     def __init__(self, params, protocol=None, seed=0, delay=0, trace=False):
         protocol = ChainProtocol.for_chain(params, protocol)
         if delay < 0 or delay != int(delay):
             raise ValueError("delay must be a nonnegative integer")
+        if protocol.plan and params.tau is not None and delay > params.tau:
+            raise ValueError(
+                f"delay {delay:g} exceeds the cut-off tau={params.tau}: "
+                f"every stored link would expire before its swap resolves")
         self.params = params
         self.protocol = protocol
         self.delay = int(delay)
         self.depth = len(protocol.plan)
-        self.tree = _tree_structure(self.depth)
+        self.n_leaves = 2 ** self.depth
         self.seed = seed
         self.rng = None
-        n_nodes = len(self.tree.parent)
+        n_nodes = 2 * self.n_leaves - 1
         self.links = [None] * n_nodes
         self.epochs = [0] * n_nodes
         self.state = SimState(trace=[] if trace else None)
@@ -241,7 +198,7 @@ class ChainSimulation:
         if state.trace is not None:
             state.trace.clear()
         self.result = None
-        for leaf in range(self.tree.n_leaves):
+        for leaf in range(self.n_leaves):
             schedule(state, self._gen_draw(), EventKind.GEN_ATTEMPT,
                      (leaf, 0))
         run_until(state, lambda s: self.result is not None, self._perform)
@@ -265,10 +222,9 @@ class ChainSimulation:
 
     def _deliver(self, node):
         """A node produced its link; wire it into the parent's combine."""
-        tree = self.tree
-        parent = tree.parent[node]
+        parent = self.n_leaves + node // 2
         now = self.state.clock
-        if parent < 0:
+        if parent == 2 * self.n_leaves - 1:  # the root delivered
             w = self.links[node][1]
             self.result = SampleRecord(t=now, w=min(w, 1.0))
             state = self.state
@@ -276,8 +232,7 @@ class ChainSimulation:
                 _record(state, Event(now, state._seq, EventKind.END,
                                      (now, w)))
             return
-        sibling = tree.sibling[node]
-        if self.links[sibling] is None:
+        if self.links[node ^ 1] is None:
             if self.params.tau is not None:
                 # Discard the stored link once its age would exceed tau.
                 schedule(self.state, now + self.params.tau + 1,
@@ -288,15 +243,22 @@ class ChainSimulation:
                      EventKind.SWAP_RESOLVE, (parent, self.epochs[parent]))
 
     def _reset_subtree(self, node, restart_time):
-        """Drop every link below ``node``; generation restarts at
-        ``restart_time``, so fresh arrivals land at restart_time + draw."""
-        links, epochs = self.links, self.epochs
-        for member in self.tree.subtree[node]:
-            links[member] = None
-            epochs[member] += 1
-        for leaf in self.tree.leaves_of[node]:
+        """Drop every link at and below ``node``; generation restarts at
+        ``restart_time``, so fresh arrivals land at restart_time + draw.
+        Leaves are reached left to right, each drawing in turn."""
+        self.links[node] = None
+        self.epochs[node] += 1
+        if node < self.n_leaves:
             schedule(self.state, restart_time + self._gen_draw(),
-                     EventKind.GEN_ATTEMPT, (leaf, epochs[leaf]))
+                     EventKind.GEN_ATTEMPT, (node, self.epochs[node]))
+        else:
+            self._reset_children(node, restart_time)
+
+    def _reset_children(self, node, restart_time):
+        """Reset the two subtrees below ``node``, the left one first."""
+        left = 2 * (node - self.n_leaves)
+        self._reset_subtree(left, restart_time)
+        self._reset_subtree(left + 1, restart_time)
 
     def _on_expire(self, event):
         parent, epoch, child, birth = event.payload
@@ -306,17 +268,15 @@ class ChainSimulation:
         if link is None or link[0] != birth:
             return  # the stored link was consumed meanwhile
         self.epochs[parent] += 1
-        restart = self.state.clock - 1  # the discard happened at age tau
-        left, right = self.tree.children[parent]
-        self._reset_subtree(left, restart)
-        self._reset_subtree(right, restart)
+        # The discard happened at age tau, one step before the event.
+        self._reset_children(parent, self.state.clock - 1)
 
     def _on_resolve(self, event):
         node, epoch = event.payload
         if self.epochs[node] != epoch:
             return
-        left, right = self.tree.children[node]
-        link_l, link_r = self.links[left], self.links[right]
+        left = 2 * (node - self.n_leaves)
+        link_l, link_r = self.links[left], self.links[left + 1]
         if link_l is None or link_r is None:
             return  # a cut-off fired during the resolve delay
         now = self.state.clock
@@ -328,16 +288,15 @@ class ChainSimulation:
         w1 = w1 * self.decay ** age_l
         w2 = w2 * self.decay ** age_r
         self.epochs[node] += 1
-        self.links[left] = None
-        self.links[right] = None
-        op = self.protocol.plan[self.tree.level[node] - 1]
+        self.links[left] = self.links[left + 1] = None
+        levels_up = (2 * self.n_leaves - 1 - node).bit_length()
+        op = self.protocol.plan[self.depth - levels_up]
         w_out = _unit_outcome(op, w1, w2, self.params.p_s, self.rng)
         if w_out is not None:
             self.links[node] = (now, w_out)
             self._deliver(node)
         else:
-            self._reset_subtree(left, now)
-            self._reset_subtree(right, now)
+            self._reset_children(node, now)
 
     def trace_hash(self):
         """SHA-256 of the event trace; identical for identical seeds."""

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnd import capbounds, flows, lpcore
-from qnd.capbounds import (BoundReport, TreePackingConstants, UsageUnit,
-                           bipartite_bounds, multipair_bounds,
-                           multipartite_bounds)
+from qnd.capbounds import (BoundReport, UsageUnit, bipartite_bounds,
+                           multipair_bounds, multipartite_bounds)
 from qnd.flows import FlowAssignment
 from qnd.netmodel import (Edge, Explicit, Lossy, Measure, NetworkSpec,
                           NetworkValidationError, channel_value,
@@ -265,12 +264,6 @@ class TestMultipartite:
         assert report.upper == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert report.lower == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert sum(report.q_opt) == pytest.approx(1.0, abs=1e-9)
-
-    def test_alternative_tree_constants(self):
-        lau = multipartite_bounds(
-            self.TRIANGLE, unit=NET,
-            tree_constants=TreePackingConstants(g3=1.0 / 26.0, g4=0.0))
-        assert lau.lower == pytest.approx(2.0 / 26.0)
 
     def test_explicit_user_argument(self):
         report = multipartite_bounds(self.STAR, users=("A", "B"), unit=NET)

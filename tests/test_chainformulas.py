@@ -6,8 +6,10 @@ import pytest
 from qnd.chainformulas import (ChainParams, decay_factor, det_swap_mean,
                                det_swap_mean_cutoff, det_swap_mean_harmonic,
                                geometric_level_mean, mean_only,
-                               partial_links_mean, single_repeater,
-                               three_over_two)
+                               single_repeater, three_over_two)
+
+# partial_links_mean stops once the survival function drops below this.
+_PARTIAL_TAIL_TOL = 1e-12
 
 
 def max_of_geometrics_mean(n, p, tail_tol=1e-15):
@@ -18,6 +20,45 @@ def max_of_geometrics_mean(n, p, tail_tol=1e-15):
         mean += survival
         t += 1
         if survival < tail_tol:
+            return mean
+
+
+# The independent reference for det_swap_mean at 40-20000 segments.
+def partial_links_mean(n_segments, k, p_g):
+    """Mean time until the first ``k`` of ``n_segments`` parallel
+    generations have succeeded.
+
+    Summed from the survival function, truncating once the residual tail
+    drops below 1e-12.  ``k = n_segments`` coincides with
+    :func:`det_swap_mean`; ``k = 1`` is the minimum of the generations,
+    itself geometric.
+    """
+    n_segments = int(n_segments)
+    k = int(k)
+    if not (1 <= k <= n_segments):
+        raise ValueError(
+            f"k must be between 1 and {n_segments}, got {k!r}")
+    if not (0.0 < p_g <= 1.0):
+        raise ValueError(f"p_g must be in (0, 1], got {p_g!r}")
+    if p_g == 1.0:
+        return 1.0
+    q = 1.0 - p_g
+    n = n_segments
+
+    def cdf(t):
+        # At least k generations done by t: at most n - k still missing.
+        c = 1.0 - q ** t
+        miss = 1.0 - c
+        return math.fsum(math.comb(n, j) * miss ** j * c ** (n - j)
+                         for j in range(0, n - k + 1))
+
+    mean = 0.0
+    t = 0
+    while True:
+        survival = 1.0 - cdf(t)
+        mean += survival
+        t += 1
+        if survival < _PARTIAL_TAIL_TOL:
             return mean
 
 

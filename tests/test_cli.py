@@ -232,6 +232,21 @@ class TestChain:
         assert done.stdout == ""
         assert "generation outcomes" in done.stderr
 
+    @pytest.mark.parametrize("command", [["chain", "des"], ["simulate"]])
+    def test_delay_above_cutoff_exits_at_once(self, command):
+        # Such a run would never end; a subprocess with a timeout keeps a
+        # regression from hanging the suite.
+        src = Path(qnd.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "qnd.cli", *command, "--n", "1",
+             "--pg", "0.5", "--ps", "0.5", "--cutoff", "2", "--delay", "3",
+             "--samples", "10"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=30)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert "delay 3 exceeds the cut-off tau=2" in done.stderr
+
     def test_markov_rejects_cutoff(self, capsys):
         assert main(["chain", "markov", "--n", "1", "--pg", "0.5",
                      "--cutoff", "5"]) == 3

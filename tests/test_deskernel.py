@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qnd import markovchain
 from qnd.chainformulas import ChainParams
 from qnd.deskernel import (ChainSimulation, EmptyQueueError, Event,
                            EventKind, SimState, pop_next, run_until,
@@ -207,3 +208,39 @@ class TestChainSimulation:
     def test_delay_validation(self):
         with pytest.raises(ValueError):
             ChainSimulation(ChainParams(n=1, p_g=0.5), delay=-1)
+        # Every stored link expires at birth + tau + 1, before a resolve at
+        # t2 + delay >= birth + tau + 1, so no swap could ever resolve.
+        params = ChainParams(n=1, p_g=0.5, p_s=0.5, tau=2)
+        with pytest.raises(ValueError, match="exceeds the cut-off"):
+            ChainSimulation(params, delay=3)
+        with pytest.raises(ValueError, match="exceeds the cut-off"):
+            simulate_batch(params, n_samples=10, delay=3)
+
+    def test_delay_up_to_cutoff_completes(self):
+        params = ChainParams(n=1, p_g=0.5, p_s=0.5, tau=3)
+        assert simulate_batch(params, n_samples=50, delay=3).n_samples == 50
+        # A bare segment stores no link, so any delay is harmless.
+        params = ChainParams(n=0, p_g=0.5, tau=1)
+        assert ChainSimulation(params, delay=5).run().t >= 1
+
+
+class TestDelayAgainstMarkov:
+    """A one-step resolve delay is the Markov engine's ONE_STEP swap time:
+    the swap takes the step after the later link arrives."""
+
+    @pytest.mark.parametrize("n, n_samples, seed", [(1, 20_000, 41),
+                                                    (2, 10_000, 42)])
+    def test_delay_one_matches_one_step_chain(self, n, n_samples, seed):
+        params = ChainParams(n=n, p_g=0.5, p_s=0.5)
+
+        def markov_mean(mode):
+            chain = markovchain.build_chain(params, mode)
+            return markovchain.absorption_stats(chain)["mean"]
+
+        batch = simulate_batch(params, n_samples=n_samples, seed=seed,
+                               delay=1)
+        error = 4.0 * batch.stderr_t
+        one_step = markov_mean(markovchain.SwapTimeMode.ONE_STEP)
+        zero_step = markov_mean(markovchain.SwapTimeMode.ZERO_STEP)
+        assert abs(batch.mean_t - one_step) < error
+        assert abs(batch.mean_t - zero_step) > error
