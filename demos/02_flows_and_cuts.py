@@ -5,7 +5,9 @@ computation has a combinatorial shadow: max-flow equals min-cut, total
 concurrent flow is capped by the minimum multicut, worst-case concurrent
 flow by the minimum cut ratio, and tree packing sits between half the
 terminal-set connectivity and the connectivity itself.  The brute-force
-oracles here make those relations checkable on any small instance.
+oracles here make those relations checkable on any small instance.  A
+single-commodity max-flow is Edmonds-Karp (breadth-first augmenting
+paths); concurrent commodities sharing capacity are a linear program.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ print(f"random graph: {len(graph.vertices)} vertices, "
 print("\n=== max-flow / min-cut duality ===")
 value, assignment = max_flow(graph, "V0", "V5")
 cut = min_cut_bruteforce(graph, "V0", "V5")
-print(f"  LP max-flow V0->V5: {value:.6f}")
+print(f"  Edmonds-Karp max-flow V0->V5: {value:.6f}")
 print(f"  brute-force min cut: {cut.weight:.6f} at W = {cut.partition}")
 print(f"  cut edges: {cut.cut_edges}")
 assert abs(value - cut.weight) < 1e-7
@@ -41,8 +43,8 @@ total, _ = multicommodity_flow(graph, pairs, "total")
 worst, _ = multicommodity_flow(graph, pairs, "worst")
 multicut, cut_edges = min_multicut_bruteforce(graph, pairs)
 ratio, side = min_cut_ratio_bruteforce(graph, pairs)
-print(f"  total flow {total:.4f} <= multicut {multicut:.4f}")
-print(f"  worst flow {worst:.4f} <= cut ratio {ratio:.4f}")
+print(f"  LP total flow {total:.4f} <= multicut {multicut:.4f}")
+print(f"  LP worst flow {worst:.4f} <= cut ratio {ratio:.4f}")
 print(f"  multicut edges: {cut_edges}")
 
 print("\n=== tree packing in a unit multigraph ===")

@@ -2,9 +2,10 @@
 
 Two tool families share one package:
 
-* linear-programming bounds on how much entanglement or key a network of
-  noisy channels can distribute (:mod:`qnd.netmodel`, :mod:`qnd.lpcore`,
-  :mod:`qnd.flows`, :mod:`qnd.capbounds`);
+* flow bounds (max-flows, shortest paths and linear programs) on how much
+  entanglement or key a network of noisy channels can distribute
+  (:mod:`qnd.netmodel`, :mod:`qnd.lpcore`, :mod:`qnd.flows`,
+  :mod:`qnd.capbounds`);
 * waiting-time and fidelity statistics of repeater chains, computed five
   mutually cross-validating ways: closed forms
   (:mod:`qnd.chainformulas`), exact distribution tracking

@@ -7,16 +7,22 @@ edge with achievable capacities, the upper bound with entanglement measures.
 Three usage accountings are supported: the network's own per-edge usage
 weights (FIXED_Q), one use of every channel per network use
 (PER_NETWORK_USE), and a joint optimization of the usage frequencies under a
-unit budget (PER_CHANNEL_USE), which adds one nonnegative variable per
-directed edge and a single equality constraint to the flow program, never a
-nested max-min loop.
+unit budget (PER_CHANNEL_USE), one nonnegative frequency per directed edge
+optimized together with the flow, never in a nested max-min loop.
 
 This module only weights the graph and reports: the programs are built,
 solved and verified by :mod:`qnd.flows`, so every bound rests on a flow
-assignment that passed :meth:`qnd.flows.FlowAssignment.verify`.  When the
-lower and the upper program of a sandwich are identical, as for pure-loss
-channels, whose achievable capacity equals their entanglement upper
-weight, that program is solved and verified once for both bounds.
+assignment that passed :meth:`qnd.flows.FlowAssignment.verify`.  Most are
+combinatorial: a bipartite bound is one max-flow on fixed weights and one
+shortest path under PER_CHANNEL_USE, a multipartite bound on fixed weights
+one max-flow per hub pair, and a PER_CHANNEL_USE multi-pair bound one
+shortest path per pair.  Two stay linear programs: multi-pair bounds on
+fixed weights, whose pairs compete for shared capacity, and PER_CHANNEL_USE
+multipartite bounds, whose one usage vector serves every pair's private
+capacity copy.  When the lower and the upper program of a sandwich are
+identical, as for pure-loss channels, whose achievable capacity equals
+their entanglement upper weight, that program is solved and verified once
+for both bounds.
 
 Multipartite bounds need the least pairwise flow among k users, which is
 a connectivity, not a concurrent flow.  Pairwise max-flow values obey
@@ -119,7 +125,7 @@ def _flow_program(net, unit, measure, esq_lossy):
 
 def _solve_sandwich(net, unit, pairs, objective, esq_lossy_upper,
                     shared_capacity=True):
-    """The lower and the upper flow LP of a capacity bound, solved and
+    """The lower and the upper flow program of a capacity bound, solved and
     verified by :mod:`qnd.flows` on graphs of :func:`qnd.netmodel.undirect`.
 
     FIXED_Q weights each channel by its own ``q``, PER_NETWORK_USE by 1,
@@ -130,7 +136,7 @@ def _solve_sandwich(net, unit, pairs, objective, esq_lossy_upper,
 
     Both programs are built first.  When they are identical, as on
     pure-loss channels without the squashed upper weight, the one program
-    is solved and verified once and its value is both bounds; the solver
+    is solved and verified once and its value is both bounds; every solver
     is deterministic, so this is the value a second solve would return.
 
     Returns (lower, upper, q_opt), ``q_opt`` being the usage frequencies
@@ -192,10 +198,10 @@ def multipair_bounds(net, pairs, objective="total",
     (least pair rate).  The upper bound is the respective multicommodity
     flow under entanglement weights; it certifies the capacity only up to
     the O(log k) gap factor (g1 for total, g2 for worst) between flows and
-    multicuts / cut ratios, which is recorded in the slack note.  A numeric
-    ``slack_factor`` >= 1 may be applied to widen the upper bound; the
-    default 1 reports the raw flow value.  Pairs sharing an endpoint are
-    accepted.
+    multicuts / cut ratios, which is recorded in the slack note.  A finite
+    numeric ``slack_factor`` >= 1 may be applied to widen the upper bound;
+    the default 1 reports the raw flow value.  Pairs sharing an endpoint
+    are accepted.
     """
     pairs = [tuple(p) for p in pairs]
     if not pairs:
@@ -204,8 +210,8 @@ def multipair_bounds(net, pairs, objective="total",
         if s == t:
             raise NetworkValidationError(f"pair endpoints coincide: {s!r}")
         _require_nodes(net, (s, t))
-    if not slack_factor >= 1.0:
-        raise ValueError("slack_factor must be >= 1")
+    if not 1.0 <= slack_factor < math.inf:
+        raise ValueError("slack_factor must be finite and >= 1")
     objective = str(objective)
     if objective not in ("total", "worst"):
         raise ValueError(f"unknown objective {objective!r}")

@@ -82,6 +82,22 @@ def _fmt(value):
     return str(value)
 
 
+def _json(payload):
+    """Strict JSON (RFC 8259) text of a dict or list of dicts: an infinity
+    is written as CSV writes it, the string "inf", and a NaN raises
+    ValueError."""
+    def strict(value):
+        if isinstance(value, float) and math.isinf(value):
+            return _fmt(value)
+        if isinstance(value, dict):
+            return {k: strict(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [strict(v) for v in value]
+        return value
+    return json.dumps(strict(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
 def _write_table(columns, rows, fmt, out_path):
     if fmt == "csv":
         buf = io.StringIO()
@@ -91,8 +107,7 @@ def _write_table(columns, rows, fmt, out_path):
             writer.writerow([_fmt(row.get(c)) for c in columns])
         text = buf.getvalue()
     else:
-        payload = [{c: row.get(c) for c in columns} for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json([{c: row.get(c) for c in columns} for row in rows])
     _emit(text, out_path)
 
 
@@ -187,6 +202,10 @@ def _cmd_bounds(args):
         if given:
             raise UsageError(f"{' and '.join(given)} apply only to "
                              f"--multipair")
+    if args.slack_factor is not None and not (
+            1.0 <= args.slack_factor < math.inf):
+        raise UsageError(f"--slack-factor must be finite and >= 1, got "
+                         f"{args.slack_factor!r}")
     with open(args.network, encoding="utf-8") as fh:
         net = netmodel.parse_network(fh.read())
     unit = capbounds.UsageUnit(args.unit)
@@ -223,7 +242,7 @@ def _cmd_bounds(args):
         payload = dict(row)
         payload["q_opt"] = (None if report.q_opt is None
                             else list(report.q_opt))
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json(payload), args.out)
     else:
         _write_table(("task", "unit", "lower", "upper", "q_opt",
                       "slack_note"), [row], "csv", args.out)

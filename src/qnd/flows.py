@@ -1,23 +1,29 @@
 """Flow and cut computations on undirected weighted graphs.
 
-The flow maximizations are linear programs solved by :mod:`qnd.lpcore`:
-single-commodity max-flow, and multicommodity total / worst-case concurrent
-flow.  One function assembles every flow program of the package, including
-the capacity programs of :mod:`qnd.capbounds` with their per-pair capacity
-copies and optimized usage frequencies, and every solution it returns has
-passed :meth:`FlowAssignment.verify`, a solver-independent re-check of
-capacity and conservation.  Alongside them live small brute-force oracles,
-minimum cut, minimum multicut, minimum cut ratio, terminal-set
-connectivity, and Steiner tree packing, which are exact on small instances
-and serve as independent cross-checks of the LP results (max-flow equals
-min-cut, total flow is at most the multicut weight, worst-case flow at most
-the cut ratio).
+One function, :func:`_solve_flow`, solves every flow program of the
+package, including the capacity programs of :mod:`qnd.capbounds` with
+their per-pair capacity copies and optimized usage frequencies, and picks
+the solver from the program's structure.  Single-commodity max-flow, and
+flows whose commodities have private capacity copies, are Edmonds-Karp
+max-flows (Edmonds & Karp, J. ACM 1972).  Usage frequencies under a unit
+budget with shared capacity are shortest paths.  Two classes stay linear
+programs solved by :mod:`qnd.lpcore`: multicommodity total / worst-case
+concurrent flow on fixed shared capacity, and usage frequencies shared by
+private capacity copies.  Every solution it returns has passed
+:meth:`FlowAssignment.verify`, a solver-independent re-check of capacity
+and conservation.  Alongside them live small brute-force oracles, minimum
+cut, minimum multicut, minimum cut ratio, terminal-set connectivity, and
+Steiner tree packing, which are exact on small instances and serve as
+independent cross-checks of the flow results (max-flow equals min-cut,
+total flow is at most the multicut weight, worst-case flow at most the cut
+ratio).
 
 Flows are real-valued throughout; integrality appears only inside the
 brute-force tree-packing oracle.
 """
 
 import enum
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -249,17 +255,227 @@ def _build_multiflow_lp(graph, commodities, objective, usage_terms=None,
 
 
 def _usage_capacity(terms, q):
-    """Capacity of one edge under usage frequencies ``q``, as the LP sees
-    it: unbounded as soon as one channel on the edge is lossless."""
+    """Capacity of one edge under usage frequencies ``q``, as the program
+    sees it: unbounded as soon as one channel on the edge is lossless."""
     if any(math.isinf(val) for _, val in terms):
         return math.inf
     return sum(val * q[q_idx] for q_idx, val in terms)
 
 
+def _adjacency(graph):
+    """Vertex indices of ``graph`` and, per vertex, its ``(edge, neighbour,
+    sign)`` arcs; ``sign`` is +1 along the edge's ``(u, v)`` direction."""
+    index = {v: n for n, v in enumerate(graph.vertices)}
+    adj = [[] for _ in graph.vertices]
+    for j, (u, v, _) in enumerate(graph.uedges):
+        adj[index[u]].append((j, index[v], 1))
+        adj[index[v]].append((j, index[u], -1))
+    return index, adj
+
+
+def _trace(parent, t):
+    """The ``(edge, sign)`` arcs of the tree path ending at ``t``."""
+    path = []
+    while parent[t] is not None:
+        t, j, sign = parent[t]
+        path.append((j, sign))
+    return path
+
+
+def _augmenting_path(adj, cap, flow, s, t):
+    """A fewest-arc s-t path of positive residual capacity (breadth-first),
+    or None.  Edge ``j`` carries the signed flow ``flow[j]``, so an arc of
+    sign ``sign`` has residual capacity ``cap[j] - sign * flow[j]``."""
+    parent = {s: None}
+    frontier = [s]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for j, v, sign in adj[u]:
+                if v not in parent and cap[j] - sign * flow[j] > 0.0:
+                    parent[v] = (u, j, sign)
+                    if v == t:
+                        return _trace(parent, t)
+                    reached.append(v)
+        frontier = reached
+    return None
+
+
+def _edmonds_karp(adj, cap, s, t):
+    """Maximum s-t flow by shortest augmenting paths (Edmonds & Karp,
+    J. ACM 1972), which end after O(VE) augmentations whatever the
+    capacities: ``(value, signed edge flows)``.
+
+    A pair joined by infinite edges alone is unbounded: it returns
+    ``math.inf`` and one unit of flow along such a path.
+    """
+    flow = [0.0] * len(cap)
+    value = 0.0
+    while (path := _augmenting_path(adj, cap, flow, s, t)) is not None:
+        residual = [cap[j] - sign * flow[j] for j, sign in path]
+        delta = min(residual)
+        if math.isinf(delta):
+            unit = [0.0] * len(cap)
+            for j, sign in path:
+                unit[j] = float(sign)
+            return math.inf, unit
+        for (j, sign), r in zip(path, residual):
+            # Saturate each bottleneck arc exactly: a rounding residue left
+            # on it would be found and augmented again.
+            flow[j] = sign * cap[j] if r == delta else flow[j] + sign * delta
+        value += delta
+    return value, flow
+
+
+def _max_flows(graph, commodities, objective, usage_terms, shared_capacity):
+    """Fixed weights, and one commodity or private capacity copies: one
+    Edmonds-Karp max-flow per commodity.
+
+    The value is the sum of the commodity values for TOTAL and the least
+    one for WORST.  Under WORST an unbounded commodity does not set the
+    least: it carries that least value along its infinite edges, and the
+    program is unbounded only when every commodity is.
+    """
+    index, adj = _adjacency(graph)
+    cap = [w for _, _, w in graph.uedges]
+    solved = [_edmonds_karp(adj, cap, index[s], index[t])
+              for s, t in commodities]
+    values = np.array([v for v, _ in solved])
+    if FlowObjective(objective) is FlowObjective.TOTAL:
+        value = float(values.sum())
+    else:
+        value = float(values.min())
+    if math.isinf(value):
+        return None
+    signed = np.array([f for _, f in solved]).reshape(len(solved), len(cap))
+    unbounded = np.isinf(values)
+    signed[unbounded] *= value
+    values[unbounded] = value
+    flows = np.stack([np.maximum(signed, 0.0), np.maximum(-signed, 0.0)],
+                     axis=2)
+    return value, flows, tuple(values.tolist()), None
+
+
+def _shortest_path(adj, length, s, t):
+    """Dijkstra: ``(d, arcs)`` of a shortest s-t path under nonnegative
+    edge lengths, or ``(math.inf, None)`` when ``t`` is unreachable."""
+    dist = {s: 0.0}
+    parent = {s: None}
+    heap = [(0.0, s)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u == t:
+            return d, _trace(parent, t)
+        if u in done:
+            continue
+        done.add(u)
+        for j, v, sign in adj[u]:
+            reach = d + length[j]
+            if reach < dist.get(v, math.inf):
+                dist[v] = reach
+                parent[v] = (u, j, sign)
+                heapq.heappush(heap, (reach, v))
+    return math.inf, None
+
+
+def _shortest_paths(graph, commodities, objective, usage_terms,
+                    shared_capacity):
+    """Usage frequencies under a unit budget, with shared capacity, by
+    shortest paths.
+
+    Flow F over a channel of value w takes F / w of the budget, least on
+    the best channel of its edge, so a unit of flow on a path takes its
+    length d under edge lengths 1 / (best value): 0 over a lossless
+    channel, infinite over an edge of value 0.  TOTAL spends the budget on
+    the nearest commodity, F = 1 / min d_i; WORST routes the same F for
+    every commodity, F = 1 / sum d_i.  ``q`` puts F times the length on the
+    best channel of each path edge, the lowest channel index among equals,
+    and the whole budget on channel 0 when F = 0 (every q attains 0).
+    """
+    index, adj = _adjacency(graph)
+    best, length = [], []
+    for terms in usage_terms:
+        q_idx, val = min(terms, key=lambda term: (-term[1], term[0]))
+        best.append(q_idx)
+        length.append(0.0 if math.isinf(val)
+                      else 1.0 / val if val > 0.0 else math.inf)
+    routes = [_shortest_path(adj, length, index[s], index[t])
+              for s, t in commodities]
+    d = [dist for dist, _ in routes]
+    if FlowObjective(objective) is FlowObjective.TOTAL:
+        nearest = d.index(min(d))
+        carried = [i == nearest for i in range(len(routes))]
+        cost = d[nearest]
+    else:
+        carried = [True] * len(routes)
+        cost = sum(d)
+    if cost == 0.0:
+        return None
+    value = 1.0 / cost
+    flows = np.zeros((len(routes), len(graph.uedges), 2))
+    q = [0.0] * sum(len(terms) for terms in usage_terms)
+    if value == 0.0:
+        q[0] = 1.0
+    else:
+        for i, (_, path) in enumerate(routes):
+            if not carried[i]:
+                continue
+            for j, sign in path:
+                flows[i, j, 0 if sign > 0 else 1] += value
+                q[best[j]] += value * length[j]
+    values = tuple(value if c else 0.0 for c in carried)
+    return value, flows, values, tuple(q)
+
+
+def _lp_flows(graph, commodities, objective, usage_terms, shared_capacity):
+    """Any flow program, as the LP of :func:`_build_multiflow_lp` solved by
+    :mod:`qnd.lpcore`; None when it is unbounded."""
+    lp, q_offset, net_flow_row = _build_multiflow_lp(
+        graph, commodities, objective, usage_terms, shared_capacity)
+    result = lpcore.solve(lp)
+    if result.status is lpcore.LPStatus.UNBOUNDED:
+        return None
+    if result.status is not lpcore.LPStatus.OPTIMAL:
+        raise lpcore.LPNumericError(
+            f"flow LP unexpectedly {result.status.value}")
+    x = result.solution[:lp.n_structural]
+    k = len(commodities)
+    flows = x[:2 * len(graph.uedges) * k].reshape(k, -1, 2).copy()
+    values = tuple(float(net_flow_row(i, commodities[i][0]) @ x)
+                   for i in range(k))
+    q = None
+    if usage_terms is not None:
+        # Frequencies are nonnegative; the solver's float noise is not
+        # reported as a negative one.
+        q = tuple(float(v) if v > 0.0 else 0.0 for v in x[q_offset:])
+    return float(result.value), flows, values, q
+
+
+def _solver(commodities, usage_terms, shared_capacity):
+    """The solver of a flow program, picked from its structure: max-flow
+    on fixed weights with one commodity or private capacity copies,
+    shortest paths for usage frequencies with shared capacity, and the LP
+    where commodities compete for fixed shared capacity or one usage
+    vector serves every private copy."""
+    if usage_terms is None:
+        if len(commodities) == 1 or not shared_capacity:
+            return _max_flows
+    elif shared_capacity:
+        return _shortest_paths
+    return _lp_flows
+
+
 def _solve_flow(graph, commodities, objective, usage_terms=None,
                 shared_capacity=True):
-    """Build, solve and verify one flow LP (see :func:`_build_multiflow_lp`
+    """Solve and verify one flow program (see :func:`_build_multiflow_lp`
     for the arguments).
+
+    The program's structure picks the solver (:func:`_solver`): fixed
+    weights with one commodity or private capacity copies are Edmonds-Karp
+    max-flows, usage frequencies with shared capacity are shortest paths,
+    and only the multicommodity programs on fixed shared capacity and the
+    usage-frequency programs on private copies are LPs.
 
     Returns ``(value, assignment, q)`` with ``q`` the optimized usage
     frequencies when ``usage_terms`` is given, else None.  The assignment
@@ -275,35 +491,24 @@ def _solve_flow(graph, commodities, objective, usage_terms=None,
                                     flows=np.zeros((k, 0, 2)),
                                     values=(0.0,) * k)
         return 0.0, assignment, None
-    lp, q_offset, net_flow_row = _build_multiflow_lp(
-        graph, commodities, objective, usage_terms, shared_capacity)
-    result = lpcore.solve(lp)
-    if result.status is lpcore.LPStatus.UNBOUNDED:
+    solve = _solver(commodities, usage_terms, shared_capacity)
+    solved = solve(graph, commodities, objective, usage_terms,
+                   shared_capacity)
+    if solved is None:
         return math.inf, None, None
-    if result.status is not lpcore.LPStatus.OPTIMAL:
-        raise lpcore.LPNumericError(
-            f"flow LP unexpectedly {result.status.value}")
-    x = result.solution[:lp.n_structural]
-    n_e = len(graph.uedges)
-    flows = x[:2 * n_e * k].reshape(k, n_e, 2).copy()
-    values = tuple(float(net_flow_row(i, commodities[i][0]) @ x)
-                   for i in range(k))
+    value, flows, values, q = solved
     assignment = FlowAssignment(
         edges=tuple((u, v) for u, v, _ in graph.uedges),
         commodities=commodities, flows=flows, values=values)
-    q = None
     capacities = graph
     if usage_terms is not None:
-        # Frequencies are nonnegative; the solver's float noise is not
-        # reported as a negative one.
-        q = tuple(float(v) if v > 0.0 else 0.0 for v in x[q_offset:])
         capacities = WeightedUGraph(
             vertices=graph.vertices,
             uedges=tuple((u, v, _usage_capacity(terms, q))
                          for (u, v, _), terms in zip(graph.uedges,
                                                      usage_terms)))
     assignment.verify(capacities, shared_capacity=shared_capacity)
-    return float(result.value), assignment, q
+    return value, assignment, q
 
 
 def max_flow(graph, s, t):

@@ -207,18 +207,6 @@ class TestMultipair:
         # analytic optimum: 2 q1 = 1 - q1 at q1 = 1/3, worst flow 2/3
         assert report.lower == pytest.approx(2.0 / 3.0, abs=1e-9)
 
-    def test_q_opt_clamps_solver_noise(self):
-        # The solver puts -1.4e-17 on the first edge of this program; a
-        # frequency is reported as 0.0 instead, and still refits.
-        path = Path(__file__).resolve().parent / "golden" / "net_mixed.json"
-        net = parse_network(path.read_text())
-        report = multipair_bounds(net, net.commodities, "total", CHAN)
-        assert report.q_opt[0] == 0.0
-        assert min(report.q_opt) >= 0.0
-        refit = multipair_bounds(_with_q(net, report.q_opt),
-                                 net.commodities, "total", FIXED)
-        assert refit.lower == pytest.approx(report.lower, abs=1e-9)
-
     def test_sandwich_on_random_networks(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -283,6 +271,15 @@ class TestMultipartite:
         with pytest.raises(NetworkValidationError, match="repeats"):
             multipartite_bounds(self.TRIANGLE, users=("A", "B", "B"),
                                 unit=NET)
+
+    def test_q_opt_clamps_solver_noise(self):
+        # The LP of this multipartite channel-use program puts -1.2e-16 on
+        # the second edge; a frequency is reported as 0.0 instead.
+        path = Path(__file__).resolve().parent / "golden" / "net_mixed.json"
+        net = parse_network(path.read_text())
+        report = multipartite_bounds(net, unit=CHAN)
+        assert report.q_opt[1] == 0.0
+        assert min(report.q_opt) >= 0.0
 
     @pytest.mark.parametrize("w", [
         1e-4,
@@ -522,3 +519,68 @@ class TestOneSolveSandwich:
                           users=nodes[:3])
         _assert_same_as_two_solves(net, data.draw(st.sampled_from(UsageUnit)),
                                    data.draw(st.booleans()))
+
+
+def _lp_only(task):
+    """``task()`` with every flow program solved as an LP by
+    :mod:`qnd.lpcore`: the reference of the combinatorial solvers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_solver", lambda *_: flows._lp_flows)
+        return task()
+
+
+class TestCombinatorialSolvers:
+    """Max-flow and shortest paths give the bounds the LP gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_match_lp(self, data):
+        n = data.draw(st.integers(2, 5), label="nodes")
+        nodes = tuple(f"N{i}" for i in range(n))
+        # Weights stay clear of the near-zero explicit channels on which
+        # the tableau fails (test_near_zero_explicit_weight_channel_use).
+        weight = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+        lossy = st.builds(Lossy, st.one_of(st.floats(0.05, 0.95),
+                                           st.sampled_from([0.0, 1.0])))
+        pure_loss = data.draw(st.booleans(), label="pure loss")
+        channel = lossy if pure_loss else st.one_of(
+            lossy, st.builds(lambda q, d: Explicit(q + d, q), weight, weight))
+        edges = []
+        for i, j in itertools.combinations(range(n), 2):
+            for _ in range(data.draw(st.integers(0, 2))):
+                ends = (nodes[i], nodes[j])
+                if data.draw(st.booleans()):
+                    ends = ends[::-1]
+                edges.append(Edge(*ends, data.draw(channel), q=data.draw(
+                    st.one_of(st.just(0.0), st.floats(0.05, 2.0)))))
+        net = NetworkSpec(nodes=nodes, edges=tuple(edges),
+                          commodities=((nodes[0], nodes[-1]),
+                                       (nodes[-1], nodes[(n - 1) // 2])),
+                          users=nodes)
+        unit = data.draw(st.sampled_from(UsageUnit), label="unit")
+        esq = data.draw(st.booleans(), label="esq")
+        tasks = {
+            "bipartite": lambda net, unit: bipartite_bounds(
+                net, *net.commodities[0], unit, esq_lossy_upper=esq),
+            "total": lambda net, unit: multipair_bounds(
+                net, net.commodities, "total", unit, esq_lossy_upper=esq),
+            "worst": lambda net, unit: multipair_bounds(
+                net, net.commodities, "worst", unit, esq_lossy_upper=esq),
+            "multipartite": lambda net, unit: multipartite_bounds(
+                net, unit=unit, esq_lossy_upper=esq),
+        }
+        # A lossless channel is unbounded under channel-use at any q, but
+        # fixed-q weights it 0 at q = 0, so its q_opt does not refit.
+        refits = pure_loss and not any(e.channel == Lossy(1.0)
+                                       for e in edges)
+        for name, task in tasks.items():
+            report = task(net, unit)
+            ref = _lp_only(lambda: task(net, unit))
+            for side in ("lower", "upper"):
+                assert getattr(report, side) == pytest.approx(
+                    getattr(ref, side), rel=1e-12, abs=1e-15), (name, side)
+            assert (report.q_opt is None) == (ref.q_opt is None)
+            if report.q_opt is not None and refits:
+                refit = task(_with_q(net, report.q_opt), FIXED)
+                assert refit.lower == pytest.approx(report.lower, rel=1e-12,
+                                                    abs=1e-15), name

@@ -131,10 +131,10 @@ class TestBounds:
         assert capsys.readouterr().out == plain
         assert json.loads(plain)["task"] == "multipair/total k=2"
 
-    @pytest.mark.parametrize("factor", ["nan", "0.5"])
-    def test_bad_slack_factor_exits_3_before_any_solve(self, multifile,
-                                                       factor, monkeypatch,
-                                                       capsys):
+    @pytest.mark.parametrize("factor", ["nan", "0.5", "-1", "inf"])
+    def test_bad_slack_factor_exits_64_before_any_solve(self, multifile,
+                                                        factor, monkeypatch,
+                                                        capsys):
         from qnd import capbounds, flows
         solved = []
 
@@ -146,11 +146,21 @@ class TestBounds:
         monkeypatch.setattr(flows, "_solve_flow", spy)
         monkeypatch.setattr(capbounds, "_solve_flow", spy)
         assert main(["bounds", multifile, "--multipair", "--slack-factor",
-                     factor]) == 3
+                     factor]) == 64
         out, err = capsys.readouterr()
         assert out == ""
-        assert "slack_factor must be >= 1" in err
+        assert "--slack-factor must be finite and >= 1" in err
         assert solved == []
+        # Refused before the network file is read.
+        assert main(["bounds", multifile + ".missing", "--multipair",
+                     "--slack-factor", factor]) == 64
+
+    def test_infinite_slack_factor_refused_by_library(self):
+        from qnd import capbounds, netmodel
+        net = netmodel.parse_network(MULTIPAIR)
+        with pytest.raises(ValueError, match="finite"):
+            capbounds.multipair_bounds(net, net.commodities,
+                                       slack_factor=math.inf)
 
     def test_failed_flow_verification_exits_3(self, netfile, monkeypatch,
                                               capsys):
@@ -696,6 +706,60 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--seed must be in [0, 2**64)" in err
+
+
+MIXED = str(Path(__file__).resolve().parent / "golden" / "net_mixed.json")
+
+
+def _strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    GRID = ["--n", "1", "--pg", "0.5", "--ps", "0.5", "--format", "json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", MIXED, "--bipartite", "C", "D"],
+        ["bounds", MIXED, "--bipartite", "A", "C", "--unit", "channel-use"],
+        ["bounds", MIXED, "--multipair", "--objective", "worst"],
+        ["bounds", MIXED, "--multipartite", "--unit", "fixed-q"],
+        ["chain", "analytic", *GRID],
+        ["chain", "track", *GRID],
+        ["chain", "markov", *GRID],
+        ["chain", "mc", *GRID, "--samples", "50"],
+        ["chain", "des", *GRID, "--samples", "50"],
+        ["compare", *GRID],
+        ["simulate", *GRID, "--samples", "20", "--trace-hash"]],
+        ids=lambda argv: "-".join(argv[:2]) if argv[0] == "chain"
+        else argv[0] + "-" + argv[2].lstrip("-"))
+    def test_every_json_form_is_strict(self, argv, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        _strict_json(out.read_text())
+
+    def test_infinities_are_strings(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["bounds", MIXED, "--bipartite", "C", "D",
+                     "--out", str(out)]) == 0
+        report = _strict_json(out.read_text())
+        assert report["lower"] == report["upper"] == "inf"
+        assert main(["chain", "analytic", *self.GRID,
+                     "--out", str(out)]) == 0
+        assert _strict_json(out.read_text())[0]["t_coh"] == "inf"
+
+    def test_nan_fails_loudly(self, monkeypatch, tmp_path, capsys):
+        engine = _ENGINES["analytic"]
+        monkeypatch.setitem(_ENGINES, "analytic", engine._replace(
+            run=lambda params, args: {**engine.run(params, args),
+                                      "mean_t": math.nan}))
+        out = tmp_path / "out.json"
+        assert main(["chain", "analytic", *self.GRID,
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "JSON" in capsys.readouterr().err
 
 
 class TestRepeatedCalls:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qnd import flows
 from qnd.flows import (FlowAssignment, FlowObjective, FlowVerificationError,
                        SizeLimitError, max_flow,
                        min_cut_bruteforce, min_cut_ratio_bruteforce,
@@ -146,17 +147,101 @@ class TestMinCutBruteforce:
             min_cut_bruteforce(g, "V0", "V1")
 
 
+def with_special_weights(rng, g, p_special=0.3):
+    """``g`` with some weights replaced by 0 or infinity."""
+    return graph(g.vertices, [
+        (u, v, float(rng.choice([0.0, math.inf]))
+         if rng.random() < p_special else w)
+        for u, v, w in g.uedges])
+
+
+def lp_flow(graph, commodities, objective, usage_terms=None,
+            shared_capacity=True):
+    """``flows._solve_flow`` with the program solved as an LP by
+    :mod:`qnd.lpcore`: the reference of the combinatorial solvers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_solver", lambda *_: flows._lp_flows)
+        return flows._solve_flow(graph, commodities, objective, usage_terms,
+                                 shared_capacity)
+
+
+def zwick_network(m=3.0):
+    """The irrational-capacity network of the Ford-Fulkerson
+    non-termination example (Zwick, "The smallest networks on which the
+    Ford-Fulkerson maximum flow procedure may fail to terminate", Theor.
+    Comput. Sci. 1995), with undirected edges: inner edges a-b, b-c, c-d of
+    capacities 1, r = (sqrt(5) - 1) / 2 and 1, and capacity ``m``
+    elsewhere.  Its minimum cut, around {s, a, b}, weighs 2m + r."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    return graph("sabcdt", [
+        ("s", "a", m), ("s", "b", m), ("s", "d", m),
+        ("a", "t", m), ("c", "t", m), ("d", "t", m),
+        ("a", "b", 1.0), ("b", "c", r), ("c", "d", 1.0)])
+
+
 class TestMaxFlowMinCutTheorem:
-    def test_random_graphs(self):
+    @pytest.mark.parametrize("special", [False, True],
+                             ids=["finite", "zero_and_infinite"])
+    def test_random_graphs(self, special):
         rng = np.random.default_rng(2024)
         for _ in range(15):
             n = int(rng.integers(3, 8))
             g = random_graph(rng, n)
+            if special:
+                g = with_special_weights(rng, g)
             names = list(g.vertices)
             s, t = rng.choice(len(names), size=2, replace=False)
-            flow, _ = max_flow(g, names[s], names[t])
+            flow, assignment = max_flow(g, names[s], names[t])
             cut = min_cut_bruteforce(g, names[s], names[t])
-            assert flow == pytest.approx(cut.weight, abs=1e-7)
+            if math.isinf(cut.weight):
+                assert flow == math.inf and assignment is None
+            else:
+                assert flow == pytest.approx(cut.weight, abs=1e-7)
+                assert flow == pytest.approx(
+                    lp_flow(g, [(names[s], names[t])], "total")[0],
+                    rel=1e-12, abs=1e-12)
+
+    def test_irrational_capacities_terminate(self):
+        g = zwick_network()
+        flow, assignment = max_flow(g, "s", "t")
+        assert flow == pytest.approx(min_cut_bruteforce(g, "s", "t").weight,
+                                     rel=1e-15)
+        assert flow == pytest.approx(6.0 + (math.sqrt(5.0) - 1.0) / 2.0,
+                                     rel=1e-15)
+        assignment.verify(g)
+
+
+class TestPrivateCopies:
+    """Commodities with private capacity copies are independent max-flows."""
+
+    # A-B is lossless, A-C has capacity 2 and A-D none.
+    NET = graph("ABCD", [("A", "B", math.inf), ("A", "C", 2.0)])
+
+    def test_worst_is_least_finite_pair(self):
+        pairs = [("A", "B"), ("A", "C")]
+        value, assignment, _ = flows._solve_flow(
+            self.NET, pairs, "worst", shared_capacity=False)
+        assert value == 2.0
+        assert assignment.values == (2.0, 2.0)
+        assignment.verify(self.NET, shared_capacity=False)
+        assert lp_flow(self.NET, pairs, "worst",
+                       shared_capacity=False)[0] == pytest.approx(2.0)
+
+    def test_unbounded_only_when_every_pair_is(self):
+        for pairs, objective in (([("A", "B"), ("B", "A")], "worst"),
+                                 ([("A", "B"), ("A", "C")], "total")):
+            assert flows._solve_flow(self.NET, pairs, objective,
+                                     shared_capacity=False) == (
+                math.inf, None, None)
+            assert lp_flow(self.NET, pairs, objective,
+                           shared_capacity=False)[0] == math.inf
+
+    def test_worst_with_a_disconnected_pair_is_zero(self):
+        value, assignment, _ = flows._solve_flow(
+            self.NET, [("A", "B"), ("A", "D")], "worst",
+            shared_capacity=False)
+        assert value == 0.0
+        assert assignment.values == (0.0, 0.0)
 
 
 class TestMulticommodity:
