@@ -80,12 +80,6 @@ def run(checkout, commands):
             for code, out in json.loads(done.stdout)]
 
 
-def bound(report, side):
-    # Infinity is the string "inf" in strict JSON output, a bare
-    # constant in older output.
-    return float(report[side])
-
-
 def agree(a, b):
     return a == b or (math.isfinite(a) and math.isfinite(b)
                       and abs(a - b) <= REL * max(abs(a), abs(b)))
@@ -134,7 +128,7 @@ def main(other):
                 commands, mine, theirs):
             ok = code == other_code
             if ok and code == 0:
-                pairs = [(bound(report, s), bound(other_report, s))
+                pairs = [(float(report[s]), float(other_report[s]))
                          for s in ("lower", "upper")]
                 ok = all(agree(a, b) for a, b in pairs)
                 worst = max((abs(a - b) / max(abs(a), abs(b))
@@ -146,8 +140,8 @@ def main(other):
             failed += not ok
             print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
         for (name, report, _), (code, refit) in zip(refits, refit_reports):
-            ok = code == 0 and agree(bound(refit, "lower"),
-                                     bound(report, "lower"))
+            ok = code == 0 and agree(float(refit["lower"]),
+                                     float(report["lower"]))
             failed += not ok
             print(f"{'ok  ' if ok else 'FAIL'} {name} q_opt refit as "
                   f"fixed-q")

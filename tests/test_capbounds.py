@@ -207,6 +207,20 @@ class TestMultipair:
         # analytic optimum: 2 q1 = 1 - q1 at q1 = 1/3, worst flow 2/3
         assert report.lower == pytest.approx(2.0 / 3.0, abs=1e-9)
 
+    def test_q_opt_clamps_solver_noise(self):
+        # The LP put -1.39e-17 on the first edge of this program; shortest
+        # paths put all usage on the last edge.  No frequency is negative,
+        # and on this network with explicit and lossless channels the
+        # q_opt still refits.
+        path = Path(__file__).resolve().parent / "golden" / "net_mixed.json"
+        net = parse_network(path.read_text())
+        report = multipair_bounds(net, net.commodities, "total", CHAN)
+        assert report.q_opt == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+        assert min(report.q_opt) >= 0.0
+        refit = multipair_bounds(_with_q(net, report.q_opt),
+                                 net.commodities, "total", FIXED)
+        assert refit.lower == pytest.approx(report.lower, abs=1e-9)
+
     def test_sandwich_on_random_networks(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -272,7 +286,7 @@ class TestMultipartite:
             multipartite_bounds(self.TRIANGLE, users=("A", "B", "B"),
                                 unit=NET)
 
-    def test_q_opt_clamps_solver_noise(self):
+    def test_q_opt_clamps_lp_noise(self):
         # The LP of this multipartite channel-use program puts -1.2e-16 on
         # the second edge; a frequency is reported as 0.0 instead.
         path = Path(__file__).resolve().parent / "golden" / "net_mixed.json"
