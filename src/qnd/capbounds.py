@@ -2,8 +2,9 @@
 
 Every task (bipartite, multi-pair, multipartite) gets a lower and an upper
 bound, both computed as flow maximizations on the undirected weighted graph
-of the network (:func:`qnd.netmodel.undirect`): the lower bound weights each
-edge with achievable capacities, the upper bound with entanglement measures.
+of the network, which :mod:`qnd.netmodel` derives from one value per
+channel and side: the lower bound values each channel by its achievable
+capacity, the upper bound by an entanglement measure.
 Three usage accountings are supported: the network's own per-edge usage
 weights (FIXED_Q), one use of every channel per network use
 (PER_NETWORK_USE), and a joint optimization of the usage frequencies under a
@@ -19,10 +20,9 @@ one max-flow per hub pair, and a PER_CHANNEL_USE multi-pair bound one
 shortest path per pair.  Two stay linear programs: multi-pair bounds on
 fixed weights, whose pairs compete for shared capacity, and PER_CHANNEL_USE
 multipartite bounds, whose one usage vector serves every pair's private
-capacity copy.  When the lower and the upper program of a sandwich are
-identical, as for pure-loss channels, whose achievable capacity equals
-their entanglement upper weight, that program is solved and verified once
-for both bounds.
+capacity copy.  When every channel has the same lower and upper value, as
+pure-loss channels do unless the squashed upper weight is asked for, the
+one program is built, solved and verified once for both bounds.
 
 Multipartite bounds need the least pairwise flow among k users, which is
 a connectivity, not a concurrent flow.  Pairwise max-flow values obey
@@ -40,11 +40,11 @@ corresponding cut quantity; the gap factor is reported symbolically in the
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .flows import FlowObjective, _solve_flow
-from .netmodel import (Edge, Measure, NetworkValidationError,
-                       channel_value, undirect)
+from .netmodel import (Measure, NetworkValidationError, _collapse,
+                       channel_value)
 
 __all__ = [
     "UsageUnit",
@@ -109,53 +109,44 @@ def _require_nodes(net, nodes):
                 f"node {node!r} is not in the network")
 
 
-def _flow_program(net, unit, measure, esq_lossy):
-    """The graph and, under PER_CHANNEL_USE, the usage terms of one side."""
-    graph = undirect(net, measure, esq_lossy=esq_lossy)
-    if unit is not UsageUnit.PER_CHANNEL_USE:
-        return graph, None
-    edge_index = {(u, v): j for j, (u, v, _) in enumerate(graph.uedges)}
-    usage_terms = [[] for _ in graph.uedges]
-    for q_idx, e in enumerate(net.edges):
-        key = (min(e.tail, e.head), max(e.tail, e.head))
-        usage_terms[edge_index[key]].append(
-            (q_idx, channel_value(e.channel, measure, esq_lossy=esq_lossy)))
-    return graph, usage_terms
-
-
 def _solve_sandwich(net, unit, pairs, objective, esq_lossy_upper,
                     shared_capacity=True):
     """The lower and the upper flow program of a capacity bound, solved and
-    verified by :mod:`qnd.flows` on graphs of :func:`qnd.netmodel.undirect`.
+    verified by :mod:`qnd.flows`.
 
-    FIXED_Q weights each channel by its own ``q``, PER_NETWORK_USE by 1,
-    and PER_CHANNEL_USE hands the per-channel values to the program as
-    usage terms, one frequency variable per directed edge.  With
-    ``shared_capacity`` False each pair gets its own private copy of the
-    capacity constraints.
+    Each channel is valued once per side, by ``LOWER_CAPACITY`` and by
+    ``UPPER_SQUASHED`` or ``UPPER_ENTANGLEMENT`` as ``esq_lossy_upper``
+    says, and :mod:`qnd.netmodel` collapses each side's values into the
+    graph of its program.  FIXED_Q weights each channel by its own ``q``,
+    PER_NETWORK_USE by 1, and PER_CHANNEL_USE hands the per-channel values
+    to the program as usage terms, one frequency variable per directed
+    edge.  With ``shared_capacity`` False each pair gets its own private
+    copy of the capacity constraints.
 
-    Both programs are built first.  When they are identical, as on
-    pure-loss channels without the squashed upper weight, the one program
-    is solved and verified once and its value is both bounds; every solver
-    is deterministic, so this is the value a second solve would return.
+    When the two value lists are equal, as on pure-loss channels without
+    the squashed upper weight, only the lower program is built, solved and
+    verified, and its value is both bounds; every solver is deterministic,
+    so this is the value a second solve would return.
 
     Returns (lower, upper, q_opt), ``q_opt`` being the usage frequencies
     that attain the lower value, or None unless PER_CHANNEL_USE.
     """
-    if unit is UsageUnit.PER_NETWORK_USE:
-        net = replace(net, edges=tuple(Edge(e.tail, e.head, e.channel, 1.0)
-                                       for e in net.edges))
-    lower_program = _flow_program(net, unit, Measure.LOWER_CAPACITY, False)
-    upper_program = _flow_program(net, unit, Measure.UPPER_ENTANGLEMENT,
-                                  esq_lossy_upper)
-    graph, usage_terms = lower_program
-    lower, _, q_opt = _solve_flow(graph, pairs, objective, usage_terms,
-                                  shared_capacity)
-    if upper_program == lower_program:
-        return lower, lower, q_opt
-    graph, usage_terms = upper_program
-    upper, _, _ = _solve_flow(graph, pairs, objective, usage_terms,
-                              shared_capacity)
+    upper_measure = (Measure.UPPER_SQUASHED if esq_lossy_upper
+                     else Measure.UPPER_ENTANGLEMENT)
+    sides = [[channel_value(e.channel, measure) for e in net.edges]
+             for measure in (Measure.LOWER_CAPACITY, upper_measure)]
+    if sides[1] == sides[0]:
+        del sides[1]
+    weights = [1.0 if unit is UsageUnit.PER_NETWORK_USE else e.q
+               for e in net.edges]
+    solved = []
+    for values in sides:
+        graph, terms = _collapse(net, values, weights)
+        solved.append(_solve_flow(
+            graph, pairs, objective,
+            terms if unit is UsageUnit.PER_CHANNEL_USE else None,
+            shared_capacity))
+    (lower, _, q_opt), (upper, _, _) = solved[0], solved[-1]
     return lower, upper, q_opt
 
 
@@ -212,14 +203,12 @@ def multipair_bounds(net, pairs, objective="total",
         _require_nodes(net, (s, t))
     if not 1.0 <= slack_factor < math.inf:
         raise ValueError("slack_factor must be finite and >= 1")
-    objective = str(objective)
-    if objective not in ("total", "worst"):
-        raise ValueError(f"unknown objective {objective!r}")
+    objective = FlowObjective(objective)
     unit = UsageUnit(unit)
     k = len(pairs)
     lower, upper, q_opt = _solve_sandwich(net, unit, pairs, objective,
                                           esq_lossy_upper)
-    gap = "g1(k)" if objective == "total" else "g2(k)"
+    gap = "g1(k)" if objective is FlowObjective.TOTAL else "g2(k)"
     note = (f"upper holds up to the multicommodity gap {gap} = O(log k), "
             f"k={k}; numeric slack factor {slack_factor:g} applied")
     return BoundReport(lower=lower, upper=upper * slack_factor, unit=unit,

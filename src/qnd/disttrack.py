@@ -216,24 +216,11 @@ class ChainProtocol:
 
     @classmethod
     def with_distillation(cls, n, rounds, w0=1.0):
-        """Doubling protocol with distillation rounds before each swap.
-
-        ``rounds`` is either one integer applied at every level or a
-        sequence giving, per level, how many distillation rounds purify
-        the links entering that level's swap.
-        """
-        if isinstance(rounds, int):
-            rounds = [rounds] * n
-        rounds = list(rounds)
-        if len(rounds) != n:
-            raise ValueError(f"need {n} per-level round counts")
-        plan = []
-        for r in rounds:
-            if r < 0:
-                raise ValueError("distillation rounds must be >= 0")
-            plan.extend(["distill"] * r)
-            plan.append("swap")
-        return cls(plan=tuple(plan), w0=w0)
+        """Doubling protocol with ``rounds`` distillation rounds purifying
+        the links before every swap; a per-level schedule is a ``plan``."""
+        if rounds < 0:
+            raise ValueError("distillation rounds must be >= 0")
+        return cls(plan=(("distill",) * rounds + ("swap",)) * n, w0=w0)
 
 
 def geometric_pmf(p, t_trunc, w0=1.0):
@@ -478,12 +465,9 @@ def _unit_rounds(op, p1, u1, p2, u2, x, tau, p_s=None):
 
     A round joins the two links (``_join``) and either fails on the
     cut-off or attempts the unit, which succeeds or fails; every failure
-    restarts both sides, so the rounds are independent.  With ``op`` None
-    no unit is attempted and the rounds only wait until the links coexist
-    (:func:`max_combine`).  Returns the ``_renewal_sum`` arguments
-    ``(kernel, firsts, round_prob, restarts)``; the firsts are the
-    delivered pmf and quality mass, and a kernel of None means no round
-    fails, so the firsts are the result.
+    restarts both sides, so the rounds are independent.  Returns the
+    ``_renewal_sum`` arguments ``(kernel, firsts, round_prob, restarts)``;
+    the firsts are the delivered pmf and quality mass.
 
     A swap succeeds with the constant probability p_s.  Distillation
     succeeds with probability (1 + w'w'')/2 per prepared pair, so the
@@ -496,12 +480,10 @@ def _unit_rounds(op, p1, u1, p2, u2, x, tau, p_s=None):
     restarts = _restarts(fail, tau)
     if op == "swap":
         return ready, [ready, m_prod], p_s, restarts
-    if op == "distill":
-        success = 0.5 * (ready + m_prod)
-        failure = 0.5 * (ready - m_prod)
-        w_out_mass = (m_sum + 4.0 * m_prod) / 6.0
-        return failure, [success, w_out_mass], None, restarts
-    return restarts, [ready, m_prod], None, None
+    success = 0.5 * (ready + m_prod)
+    failure = 0.5 * (ready - m_prod)
+    w_out_mass = (m_sum + 4.0 * m_prod) / 6.0
+    return failure, [success, w_out_mass], None, restarts
 
 
 def _as_masses(dist):
@@ -543,10 +525,11 @@ def max_combine(d1, d2, t_coh=math.inf, tau=None):
     x = 1.0 if math.isinf(t_coh) else math.exp(-1.0 / t_coh)
     p1, u1 = _as_masses(d1)
     p2, u2 = _as_masses(d2)
-    kernel, firsts, _, _ = _unit_rounds(None, p1, u1, p2, u2, x, tau)
-    if kernel is not None:
-        firsts = _renewal_sum(kernel, firsts, len(p1))
-    return _finish(*firsts)
+    ready, m_prod, _, fail = _join(p1, u1, p2, u2, x, tau)
+    if fail is None:
+        return _finish(ready, m_prod)
+    return _finish(*_renewal_sum(_restarts(fail, tau), [ready, m_prod],
+                                 len(p1)))
 
 
 def compound_geometric(d, p_s):

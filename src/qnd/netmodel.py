@@ -6,7 +6,10 @@ ebits-per-use numbers (an upper weight from an entanglement measure and a
 lower weight from an achievable capacity).  Flow and cut computations operate
 on an undirected weighted graph derived from the network, where anti-parallel
 directed edges are merged into a single undirected edge whose weight is the
-usage-weighted sum of both directions.
+usage-weighted sum of both directions.  This module is the only place that
+maps directed channels to undirected edges: :func:`undirect`, and for the
+capacity bounds of :mod:`qnd.capbounds` the pass behind it, which also
+returns each undirected edge's per-channel terms.
 """
 
 import enum
@@ -41,9 +44,16 @@ class NetworkParseError(ValueError):
 
 
 class Measure(str, enum.Enum):
-    """Which per-channel scalar to use as an edge weight."""
+    """Which per-channel scalar to use as an edge weight.
+
+    ``UPPER_ENTANGLEMENT`` is the upper weight, ``UPPER_SQUASHED`` the
+    upper weight with the looser squashed-entanglement bound on lossy
+    channels (:func:`esq_lossy_bound`), and ``LOWER_CAPACITY`` the
+    achievable lower weight.
+    """
 
     UPPER_ENTANGLEMENT = "upper-entanglement"
+    UPPER_SQUASHED = "upper-squashed"
     LOWER_CAPACITY = "lower-capacity"
 
 
@@ -88,18 +98,17 @@ class Explicit:
 ChannelModel = Lossy | Explicit
 
 
-def channel_value(channel, measure, esq_lossy=False):
+def channel_value(channel, measure):
     """Scalar weight of a channel in ebits per use.
 
     Parameters
     ----------
     channel : Lossy or Explicit
     measure : Measure
-        ``UPPER_ENTANGLEMENT`` selects the upper weight, ``LOWER_CAPACITY``
-        the achievable lower weight.
-    esq_lossy : bool
-        Weight a lossy channel on the upper side with the squashed bound
-        (see :func:`esq_lossy_bound`).
+        Pure loss has one weight, ``-log2(1 - eta)``, on both sides, except
+        for ``UPPER_SQUASHED``, which gives :func:`esq_lossy_bound`.  An
+        explicit channel gives ``Q_lower`` for ``LOWER_CAPACITY`` and
+        ``E_upper`` for either upper measure.
 
     Returns
     -------
@@ -111,14 +120,13 @@ def channel_value(channel, measure, esq_lossy=False):
     if isinstance(channel, Lossy):
         if channel.eta == 1.0:
             return math.inf
-        if esq_lossy and measure is Measure.UPPER_ENTANGLEMENT:
+        if measure is Measure.UPPER_SQUASHED:
             return esq_lossy_bound(channel.eta)
-        # Upper and lower weights coincide for pure loss.
         return -math.log2(1.0 - channel.eta)
     if isinstance(channel, Explicit):
-        if measure is Measure.UPPER_ENTANGLEMENT:
-            return channel.E_upper
-        return channel.Q_lower
+        if measure is Measure.LOWER_CAPACITY:
+            return channel.Q_lower
+        return channel.E_upper
     raise TypeError(f"not a channel model: {channel!r}")
 
 
@@ -126,8 +134,8 @@ def esq_lossy_bound(eta):
     """Squashed-entanglement upper weight of a pure-loss channel.
 
     Returns ``log2((1 + eta) / (1 - eta))``, a looser alternative to the
-    default upper weight of :func:`channel_value`, selectable in the bound
-    computations of :mod:`qnd.capbounds`.
+    default upper weight, which :func:`channel_value` gives under
+    ``Measure.UPPER_SQUASHED``.
 
     Parameters
     ----------
@@ -147,7 +155,8 @@ def esq_lossy_bound(eta):
 
 @dataclass(frozen=True)
 class Edge:
-    """Directed channel from ``tail`` to ``head`` with usage weight ``q``."""
+    """Directed channel from ``tail`` to ``head`` with a finite usage
+    weight ``q >= 0``."""
 
     tail: str
     head: str
@@ -158,9 +167,9 @@ class Edge:
         if self.tail == self.head:
             raise NetworkValidationError(
                 f"self-loop edge at node {self.tail!r}")
-        if not (self.q >= 0.0):
+        if not (0.0 <= self.q < math.inf):
             raise NetworkValidationError(
-                f"usage weight q must be >= 0, got {self.q!r}")
+                f"usage weight q must be finite and >= 0, got {self.q!r}")
 
 
 @dataclass(frozen=True)
@@ -242,35 +251,46 @@ class WeightedUGraph:
         object.__setattr__(self, "uedges", tuple(canon))
 
 
-def undirect(net, measure, esq_lossy=False):
+def _collapse(net, values, weights):
+    """The undirected graph of ``net`` and the per-channel terms of each of
+    its edges.
+
+    Directed edge ``i`` has value ``values[i]`` and usage weight
+    ``weights[i]``.  Each unordered node pair gets one edge of weight
+    ``sum(weights[i] * values[i])`` over the directed edges between the
+    pair, summed in edge order; a lossless channel (value ``math.inf``)
+    contributes ``math.inf`` at a positive weight and 0 at weight 0.
+    Returns ``(graph, terms)`` with ``terms[j]`` the ``(i, values[i])``
+    pairs of undirected edge ``j``, in edge order.
+    """
+    totals, terms = {}, {}
+    for i, (e, val, q) in enumerate(zip(net.edges, values, weights)):
+        key = (e.tail, e.head) if e.tail < e.head else (e.head, e.tail)
+        if val == math.inf:
+            contrib = math.inf if q > 0 else 0.0
+        else:
+            contrib = q * val
+        totals[key] = totals.get(key, 0.0) + contrib
+        terms.setdefault(key, []).append((i, val))
+    keys = sorted(totals)
+    graph = WeightedUGraph(vertices=net.nodes,
+                           uedges=tuple((*key, totals[key]) for key in keys))
+    return graph, [terms[key] for key in keys]
+
+
+def undirect(net, measure):
     """Collapse a directed network into the undirected weighted graph used
     by all flow and cut computations.
 
     Each unordered node pair receives a single undirected edge whose weight
     is ``sum(q_e * value_e)`` over every directed edge between the pair in
-    either direction; missing directions contribute zero.  Zero-weight edges
+    either direction, ``value_e`` being ``channel_value(e.channel,
+    measure)``; missing directions contribute zero, and a lossless channel
+    contributes ``math.inf`` unless its ``q_e`` is 0.  Zero-weight edges
     are retained.
-
-    Parameters
-    ----------
-    net : NetworkSpec
-    measure : Measure
-        Weighting of each channel.
-    esq_lossy : bool
-        Use the squashed-entanglement bound for lossy channels on the upper
-        side (see :func:`esq_lossy_bound`).
     """
-    weights = {}
-    for e in net.edges:
-        key = (e.tail, e.head) if e.tail < e.head else (e.head, e.tail)
-        val = channel_value(e.channel, measure, esq_lossy=esq_lossy)
-        contrib = e.q * val
-        if val == math.inf:
-            contrib = math.inf if e.q > 0 else 0.0
-        prev = weights.get(key, 0.0)
-        weights[key] = prev + contrib
-    uedges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
-    return WeightedUGraph(vertices=net.nodes, uedges=uedges)
+    values = [channel_value(e.channel, measure) for e in net.edges]
+    return _collapse(net, values, [e.q for e in net.edges])[0]
 
 
 # --- JSON document format -------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qnd import capbounds, flows, lpcore
 from qnd.capbounds import (BoundReport, UsageUnit, bipartite_bounds,
                            multipair_bounds, multipartite_bounds)
-from qnd.flows import FlowAssignment
+from qnd.flows import FlowAssignment, FlowObjective
 from qnd.netmodel import (Edge, Explicit, Lossy, Measure, NetworkSpec,
                           NetworkValidationError, channel_value,
                           parse_network, undirect)
@@ -173,6 +173,17 @@ class TestMultipair:
         assert "g1(k)" in total.slack_note
         assert "g2(k)" in worst.slack_note
         assert "O(log k)" in total.slack_note
+
+    @pytest.mark.parametrize("objective", list(FlowObjective))
+    def test_objective_enum_or_string(self, objective):
+        pairs = [("A", "B"), ("B", "C")]
+        by_member = multipair_bounds(self.PATH, pairs, objective, CHAN)
+        by_string = multipair_bounds(self.PATH, pairs, objective.value, CHAN)
+        assert by_member == by_string
+
+    def test_unknown_objective_rejected(self):
+        with pytest.raises(ValueError):
+            multipair_bounds(self.PATH, [("A", "C")], "best", NET)
 
     def test_numeric_slack_factor(self):
         base = multipair_bounds(self.PATH, [("A", "C")], "total", NET)
@@ -448,18 +459,18 @@ def _two_solve_sandwich(net, unit, pairs, objective, esq_lossy_upper,
     if unit is NET:
         net = dataclasses.replace(net, edges=tuple(
             Edge(e.tail, e.head, e.channel, 1.0) for e in net.edges))
+    upper = (Measure.UPPER_SQUASHED if esq_lossy_upper
+             else Measure.UPPER_ENTANGLEMENT)
     results = []
-    for measure, esq in ((Measure.LOWER_CAPACITY, False),
-                         (Measure.UPPER_ENTANGLEMENT, esq_lossy_upper)):
-        graph = undirect(net, measure, esq_lossy=esq)
+    for measure in (Measure.LOWER_CAPACITY, upper):
+        graph = undirect(net, measure)
         usage_terms = None
         if unit is CHAN:
             index = {(u, v): j for j, (u, v, _) in enumerate(graph.uedges)}
             usage_terms = [[] for _ in graph.uedges]
             for q_idx, e in enumerate(net.edges):
                 usage_terms[index[tuple(sorted((e.tail, e.head)))]].append(
-                    (q_idx, channel_value(e.channel, measure,
-                                          esq_lossy=esq)))
+                    (q_idx, channel_value(e.channel, measure)))
         value, _, q = flows._solve_flow(graph, pairs, objective, usage_terms,
                                         shared_capacity)
         results.append((value, q))

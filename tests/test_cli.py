@@ -82,6 +82,23 @@ class TestBounds:
         bad.write_text('{"nodes": ["A"], "edges": [], "bogus": 1}')
         assert main(["bounds", str(bad), "--bipartite", "A", "B"]) == 2
 
+    def test_malformed_network_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"nodes": ["A", "B"], "edges": [{"from": "A", '
+                       '"to": "B", "channel": {"type": "lossy", '
+                       '"eta": "0.5"}}]}')
+        assert main(["bounds", str(bad), "--bipartite", "A", "B"]) == 2
+        assert "edges[0].channel.eta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unit", ["fixed-q", "channel-use"])
+    def test_infinite_usage_weight_exits_2(self, tmp_path, capsys, unit):
+        bad = tmp_path / "bad.json"
+        bad.write_text(TWO_SEGMENT.replace(
+            '"eta": 0.5}}\n  ]', '"eta": 0.0}, "q": Infinity}\n  ]'))
+        assert main(["bounds", str(bad), "--bipartite", "A", "B",
+                     "--unit", unit]) == 2
+        assert "usage weight q" in capsys.readouterr().err
+
     def test_non_utf8_network_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe\x00x")
@@ -197,6 +214,20 @@ class TestChain:
         lines = capsys.readouterr().out.splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["captured_mass"]) >= 1.0 - 1e-6
+
+    def test_timings_append_wall_ms(self, capsys):
+        argv = ["chain", "analytic", "--n", "1,2", "--pg", "0.5",
+                "--ps", "0.5"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--timings"]) == 0
+        timed = capsys.readouterr().out.splitlines()
+        assert len(timed) == len(plain) == 3
+        assert timed[0] == plain[0] + ",wall_ms"
+        for line, reference in zip(timed[1:], plain[1:]):
+            rest, wall_ms = line.rsplit(",", 1)
+            assert rest == reference
+            assert 0.0 <= float(wall_ms) < math.inf
 
     def test_markov_one_step(self, capsys):
         code = main(["chain", "markov", "--n", "1", "--pg", "0.5",

@@ -13,6 +13,7 @@ from qnd.netmodel import (Edge, Explicit, Lossy, Measure, NetworkParseError,
 
 UP = Measure.UPPER_ENTANGLEMENT
 LO = Measure.LOWER_CAPACITY
+SQ = Measure.UPPER_SQUASHED
 
 
 def weights(graph):
@@ -68,13 +69,10 @@ class TestEsqBound:
             esq_lossy_bound(1.0)
 
     def test_selected_only_for_lossy_upper_weights(self):
-        assert channel_value(Lossy(0.5), UP, esq_lossy=True) == \
-            esq_lossy_bound(0.5)
-        assert channel_value(Lossy(1.0), UP, esq_lossy=True) == math.inf
-        assert channel_value(Lossy(0.5), LO, esq_lossy=True) == \
-            channel_value(Lossy(0.5), LO)
+        assert channel_value(Lossy(0.5), SQ) == esq_lossy_bound(0.5)
+        assert channel_value(Lossy(1.0), SQ) == math.inf
         ch = Explicit(E_upper=2.5, Q_lower=1.0)
-        assert channel_value(ch, UP, esq_lossy=True) == 2.5
+        assert channel_value(ch, SQ) == 2.5
 
     def test_looser_than_default_upper(self):
         for eta in np.linspace(0.05, 0.95, 19):
@@ -129,7 +127,7 @@ class TestUndirect:
     def test_esq_weighting_for_lossy(self):
         net = NetworkSpec(nodes=("A", "B"),
                           edges=(Edge("A", "B", Lossy(0.5)),))
-        g = undirect(net, UP, esq_lossy=True)
+        g = undirect(net, SQ)
         assert weights(g)["A", "B"] == pytest.approx(math.log2(3.0))
 
 
@@ -146,6 +144,11 @@ class TestValidation:
         with pytest.raises(NetworkValidationError):
             Edge("A", "B", Lossy(0.5), q=-1.0)
 
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_non_finite_usage_weight_rejected(self, q):
+        with pytest.raises(NetworkValidationError, match="usage weight q"):
+            Edge("A", "B", Lossy(0.0), q=q)
+
     def test_commodity_endpoints_checked(self):
         with pytest.raises(NetworkValidationError, match="commodity"):
             NetworkSpec(nodes=("A", "B"),
@@ -156,6 +159,37 @@ class TestValidation:
         with pytest.raises(NetworkValidationError, match="duplicate"):
             WeightedUGraph(vertices=("A", "B"),
                            uedges=(("A", "B", 1.0), ("B", "A", 2.0)))
+
+
+def _one_edge(**fields):
+    """A two-node document whose one edge has ``fields`` replaced."""
+    edge = {"from": "A", "to": "B",
+            "channel": {"type": "lossy", "eta": 0.5}, **fields}
+    return {"nodes": ["A", "B"], "edges": [edge]}
+
+
+# One malformed document per NetworkParseError raise site of parse_network,
+# with the field path its message starts with.
+MALFORMED = [
+    ({"nodes": ["A"]}, "top level: missing required key 'edges'"),
+    (_one_edge(channel=[0.5]), "edges[0].channel: channel must be"),
+    (_one_edge(channel={"type": "lossy", "eta": "0.5"}),
+     "edges[0].channel.eta:"),
+    (_one_edge(channel={"type": "explicit", "E": True, "Q": 1}),
+     "edges[0].channel.E:"),
+    (_one_edge(channel={"type": "explicit", "E": 2, "Q": None}),
+     "edges[0].channel.Q:"),
+    (_one_edge(q="1"), "edges[0].q:"),
+    (["A", "B"], "top level: must be a JSON object"),
+    ({"nodes": ["A", 1], "edges": []}, "nodes:"),
+    ({"nodes": ["A"], "edges": {}}, "edges:"),
+    ({"nodes": ["A"], "edges": ["A-B"]}, "edges[0]: must be an object"),
+    (_one_edge(to=["B"]), "edges[0]: 'from'/'to'"),
+    ({"nodes": ["A"], "edges": [], "commodities": "A-B"}, "commodities:"),
+    ({"nodes": ["A", "B"], "edges": [], "commodities": [["A", "B", "A"]]},
+     "commodities[0]:"),
+    ({"nodes": ["A"], "edges": [], "users": "A"}, "users:"),
+]
 
 
 class TestParse:
@@ -197,6 +231,20 @@ class TestParse:
     def test_syntax_error_reports_line(self):
         with pytest.raises(NetworkParseError, match="line"):
             parse_network("{\n  broken\n}")
+
+    def test_infinite_usage_weight_names_q(self):
+        doc = self.MINIMAL.replace('"eta": 0.5}', '"eta": 0.5}, "q": Infinity')
+        with pytest.raises(NetworkValidationError, match="usage weight q"):
+            parse_network(doc)
+
+    @pytest.mark.parametrize("doc, path", MALFORMED, ids=[
+        "missing-key", "channel-not-object", "eta", "E", "Q", "q",
+        "top-level", "nodes", "edges", "edge-not-object", "from-to",
+        "commodities", "commodity-pair", "users"])
+    def test_malformed_document_names_field(self, doc, path):
+        with pytest.raises(NetworkParseError) as err:
+            parse_network(json.dumps(doc))
+        assert str(err.value).startswith(path)
 
     def test_field_path_in_errors(self):
         doc = json.dumps({"nodes": ["A", "B"], "edges": [
