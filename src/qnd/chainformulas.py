@@ -121,11 +121,16 @@ def geometric_level_mean(params):
 
     seeded with ``T_0 = 1 / p_g``.  Exact at one nesting level; the error
     grows with the level but vanishes as the success probabilities shrink.
+    Raises ``OverflowError`` when a level's mean leaves the float range.
     """
     mean = 1.0 / params.p_g
-    for _ in range(params.n):
+    for level in range(1, params.n + 1):
         p = 1.0 / mean
         mean = (3.0 - 2.0 * p) / ((2.0 - p) * p * params.p_s)
+        if math.isinf(mean):
+            raise OverflowError(
+                f"the geometric level mean overflows the float range at "
+                f"level {level} of {params.n}")
     return mean
 
 
@@ -138,13 +143,18 @@ def decay_factor(p_g, decay_per_step):
 
         p_g / (2 - p_g) * (2 / (1 - (1 - p_g) * decay_per_step) - 1).
 
-    Equals 1 when generation is deterministic or the memory is perfect.
+    Equals 1, exactly, when generation is deterministic or the memory is
+    perfect.
     """
     if not (0.0 < p_g <= 1.0):
         raise ValueError(f"p_g must be in (0, 1], got {p_g!r}")
     if not (0.0 <= decay_per_step <= 1.0):
         raise ValueError(
             f"decay_per_step must be in [0, 1], got {decay_per_step!r}")
+    if p_g == 1.0 or decay_per_step == 1.0:
+        # The formula is 1 here only up to rounding, and its denominator
+        # 1 - (1 - p_g) vanishes once p_g falls below the float epsilon.
+        return 1.0
     q = 1.0 - p_g
     return p_g / (2.0 - p_g) * (2.0 / (1.0 - q * decay_per_step) - 1.0)
 

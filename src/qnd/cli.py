@@ -151,6 +151,8 @@ def _workers():
             cap = max(1, int(raw))
         except ValueError:
             raise UsageError(f"QND_THREADS must be an integer, got {raw!r}")
+    elif hasattr(os, "sched_getaffinity"):
+        cap = min(8, len(os.sched_getaffinity(0)))  # the usable cores
     else:
         cap = min(8, os.cpu_count() or 1)
     return cap

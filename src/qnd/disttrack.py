@@ -295,8 +295,13 @@ def _renewal_sum(kernel, firsts, n, round_prob=None, restarts=None):
     kernel itself, as in every swap unit, reuses its transform, and a
     repeated first (a quality mass that is the pmf) the earlier output.
     Transforms are released as soon as they are used, which bounds the
-    memory of long horizons.
+    memory of long horizons.  A unit with no failure rounds (``round_prob``
+    1 and no restarts) returns its firsts as they are, zero-extended: the
+    transforms would only add rounding noise, which the clip to
+    nonnegative values turns into spurious tail mass.
     """
+    if round_prob == 1.0 and restarts is None:
+        return [_pad(first[:n], n) for first in firsts]
     size = _fft_len(n)
     khat = np.fft.rfft(kernel[:n], size)
     # gain = scale / (1 - weighted kernel - restarts), built in place.

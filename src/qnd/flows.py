@@ -9,20 +9,25 @@ max-flows (Edmonds & Karp, J. ACM 1972).  Usage frequencies under a unit
 budget with shared capacity are shortest paths.  Two classes stay linear
 programs solved by :mod:`qnd.lpcore`: multicommodity total / worst-case
 concurrent flow on fixed shared capacity, and usage frequencies shared by
-private capacity copies.  Every solution it returns has passed
-:meth:`FlowAssignment.verify`, a solver-independent re-check of capacity
-and conservation.  Alongside them live small brute-force oracles, minimum
-cut, minimum multicut, minimum cut ratio, terminal-set connectivity, and
-Steiner tree packing, which are exact on small instances and serve as
-independent cross-checks of the flow results (max-flow equals min-cut,
-total flow is at most the multicut weight, worst-case flow at most the cut
-ratio).
+private capacity copies.  One helper, :func:`_incidence`, indexes each
+graph and orients every edge from ``u`` to ``v`` as ``graph.uedges`` lists
+it; the max-flow and shortest-path arcs, the LP rows (filled in one column
+block per commodity) and the verification all read that orientation.
+Every solution returned has passed :meth:`FlowAssignment.verify`, a
+solver-independent re-check of capacity and conservation.  Terminal-set
+connectivity is the least of the max-flows from one terminal to the others.
+Alongside them live small brute-force oracles, minimum cut, minimum
+multicut, minimum cut ratio, and Steiner tree packing, which are exact on
+small instances and serve as independent cross-checks of the flow results
+(max-flow equals min-cut, total flow is at most the multicut weight,
+worst-case flow at most the cut ratio).
 
 Flows are real-valued throughout; integrality appears only inside the
 brute-force tree-packing oracle.
 """
 
 import enum
+import functools
 import heapq
 import itertools
 import math
@@ -114,9 +119,7 @@ class FlowAssignment:
                 f"capacity violated on {{{u}, {v}}}{where}")
         if not np.all(self.flows >= -tol):
             raise FlowVerificationError("negative edge flow")
-        index = {v: n for n, v in enumerate(graph.vertices)}
-        tails = np.array([index[u] for u, _ in self.edges], dtype=int)
-        heads = np.array([index[v] for _, v in self.edges], dtype=int)
+        index, tails, heads = _incidence(graph.vertices, self.edges)
         n_v = len(graph.vertices)
         for i, (s, t) in enumerate(self.commodities):
             forward = self.flows[i, :, 0] - self.flows[i, :, 1]
@@ -152,6 +155,16 @@ def _check_terminals(graph, *terminals):
             raise ValueError(f"terminal {t!r} is not a vertex of the graph")
 
 
+def _incidence(vertices, edges):
+    """Vertex index of ``vertices``, and the tail and head index of each
+    ``(u, v, ...)`` edge of ``edges``, which is oriented from ``u`` to
+    ``v``."""
+    index = {v: n for n, v in enumerate(vertices)}
+    tails = np.array([index[e[0]] for e in edges], dtype=int)
+    heads = np.array([index[e[1]] for e in edges], dtype=int)
+    return index, tails, heads
+
+
 def _build_multiflow_lp(graph, commodities, objective, usage_terms=None,
                         shared_capacity=True):
     """Assemble a flow LP; every flow program of the package is built here.
@@ -167,91 +180,67 @@ def _build_multiflow_lp(graph, commodities, objective, usage_terms=None,
     Edges of infinite weight, or with an infinite term, get no capacity
     row.  With ``shared_capacity`` False every commodity gets its own copy
     of the capacity rows.  Capacity rows are emitted group-major, then by
-    edge.
+    edge; conservation rows commodity-major, then by vertex.
 
-    Returns ``(lp, q_offset, net_flow_row)``.
+    Returns ``(lp, q_offset, source_rows)``: ``source_rows[i] @ x`` is the
+    net outflow of commodity ``i`` from its source.
     """
-    edges = [(u, v) for u, v, _ in graph.uedges]
-    weights = [w for _, _, w in graph.uedges]
-    n_e = len(edges)
-    k = len(commodities)
+    index, tails, heads = _incidence(graph.vertices, graph.uedges)
+    n_v, n_e, k = len(graph.vertices), len(graph.uedges), len(commodities)
     n_flow = 2 * n_e * k
     worst = FlowObjective(objective) is FlowObjective.WORST
     n_q = sum(len(terms) for terms in usage_terms or ())
     q_offset = n_flow + (1 if worst else 0)
     n = q_offset + n_q
+    own = np.arange(k)[:, None]  # each commodity's own column block
 
-    def fvar(i, j, direction):
-        return i * 2 * n_e + 2 * j + direction
+    def flow_columns(rows):
+        """The flow columns of ``rows`` viewed as (commodity, edge, arc)."""
+        return rows[..., :n_flow].reshape(*rows.shape[:-1], k, n_e, 2)
 
-    incident = {v: [] for v in graph.vertices}
-    for j, (u, v) in enumerate(edges):
-        incident[u].append((j, 0))
-        incident[v].append((j, 1))
+    # Net outflow of commodity i at every vertex, in its own column block.
+    net = np.zeros((k, n_v, n))
+    flow_columns(net)[own, tails, own, np.arange(n_e)] = (1.0, -1.0)
+    flow_columns(net)[own, heads, own, np.arange(n_e)] = (-1.0, 1.0)
+    ends = np.array([[index[s], index[t]] for s, t in commodities])
+    source_rows = net[own[:, 0], ends[:, 0]]
+    inner = np.tile(np.bincount(np.concatenate([tails, heads]),
+                                minlength=n_v) > 0, (k, 1))
+    inner[own, ends] = False
+    rows_eq, rhs_eq = [net[inner]], [0.0] * np.count_nonzero(inner)
 
-    rows_ineq, rhs_ineq = [], []
-    groups = [range(k)] if shared_capacity else [[i] for i in range(k)]
-    for group in groups:
-        for j, w in enumerate(weights):
-            if usage_terms is None:
-                if math.isinf(w):
-                    continue
-                rhs = w
-            elif any(math.isinf(val) for _, val in usage_terms[j]):
-                continue
-            else:
-                rhs = 0.0
-            row = np.zeros(n)
-            for i in group:
-                row[fvar(i, j, 0)] = 1.0
-                row[fvar(i, j, 1)] = 1.0
-            if usage_terms is not None:
-                for q_idx, val in usage_terms[j]:
-                    row[q_offset + q_idx] = -val
-            rows_ineq.append(row)
-            rhs_ineq.append(rhs)
-
-    def net_flow_row(i, vertex):
-        row = np.zeros(n)
-        for j, direction in incident[vertex]:
-            row[fvar(i, j, direction)] += 1.0
-            row[fvar(i, j, 1 - direction)] -= 1.0
-        return row
-
-    rows_eq, rhs_eq = [], []
-    for i, (s, t) in enumerate(commodities):
-        for v in graph.vertices:
-            if v in (s, t):
-                continue
-            if not incident[v]:
-                continue
-            rows_eq.append(net_flow_row(i, v))
-            rhs_eq.append(0.0)
-
-    c = np.zeros(n)
-    if worst:
-        c[n_flow] = 1.0
-        for i, (s, t) in enumerate(commodities):
-            row = np.zeros(n)
-            row[n_flow] = 1.0
-            row -= net_flow_row(i, s)
-            rows_ineq.append(row)
-            rhs_ineq.append(0.0)
-    else:
-        for i, (s, t) in enumerate(commodities):
-            c += net_flow_row(i, s)
-
+    # Usage rows move every term to the left: their bound is the capacity
+    # at q = 0, which is 0 or unbounded.
+    bound = [w for _, _, w in graph.uedges] if usage_terms is None else [
+        _usage_capacity(terms, [0.0] * n_q) for terms in usage_terms]
+    capped = [j for j, w in enumerate(bound) if not math.isinf(w)]
+    n_groups = 1 if shared_capacity else k
+    group = np.zeros_like(own) if shared_capacity else own
+    capacity = np.zeros((n_groups, len(capped), n))
+    flow_columns(capacity)[group, np.arange(len(capped)), own, capped] = 1.0
     if usage_terms is not None:
-        row = np.zeros(n)
-        row[q_offset:] = 1.0
-        rows_eq.append(row)
+        for r, j in enumerate(capped):
+            for q_idx, val in usage_terms[j]:
+                capacity[:, r, q_offset + q_idx] = -val
+        budget = np.zeros((1, n))
+        budget[0, q_offset:] = 1.0
+        rows_eq.append(budget)
         rhs_eq.append(1.0)
 
-    lp = lpcore.from_inequalities(
-        c,
-        np.array(rows_ineq).reshape(-1, n), np.array(rhs_ineq),
-        np.array(rows_eq).reshape(-1, n), np.array(rhs_eq))
-    return lp, q_offset, net_flow_row
+    rows_ineq = [capacity.reshape(-1, n)]
+    rhs_ineq = [bound[j] for j in capped] * n_groups
+    if worst:
+        # The slack variable is at most every commodity's net outflow.
+        c = np.zeros(n)
+        c[n_flow] = 1.0
+        rows_ineq.append(c - source_rows)
+        rhs_ineq += [0.0] * k
+    else:
+        c = source_rows.sum(axis=0)
+
+    lp = lpcore.from_inequalities(c, np.vstack(rows_ineq), np.array(rhs_ineq),
+                                  np.vstack(rows_eq), np.array(rhs_eq))
+    return lp, q_offset, source_rows
 
 
 def _usage_capacity(terms, q):
@@ -265,11 +254,11 @@ def _usage_capacity(terms, q):
 def _adjacency(graph):
     """Vertex indices of ``graph`` and, per vertex, its ``(edge, neighbour,
     sign)`` arcs; ``sign`` is +1 along the edge's ``(u, v)`` direction."""
-    index = {v: n for n, v in enumerate(graph.vertices)}
+    index, tails, heads = _incidence(graph.vertices, graph.uedges)
     adj = [[] for _ in graph.vertices]
-    for j, (u, v, _) in enumerate(graph.uedges):
-        adj[index[u]].append((j, index[v], 1))
-        adj[index[v]].append((j, index[u], -1))
+    for j, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
+        adj[u].append((j, v, 1))
+        adj[v].append((j, u, -1))
     return index, adj
 
 
@@ -431,7 +420,7 @@ def _shortest_paths(graph, commodities, objective, usage_terms,
 def _lp_flows(graph, commodities, objective, usage_terms, shared_capacity):
     """Any flow program, as the LP of :func:`_build_multiflow_lp` solved by
     :mod:`qnd.lpcore`; None when it is unbounded."""
-    lp, q_offset, net_flow_row = _build_multiflow_lp(
+    lp, q_offset, source_rows = _build_multiflow_lp(
         graph, commodities, objective, usage_terms, shared_capacity)
     result = lpcore.solve(lp)
     if result.status is lpcore.LPStatus.UNBOUNDED:
@@ -442,8 +431,7 @@ def _lp_flows(graph, commodities, objective, usage_terms, shared_capacity):
     x = result.solution[:lp.n_structural]
     k = len(commodities)
     flows = x[:2 * len(graph.uedges) * k].reshape(k, -1, 2).copy()
-    values = tuple(float(net_flow_row(i, commodities[i][0]) @ x)
-                   for i in range(k))
+    values = tuple(float(row @ x) for row in source_rows)
     q = None
     if usage_terms is not None:
         # Frequencies are nonnegative; the solver's float noise is not
@@ -471,18 +459,12 @@ def _solve_flow(graph, commodities, objective, usage_terms=None,
     """Solve and verify one flow program (see :func:`_build_multiflow_lp`
     for the arguments).
 
-    The program's structure picks the solver (:func:`_solver`): fixed
-    weights with one commodity or private capacity copies are Edmonds-Karp
-    max-flows, usage frequencies with shared capacity are shortest paths,
-    and only the multicommodity programs on fixed shared capacity and the
-    usage-frequency programs on private copies are LPs.
-
-    Returns ``(value, assignment, q)`` with ``q`` the optimized usage
-    frequencies when ``usage_terms`` is given, else None.  The assignment
-    is verified against the capacities the program enforced: the graph
-    weights, or the usage terms evaluated at ``q``.  An unbounded program,
-    only possible through infinite capacities, returns
-    ``(math.inf, None, None)``.
+    The program's structure picks the solver (:func:`_solver`).  Returns
+    ``(value, assignment, q)`` with ``q`` the optimized usage frequencies
+    when ``usage_terms`` is given, else None.  The assignment is verified
+    against the capacities the program enforced: the graph weights, or the
+    usage terms evaluated at ``q``.  An unbounded program, only possible
+    through infinite capacities, returns ``(math.inf, None, None)``.
     """
     commodities = tuple(tuple(p) for p in commodities)
     k = len(commodities)
@@ -553,13 +535,13 @@ def multicommodity_flow(graph, commodities, objective=FlowObjective.TOTAL):
 def _cut_weights_vectorized(graph, fixed_in, fixed_out):
     """Weights of all cuts over subsets of the non-fixed vertices.
 
-    Returns (masks side array per free vertex, weight array indexed by
-    mask, free vertex list).  ``fixed_in`` vertices are always inside W,
-    ``fixed_out`` always outside.
+    Returns (mask array, weight array indexed by mask, mask bit of each
+    free vertex).  ``fixed_in`` vertices are always inside W, ``fixed_out``
+    always outside.
     """
     free = [v for v in graph.vertices
             if v not in fixed_in and v not in fixed_out]
-    idx = {v: i for i, v in enumerate(free)}
+    bits = {v: i for i, v in enumerate(free)}
     n_masks = 1 << len(free)
     masks = np.arange(n_masks, dtype=np.int64)
     weights = np.zeros(n_masks)
@@ -569,7 +551,7 @@ def _cut_weights_vectorized(graph, fixed_in, fixed_out):
             return np.ones(n_masks, dtype=bool)
         if v in fixed_out:
             return np.zeros(n_masks, dtype=bool)
-        return ((masks >> idx[v]) & 1).astype(bool)
+        return ((masks >> bits[v]) & 1).astype(bool)
 
     for u, v, w in graph.uedges:
         crossing = side(u) ^ side(v)
@@ -577,7 +559,7 @@ def _cut_weights_vectorized(graph, fixed_in, fixed_out):
             weights = np.where(crossing, np.inf, weights)
         else:
             weights = weights + np.where(crossing, w, 0.0)
-    return masks, weights, free
+    return masks, weights, bits
 
 
 def min_cut_bruteforce(graph, s, t):
@@ -594,12 +576,12 @@ def min_cut_bruteforce(graph, s, t):
         raise SizeLimitError(
             f"{len(graph.vertices)} vertices exceed the enumeration "
             f"limit of {MAX_CUT_VERTICES}")
-    masks, weights, free = _cut_weights_vectorized(graph, {s}, {t})
+    masks, weights, bits = _cut_weights_vectorized(graph, {s}, {t})
     best = weights.min()
     candidates = np.nonzero(weights <= best)[0]
 
     def members(mask):
-        side = [s] + [v for i, v in enumerate(free) if (mask >> i) & 1]
+        side = [s] + [v for v, i in bits.items() if (mask >> i) & 1]
         return tuple(sorted(side))
 
     best_mask = min((members(int(m)), int(m)) for m in candidates)[1]
@@ -666,27 +648,28 @@ def min_multicut_bruteforce(graph, commodities):
             f"of {MAX_MULTICUT_EDGES}")
     if not commodities:
         return 0.0, ()
-    vertices = list(graph.vertices)
-    vidx = {v: i for i, v in enumerate(vertices)}
+    index, tails, heads = _incidence(graph.vertices, graph.uedges)
+    ends = list(zip(tails.tolist(), heads.tolist()))
+    pairs = [(index[s], index[t]) for s, t in commodities]
     k = len(commodities)
     best_weight = math.inf
     best_labels = None
-    for labels in _restricted_growth_partitions(len(vertices), k + 1):
-        if any(labels[vidx[s]] == labels[vidx[t]] for s, t in commodities):
+    for labels in _restricted_growth_partitions(len(index), k + 1):
+        if any(labels[s] == labels[t] for s, t in pairs):
             continue
-        weight = sum(w for u, v, w in graph.uedges
-                     if labels[vidx[u]] != labels[vidx[v]])
+        weight = sum(w for (a, b), (_, _, w) in zip(ends, graph.uedges)
+                     if labels[a] != labels[b])
         if weight < best_weight:
             best_weight = weight
             best_labels = labels
     if best_labels is None:
         raise ValueError("no partition separates all commodity pairs")
-    cut = tuple((u, v) for u, v, w in graph.uedges
-                if best_labels[vidx[u]] != best_labels[vidx[v]])
+    cut = tuple((u, v) for (a, b), (u, v, _) in zip(ends, graph.uedges)
+                if best_labels[a] != best_labels[b])
     # Independent verification: removal really disconnects every pair.
     removed = set(cut)
     remaining = [(u, v) for u, v, _ in graph.uedges if (u, v) not in removed]
-    comp = _components(vertices, remaining)
+    comp = _components(graph.vertices, remaining)
     if any(comp[s] == comp[t] for s, t in commodities):
         raise AssertionError("multicut verification failed")
     return float(best_weight), cut
@@ -708,12 +691,11 @@ def min_cut_ratio_bruteforce(graph, commodities):
     if n_v > MAX_RATIO_VERTICES:
         raise SizeLimitError(f"{n_v} vertices exceed the enumeration limit "
                              f"of {MAX_RATIO_VERTICES}")
-    masks, weights, free = _cut_weights_vectorized(graph, set(), set())
-    idx = {v: i for i, v in enumerate(free)}
+    masks, weights, bits = _cut_weights_vectorized(graph, set(), set())
     separated = np.zeros(len(masks), dtype=np.int64)
     for s, t in commodities:
-        bit_s = (masks >> idx[s]) & 1
-        bit_t = (masks >> idx[t]) & 1
+        bit_s = (masks >> bits[s]) & 1
+        bit_t = (masks >> bits[t]) & 1
         separated = separated + (bit_s ^ bit_t)
     valid = separated > 0
     if not np.any(valid):
@@ -721,7 +703,7 @@ def min_cut_ratio_bruteforce(graph, commodities):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(valid, weights / separated, np.inf)
     best = int(np.argmin(ratio))
-    partition = tuple(sorted(v for i, v in enumerate(free)
+    partition = tuple(sorted(v for v, i in bits.items()
                              if (best >> i) & 1))
     return float(ratio[best]), partition
 
@@ -729,17 +711,20 @@ def min_cut_ratio_bruteforce(graph, commodities):
 def s_connectivity(graph, terminals):
     """Least pairwise max-flow among a terminal set (its connectivity).
 
-    Upper-bounds the number of edge-disjoint trees spanning the set.
+    Upper-bounds the number of edge-disjoint trees spanning the set.  The
+    k - 1 max-flows from the first terminal suffice: ``maxflow(a, b) >=
+    min(maxflow(a, h), maxflow(h, b))`` (Gomory & Hu, J. SIAM 1961).
     """
     terminals = list(terminals)
     if len(terminals) < 2:
         raise ValueError("terminal set must contain at least two vertices")
     _check_terminals(graph, *terminals)
-    best = math.inf
-    for a, b in itertools.combinations(terminals, 2):
-        value, _ = max_flow(graph, a, b)
-        best = min(best, value)
-    return best
+    if len(set(terminals)) < len(terminals):
+        raise ValueError("terminal set repeats a vertex")
+    hub, *others = terminals
+    value, _, _ = _solve_flow(graph, [(hub, t) for t in others],
+                              FlowObjective.WORST, shared_capacity=False)
+    return value
 
 
 def _expand_multigraph(graph):
@@ -779,10 +764,7 @@ def steiner_packing_bruteforce(graph, terminals):
         edges = [edge_list[i] for i in subset_idx]
         if not edges:
             return False
-        verts = set()
-        for u, v in edges:
-            verts.add(u)
-            verts.add(v)
+        verts = {x for edge in edges for x in edge}
         if not terminals <= verts:
             return False
         if len(edges) != len(verts) - 1:
@@ -794,16 +776,11 @@ def steiner_packing_bruteforce(graph, terminals):
     for r in range(1, m + 1):
         for subset in itertools.combinations(range(m), r):
             if is_s_tree(subset):
-                mask = 0
-                for i in subset:
-                    mask |= 1 << i
-                trees.append(mask)
+                trees.append(sum(1 << i for i in subset))
     if not trees:
         return 0
 
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
+    @functools.lru_cache(maxsize=None)
     def best_packing(available):
         best = 0
         for tree in trees:

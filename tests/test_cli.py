@@ -197,6 +197,12 @@ class TestBounds:
         assert len(lines) == 2
 
 
+def _rows(out):
+    lines = out.splitlines()
+    return [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+
+
 class TestChain:
     def test_analytic_single_level(self, tmp_path, capsys):
         code = main(["chain", "analytic", "--n", "1",
@@ -316,6 +322,30 @@ class TestChain:
         out, err = capsys.readouterr()
         assert out == ""
         assert "w0 out of [0, 1]" in err
+
+    def test_analytic_quality_is_exactly_one_on_perfect_links(self, capsys):
+        # decay_factor(p, 1) was 1 only up to rounding, squared at every
+        # level, and divided by zero once p fell below the float epsilon.
+        n = ",".join(str(i) for i in range(1, 61))
+        assert main(["chain", "analytic", "--n", n, "--pg", "0.1,0.5",
+                     "--ps", "0.5,1.0"]) == 0
+        rows = _rows(capsys.readouterr().out)
+        assert len(rows) == 240
+        assert {row["mean_w"] for row in rows} == {"1.0"}
+
+    def test_analytic_quality_stays_in_the_unit_interval(self, capsys):
+        n = ",".join(str(i) for i in range(1, 61))
+        assert main(["chain", "analytic", "--n", n, "--pg", "0.1,0.5",
+                     "--ps", "0.5,1.0", "--tcoh", "40", "--w0", "0.9"]) == 0
+        rows = _rows(capsys.readouterr().out)
+        assert all(0.0 <= float(row["mean_w"]) <= 1.0 for row in rows)
+
+    def test_analytic_mean_overflow_is_an_engine_error(self, capsys):
+        assert main(["chain", "analytic", "--n", "700", "--pg", "0.5",
+                     "--ps", "0.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "overflows" in err
 
     def test_analytic_cutoff_accepts_the_defaults_spelled_out(self, capsys):
         assert main(["chain", "analytic", "--n", "1", "--pg", "0.3",
@@ -704,6 +734,13 @@ class TestThreads:
             assert main(argv + ["--out", str(out)]) == 0
             outputs[threads] = out.read_bytes()
         assert outputs["1"] == outputs[None] == outputs["3"]
+
+    def test_default_counts_the_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("QND_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._workers() == 1
 
 
 class TestUsage:

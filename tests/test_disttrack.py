@@ -505,6 +505,15 @@ class TestCertifiedHorizons:
         assert dist.mean() == pytest.approx(det_swap_mean(2 ** n, 0.1),
                                             rel=1e-12)
 
+    @pytest.mark.parametrize("n", [10, 20, 30, 40])
+    def test_deterministic_swap_means_stay_exact_on_deep_chains(self, n):
+        # A unit with no failure rounds used to pass through the FFT, whose
+        # clipped noise added tail mass that every join doubled: 2.6e-7
+        # relative at n = 30 and 1.8e-4 at n = 40.
+        dist = chain_distribution(ChainParams(n=n, p_g=0.5, p_s=1.0))
+        assert dist.mean() == pytest.approx(det_swap_mean(2 ** n, 0.5),
+                                            rel=1e-9)
+
     @pytest.mark.parametrize("params, protocol", [
         (ChainParams(n=3, p_g=0.1, p_s=0.5), None),
         (ChainParams(n=2, p_g=0.2, p_s=0.5, t_coh=30.0, tau=8), None),

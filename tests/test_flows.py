@@ -382,6 +382,31 @@ class TestSConnectivity:
         with pytest.raises(ValueError):
             s_connectivity(TRIANGLE, ["A"])
 
+    @pytest.mark.parametrize("terminals", [["A", "Z"], ["A", "B", "A"],
+                                           ["A", "A"]])
+    def test_unknown_or_repeated_terminal(self, terminals):
+        with pytest.raises(ValueError):
+            s_connectivity(TRIANGLE, terminals)
+
+    def test_hub_pairs_give_the_least_pairwise_flow(self):
+        # Gomory-Hu: the k - 1 flows from one terminal hold the least of
+        # all k (k - 1) / 2, also with zero and infinite weights.
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n_v = int(rng.integers(3, 8))
+            names = [f"V{i}" for i in range(n_v)]
+            edges = [(a, b, float(rng.choice([0.0, math.inf, 1.0, 2.5,
+                                               rng.uniform(0.1, 3.0)])))
+                     for a, b in itertools.combinations(names, 2)
+                     if rng.random() < 0.6]
+            g = graph(names, edges)
+            terminals = list(rng.permutation(names)[:int(rng.integers(2,
+                                                                      5))])
+            least = min(max_flow(g, a, b)[0]
+                        for a, b in itertools.combinations(terminals, 2))
+            assert s_connectivity(g, terminals) == pytest.approx(least,
+                                                                 rel=1e-12)
+
 
 class TestSteinerPacking:
     def test_two_parallel_edges(self):
