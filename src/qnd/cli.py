@@ -13,6 +13,10 @@ Subcommands
 ``simulate``  batches on the discrete-event engine, with optional
               per-swap communication delay and event-trace hashing.
 
+All three grid commands run one engine's cell function over the grid:
+``compare`` runs the ``track`` engine and ``simulate`` the ``des`` engine,
+so their numbers are those of ``chain track`` and ``chain des``.
+
 Engines are never substituted silently.  Before any cell runs, ``chain``
 rejects every given option that the chosen engine does not read
 (``chain --help`` names the engines that read each option); a value the
@@ -337,7 +341,10 @@ def _analytic_cell(params, args):
             params.segments, params.p_g, params.tau)
         return {"mean_t": mean, "stddev_t": None, "mean_w": None,
                 "captured_mass": None, "stderr_t": None}
-    mean = chainformulas.geometric_level_mean(params)
+    if params.p_s == 1.0:
+        mean = chainformulas.det_swap_mean(params.segments, params.p_g)
+    else:
+        mean = chainformulas.geometric_level_mean(params)
     # Level-by-level quality estimate: each level squares the parameter
     # and the stored side decays by the level's mean factor.
     w = w0
@@ -388,7 +395,9 @@ def _sampled_cell(params, args):
               else batch.stderr_t * math.sqrt(batch.n_samples))
     return {"mean_t": batch.mean_t, "stddev_t": stddev,
             "mean_w": batch.mean_w, "captured_mass": None,
-            "stderr_t": batch.stderr_t}
+            "stderr_t": batch.stderr_t, "stderr_w": batch.stderr_w,
+            "n_samples": batch.n_samples, "seed": batch.seed,
+            "delay": args.delay}
 
 
 class _Engine(typing.NamedTuple):
@@ -421,10 +430,12 @@ def _readers(flag):
 
 
 def _check_engine_options(args):
-    """Reject given options the engine does not read; default the others."""
+    """Reject given options the engine does not read; default the others.
+    An option the command does not register counts as not given."""
     engine = _ENGINES[args.engine]
     dest = {flag: flag[2:].replace("-", "_") for flag in _GRID_OPTIONS}
-    given = {flag for flag in dest if getattr(args, dest[flag]) is not None}
+    given = {flag for flag in dest
+             if getattr(args, dest[flag], None) is not None}
     reads = engine.reads - (set() if engine.joint <= given else engine.joint)
     unread = [flag for flag in dest if flag in given - reads]
     if unread:
@@ -432,11 +443,15 @@ def _check_engine_options(args):
             f"the {args.engine} engine does not read every given option: "
             + "; ".join(f"{flag} needs {_readers(flag)}" for flag in unread))
     for flag, (default, kwargs, _) in _GRID_OPTIONS.items():
-        if flag not in given and default is not None:
-            setattr(args, dest[flag], kwargs.get("type", str)(default))
+        if flag not in given:
+            setattr(args, dest[flag], None if default is None
+                    else kwargs.get("type", str)(default))
 
 
-def _cmd_chain(args):
+def _grid_rows(args):
+    """Run the engine ``args.engine`` on every cell of the grid, in grid
+    order: the cells, and per cell a row of the engine name, the params
+    and the engine cell's output with its ``wall_ms``."""
     _check_engine_options(args)
     cells = _grid_cells(args)
     runner = _ENGINES[args.engine].run
@@ -448,9 +463,13 @@ def _cmd_chain(args):
         return row
 
     results = _map_cells(run, cells)
+    return cells, [{"engine": args.engine, **dataclasses.asdict(params),
+                    **row} for params, row in zip(cells, results)]
+
+
+def _cmd_chain(args):
+    cells, rows = _grid_rows(args)
     columns = _CHAIN_COLUMNS + (("wall_ms",) if args.timings else ())
-    rows = [{"engine": args.engine, **dataclasses.asdict(params), **row}
-            for params, row in zip(cells, results)]
     _write_table(columns, rows, args.format, args.out)
 
     if args.export_pmf:
@@ -458,7 +477,7 @@ def _cmd_chain(args):
                       f"p_s={params.p_s!r} t_coh={params.t_coh!r} "
                       f"tau={params.tau!r}\n"
                       + disttrack.distribution_csv(row["_dist"])
-                      for params, row in zip(cells, results)),
+                      for params, row in zip(cells, rows)),
               args.export_pmf)
     return EXIT_OK
 
@@ -470,18 +489,16 @@ def _add_compare_parser(sub):
                        "analytical approximations against the exact "
                        "tracked mean.")
     _add_grid_arguments(p, ["--trunc"])
-    p.set_defaults(tcoh=[math.inf], cutoff=None, run=_cmd_compare)
+    p.set_defaults(engine="track", run=_cmd_compare)
     p.add_argument("--pmf-out",
                    help="directory for per-cell PMF overlays (exact vs "
                         "moment-matched geometric)")
 
 
 def _cmd_compare(args):
-    cells = _grid_cells(args)
-
-    def run(params):
-        dist = disttrack.chain_distribution(params, t_trunc=args.trunc)
-        exact = dist.mean()
+    cells, rows = _grid_rows(args)
+    for params, row in zip(cells, rows):
+        exact = row["exact_mean"] = row["mean_t"]
         approx = {
             "rel_err_mean_only": chainformulas.mean_only(params),
             "rel_err_three_over_two": chainformulas.three_over_two(params),
@@ -490,19 +507,14 @@ def _cmd_compare(args):
             "rel_err_det_swap":
                 chainformulas.det_swap_mean(params.segments, params.p_g),
         }
-        row = {"n": params.n, "p_g": params.p_g, "p_s": params.p_s,
-               "exact_mean": exact}
         for key, value in approx.items():
             row[key] = abs(value - exact) / exact
-        return row, dist
-
-    results = _map_cells(run, cells)
-    rows = [row for row, _ in results]
     _write_table(_COMPARE_COLUMNS, rows, args.format, args.out)
 
     if args.pmf_out:
         os.makedirs(args.pmf_out, exist_ok=True)
-        for params, (row, dist) in zip(cells, results):
+        for params, row in zip(cells, rows):
+            dist = row["_dist"]
             # Geometric with the same mean, for shape overlays.
             p_match = 1.0 / row["exact_mean"]
             geo = disttrack.geometric_pmf(p_match, dist.t_trunc)
@@ -525,40 +537,23 @@ def _add_simulate_parser(sub):
                        "the chain protocol.")
     _add_grid_arguments(p, ["--tcoh", "--cutoff", "--w0", "--samples",
                             "--seed", "--distill-rounds", "--delay"])
-    p.set_defaults(samples=1000, run=_cmd_simulate)
+    p.set_defaults(engine="des", samples=1000, run=_cmd_simulate)
     p.add_argument("--trace-hash", action="store_true",
                    help="include the event-trace hash of sample 0")
 
 
 def _cmd_simulate(args):
-    cells = _grid_cells(args)
-
-    def run(params):
-        protocol = _protocol(params, args)
-        batch = deskernel.simulate_batch(
-            params, protocol, n_samples=args.samples, seed=args.seed,
-            delay=args.delay)
-        row = {
-            "n": params.n, "p_g": params.p_g, "p_s": params.p_s,
-            "t_coh": params.t_coh, "tau": params.tau,
-            "delay": args.delay, "n_samples": batch.n_samples,
-            "seed": args.seed,
-            "mean_t": batch.mean_t, "stderr_t": batch.stderr_t,
-            "mean_w": batch.mean_w, "stderr_w": batch.stderr_w,
-        }
-        if args.trace_hash:
-            sim = deskernel.ChainSimulation(
-                params, protocol, seed=args.seed,
-                delay=args.delay, trace=True)
-            sim.run()
-            row["trace_sha256"] = sim.trace_hash()
-        return row
-
-    rows = _map_cells(run, cells)
+    cells, rows = _grid_rows(args)
     columns = ("n", "p_g", "p_s", "t_coh", "tau", "delay", "n_samples",
                "seed", "mean_t", "stderr_t", "mean_w", "stderr_w")
     if args.trace_hash:
         columns = columns + ("trace_sha256",)
+        for params, row in zip(cells, rows):
+            sim = deskernel.ChainSimulation(
+                params, _protocol(params, args), seed=args.seed,
+                delay=args.delay, trace=True)
+            sim.run()
+            row["trace_sha256"] = sim.trace_hash()
     _write_table(columns, rows, args.format, args.out)
     return EXIT_OK
 

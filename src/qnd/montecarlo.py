@@ -212,14 +212,12 @@ def _batch(draw, n_samples, seed):
     stream = _BatchStream(seed)
     times = np.empty(n_samples, dtype=np.int64)
     wvals = np.empty(n_samples, dtype=float)
-    hist = {}
     for i in range(n_samples):
         stream.restart(i)
         record = draw(stream)
-        t, w = int(record.t), float(record.w)
-        times[i] = t
-        wvals[i] = w
-        hist[t] = hist.get(t, 0) + 1
+        times[i] = record.t
+        wvals[i] = record.w
+    values, counts = np.unique(times, return_counts=True)
     if n_samples > 1:
         stderr_t = float(times.std(ddof=1) / math.sqrt(n_samples))
         stderr_w = float(wvals.std(ddof=1) / math.sqrt(n_samples))
@@ -231,7 +229,7 @@ def _batch(draw, n_samples, seed):
         stderr_t=stderr_t,
         mean_w=float(wvals.mean()),
         stderr_w=stderr_w,
-        histogram=tuple(sorted(hist.items())),
+        histogram=tuple(zip(values.tolist(), counts.tolist())),
         seed=seed,
     )
 

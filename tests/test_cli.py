@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qnd
-from qnd import cli
+from qnd import chainformulas, cli
 from qnd.cli import _ENGINES, main
 from qnd.flows import FlowAssignment, FlowVerificationError
 
@@ -212,6 +212,17 @@ class TestChain:
         header = lines[0].split(",")
         row = dict(zip(header, lines[1].split(",")))
         assert float(row["mean_t"]) == pytest.approx(16.0 / 3.0)
+
+    @pytest.mark.parametrize("pg", [0.1, 0.5])
+    def test_analytic_deterministic_swap_mean_is_exact(self, pg, capsys):
+        # With p_s = 1 the chain waits for the slowest of its 2**n
+        # segments; the level-by-level estimate was off by 16 orders of
+        # magnitude at n = 100, p_g = 0.1.
+        assert main(["chain", "analytic", "--n", "3,10,20,100", "--pg",
+                     str(pg), "--ps", "1.0"]) == 0
+        rows = _rows(capsys.readouterr().out)
+        assert [float(row["mean_t"]) for row in rows] == [
+            chainformulas.det_swap_mean(2 ** n, pg) for n in (3, 10, 20, 100)]
 
     def test_track_reports_captured_mass(self, capsys):
         code = main(["chain", "track", "--n", "2", "--pg", "0.5",
@@ -624,6 +635,17 @@ class TestCompare:
                      *flag]) == 64
         assert capsys.readouterr().out == ""
 
+    def test_exact_mean_is_the_track_engine_mean(self, capsys):
+        grid = ["--n", "1,2,3", "--pg", "0.3,0.8", "--ps", "0.5,1.0",
+                "--trunc", "3000"]
+        assert main(["compare", *grid]) == 0
+        compared = _rows(capsys.readouterr().out)
+        assert main(["chain", "track", *grid]) == 0
+        tracked = _rows(capsys.readouterr().out)
+        assert len(compared) == len(tracked) == 12
+        assert ([row["exact_mean"] for row in compared]
+                == [row["mean_t"] for row in tracked])
+
 
 class TestSimulate:
     def test_rejects_trunc(self, capsys):
@@ -659,6 +681,19 @@ class TestSimulate:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["mean_t"]) == pytest.approx(8.0 / 3.0 + 2.0,
                                                      abs=0.15)
+
+    def test_batches_are_the_des_engine_batches(self, capsys):
+        grid = ["--n", "1,2", "--pg", "0.4", "--ps", "0.8", "--samples",
+                "200", "--seed", "6", "--tcoh", "30,inf", "--cutoff", "8",
+                "--delay", "1", "--distill-rounds", "1", "--w0", "0.95"]
+        assert main(["simulate", *grid]) == 0
+        simulated = _rows(capsys.readouterr().out)
+        assert main(["chain", "des", *grid]) == 0
+        chained = _rows(capsys.readouterr().out)
+        assert len(simulated) == len(chained) == 4
+        for column in ("mean_t", "stderr_t", "mean_w"):
+            assert ([row[column] for row in simulated]
+                    == [row[column] for row in chained]), column
 
 
 class TestImport:
@@ -852,12 +887,11 @@ class TestRepeatedCalls:
         assert default != seeded
 
     def test_shared_defaults_stay_unmutated(self, capsys):
+        outputs = []
         for _ in range(2):
             assert main(["compare", "--n", "1", "--pg", "0.5"]) == 0
             assert main(self.MC) == 0
-        parser = cli._build_parser()
-        args = parser.parse_args(["compare", "--n", "1", "--pg", "0.5"])
-        assert args.tcoh == [math.inf]
-        assert args.ps == [1.0]
-        args = parser.parse_args(self.MC)
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        args = cli._build_parser().parse_args(self.MC)
         assert (args.seed, args.tcoh, args.w0) == (None, None, None)

@@ -86,6 +86,8 @@ def _commands():
                                  "--w0", "0.9"],
         "chain_analytic_cutoff": ["chain", "analytic", "--n", "1,2", "--pg",
                                   "0.3", "--ps", "1.0", "--cutoff", "5"],
+        "chain_analytic_det_swap": ["chain", "analytic", "--n", "3,10,20",
+                                    "--pg", "0.5", "--ps", "1.0"],
         "chain_track_trunc_cut": ["chain", "track", "--n", "3", "--pg", "0.1",
                                   "--ps", "0.5", "--trunc", "4000"],
         "chain_track_distill": ["chain", "track", "--n", "1", "--pg", "0.5",
