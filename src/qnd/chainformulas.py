@@ -38,6 +38,12 @@ __all__ = [
 # truncation error.
 _DET_SWAP_TOL = 1e-16
 _DET_SWAP_BLOCK = 1 << 16
+# From this many segments on, det_swap_mean takes N log1p(-q**t) as
+# -exp(log N + t log q): N need not convert to a float, and q**t may
+# underflow where N q**t still matters.  The two agree to double precision
+# (log1p(-x) rounds to -x for x below 2**-53, and every larger q**t gives a
+# term of exactly 1 at this N); below it the product form is kept.
+_DET_SWAP_LOG_N = 2 ** 1022
 
 
 @dataclass(frozen=True)
@@ -215,8 +221,10 @@ def det_swap_mean(n_segments, p_g):
 
     Every term is positive, so the sum is stable in double precision for
     any N; each term is evaluated as ``-expm1(N * log1p(-q**t))`` in numpy
-    blocks over t, about ``ln(N / 1e-16) / p_g`` terms in all.  Also a
-    lower bound on the exact mean of a chain with probabilistic swapping.
+    blocks over t, about ``ln(N / 1e-16) / p_g`` terms in all.  ``log N``
+    is taken from the int, so N may exceed the float range (a chain of
+    2**2000 segments at p_g = 1/2 has mean 2001.33).  Also a lower bound on
+    the exact mean of a chain with probabilistic swapping.
     """
     n_segments = int(n_segments)
     if n_segments < 1:
@@ -226,12 +234,19 @@ def det_swap_mean(n_segments, p_g):
     if p_g == 1.0:
         return 1.0
     log_q = math.log1p(-p_g)
-    t_end = math.ceil(math.log(_DET_SWAP_TOL / n_segments) / log_q) + 1
+    log_n = math.log(n_segments)
+    t_end = math.ceil((math.log(_DET_SWAP_TOL) - log_n) / log_q) + 1
     blocks = []
     for start in range(0, t_end, _DET_SWAP_BLOCK):
         t = np.arange(start, min(start + _DET_SWAP_BLOCK, t_end))
-        with np.errstate(divide="ignore"):  # log1p(-1) = -inf at t = 0
-            terms = -np.expm1(n_segments * np.log1p(-np.exp(t * log_q)))
+        # log1p(-1) = -inf at t = 0; exp overflows to inf at small t for a
+        # large N: both give a term of 1.
+        with np.errstate(divide="ignore", over="ignore"):
+            if n_segments < _DET_SWAP_LOG_N:
+                log_all_up = n_segments * np.log1p(-np.exp(t * log_q))
+            else:
+                log_all_up = -np.exp(log_n + t * log_q)
+            terms = -np.expm1(log_all_up)
         blocks.append(float(terms.sum()))
     return math.fsum(blocks)
 

@@ -309,8 +309,13 @@ def _grid_cells(args):
 
 
 def _add_chain_parser(sub):
-    p = sub.add_parser("chain", description="Waiting-time statistics of a "
-                       "repeater chain under one explicitly chosen engine.")
+    p = sub.add_parser(
+        "chain", description="Waiting-time statistics of a repeater chain "
+        "under one explicitly chosen engine.  The analytic engine's mean_t "
+        "is exact at one level and, with --ps 1, at every depth; its "
+        "mean_w is exact at one level only and a level-by-level estimate "
+        "beyond (--n 4 --pg 0.5 --ps 1 --tcoh 40 --w0 0.95 gives 0.2140, "
+        "track 0.2538).")
     p.add_argument("engine", choices=_ENGINES)
     _add_grid_arguments(p, _GRID_OPTIONS, chain=True)
     p.add_argument("--timings", action="store_true",
@@ -353,9 +358,10 @@ def _analytic_cell(params, args):
     for _ in range(params.n):
         gamma = chainformulas.decay_factor(1.0 / level_mean, x)
         w = w * w * gamma
-        level_mean = chainformulas.geometric_level_mean(
-            chainformulas.ChainParams(n=1, p_g=min(1.0, 1.0 / level_mean),
-                                      p_s=params.p_s))
+        if x < 1.0:  # a perfect memory needs no level mean
+            level_mean = chainformulas.geometric_level_mean(
+                chainformulas.ChainParams(
+                    n=1, p_g=min(1.0, 1.0 / level_mean), p_s=params.p_s))
     return {"mean_t": mean, "stddev_t": None, "mean_w": w,
             "captured_mass": None, "stderr_t": None}
 

@@ -25,14 +25,22 @@ cut-off: the stored link would always expire before its swap resolves.
 A run ends when the root delivers; the trace then closes with an ``end``
 record carrying the delivery time and the root's Werner parameter.
 
-The model shares its sampling core with :mod:`qnd.montecarlo`: a resolve
-event draws its swap or distillation outcome with the same unit-outcome
-function.  A run takes its random stream when it starts, not when the
-simulation is built: :meth:`ChainSimulation.run` arms the Philox stream
-``substream(seed, 0)`` of its int seed, and :func:`simulate_batch` runs
-the Monte Carlo batch loop, handing one simulation the stream of each
-sample in turn.  Either way the state is reset first, so a trajectory is
-fixed by the stream it is given.
+Each run of the chain model drives the kernel with one handler: the run
+binds its tree, links and parameters to locals and hands
+:func:`run_until` a single ``perform(event)`` that branches on the event
+kind (generation, resolve, expiry).  Every event still enters the queue
+through :func:`schedule` and leaves it through :func:`pop_next`, so the
+kernel is the model's only path and its calls count the events.
+
+The model shares its sampling core with :mod:`qnd.montecarlo`: generation
+draws with the same geometric draw, and a resolve event draws its swap or
+distillation outcome with the same unit-outcome function.  A run takes
+its random stream when it starts, not when the simulation is built:
+:meth:`ChainSimulation.run` arms the Philox stream ``substream(seed, 0)``
+of its int seed, and :func:`simulate_batch` runs the Monte Carlo batch
+loop, handing one simulation the stream of each sample in turn.  Either
+way the state is reset first, so a trajectory is fixed by the stream it
+is given.
 """
 
 import enum
@@ -97,7 +105,8 @@ def schedule(state, time, kind, payload=()):
     if time < state.clock:
         raise ValueError(f"cannot schedule at {time} before clock "
                          f"{state.clock}")
-    event = Event(time, state._seq, kind, payload)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    event = tuple.__new__(Event, (time, state._seq, kind, payload))
     state._seq += 1
     heapq.heappush(state.queue, event)
     return event
@@ -145,10 +154,13 @@ class ChainSimulation:
     the link it has delivered (birth time and Werner parameter) or None,
     and ``epochs`` a counter for lazy cancellation of stale events.  A run
     ends as soon as the root delivers; with ``trace=True`` the trace then
-    closes with an ``end`` record.  ``seed`` is an int: :meth:`run` draws
-    from ``substream(seed, 0)``, armed afresh on every call, so a second
-    run replays the same trace.  With a cut-off, a delay above ``tau``
-    raises ValueError: no swap could resolve before its stored link expires.
+    closes with an ``end`` record.  Each run builds one ``perform(event)``
+    over its locals and drives it with :func:`run_until`; events go
+    through :func:`schedule` and :func:`pop_next`.  ``seed`` is an int:
+    :meth:`run` draws from ``substream(seed, 0)``, armed afresh on every
+    call, so a second run replays the same trace.  With a cut-off, a delay
+    above ``tau`` raises ValueError: no swap could resolve before its
+    stored link expires.
     """
 
     def __init__(self, params, protocol=None, seed=0, delay=0, trace=False):
@@ -165,7 +177,6 @@ class ChainSimulation:
         self.depth = len(protocol.plan)
         self.n_leaves = 2 ** self.depth
         self.seed = seed
-        self.rng = None
         n_nodes = 2 * self.n_leaves - 1
         self.links = [None] * n_nodes
         self.epochs = [0] * n_nodes
@@ -174,129 +185,116 @@ class ChainSimulation:
         self._log_q = math.log1p(-params.p_g) if params.p_g < 1.0 else 0.0
         self.result = None
 
-    # -- event handling -------------------------------------------------
-
-    def _gen_draw(self):
-        """Attempts until the first success; the failing attempts in
-        between are aggregated into the waiting time."""
-        return _geometric(self.rng, self.params.p_g, self._log_q)
-
     def run(self):
         """Execute until the root delivers; returns a SampleRecord."""
         return self._run(substream(self.seed, 0))
 
     def _run(self, rng):
-        """Reset clock, queue and links, then run on ``rng``."""
-        n = len(self.links)
-        self.links[:] = [None] * n
-        self.epochs[:] = [0] * n
+        """Reset clock, queue and links, then run on ``rng``.
+
+        Everything one sample reads is bound to locals here, and
+        :func:`run_until` gets a single ``perform(event)`` that branches on
+        the event kind; every event still enters through :func:`schedule`
+        and leaves through :func:`pop_next`.
+        """
+        links, epochs = self.links, self.epochs
+        links[:] = [None] * len(links)
+        epochs[:] = [0] * len(epochs)
         state = self.state
         state.clock = 0
         state.queue.clear()
         state._seq = 0
-        self.rng = rng
-        if state.trace is not None:
-            state.trace.clear()
+        trace = state.trace
+        if trace is not None:
+            trace.clear()
         self.result = None
-        for leaf in range(self.n_leaves):
-            schedule(state, self._gen_draw(), EventKind.GEN_ATTEMPT,
-                     (leaf, 0))
-        run_until(state, lambda s: self.result is not None, self._perform)
+        params, protocol = self.params, self.protocol
+        p_g, p_s, tau = params.p_g, params.p_s, params.tau
+        log_q, decay, delay = self._log_q, self.decay, self.delay
+        w0, plan, depth = protocol.w0, protocol.plan, self.depth
+        n_leaves = self.n_leaves
+        root_parent = 2 * n_leaves - 1
+        gen, resolve, expire = (EventKind.GEN_ATTEMPT,
+                                EventKind.SWAP_RESOLVE,
+                                EventKind.CUTOFF_EXPIRE)
+
+        def reset(node, restart_time):
+            """Drop every link below ``node``, the left subtree first;
+            generation restarts at ``restart_time``, so each leaf, reached
+            left to right, draws its fresh arrival in turn."""
+            left = 2 * (node - n_leaves)
+            for child in (left, left + 1):
+                links[child] = None
+                epochs[child] += 1
+                if child < n_leaves:
+                    schedule(state,
+                             restart_time + _geometric(rng, p_g, log_q),
+                             gen, (child, epochs[child]))
+                else:
+                    reset(child, restart_time)
+
+        def perform(event):
+            kind = event.kind
+            if kind is gen:
+                node, epoch = event.payload
+                if epochs[node] != epoch or links[node] is not None:
+                    return  # stale attempt from a superseded round
+                now = state.clock
+                w = w0
+            elif kind is resolve:
+                node, epoch = event.payload
+                if epochs[node] != epoch:
+                    return
+                left = 2 * (node - n_leaves)
+                link_l, link_r = links[left], links[left + 1]
+                if link_l is None or link_r is None:
+                    return  # a cut-off fired during the resolve delay
+                now = state.clock
+                (b1, w1), (b2, w2) = link_l, link_r
+                age_l, age_r = now - b1, now - b2
+                if tau is not None and max(age_l, age_r) - delay > tau:
+                    raise AssertionError(
+                        "swap consumed a link past its cut-off age")
+                epochs[node] += 1
+                links[left] = links[left + 1] = None
+                op = plan[depth - (root_parent - node).bit_length()]
+                w = _unit_outcome(op, w1 * decay ** age_l,
+                                  w2 * decay ** age_r, p_s, rng)
+                if w is None:
+                    reset(node, now)
+                    return
+            else:  # expire: the model queues no other kind
+                parent, epoch, child, birth = event.payload
+                if epochs[parent] != epoch:
+                    return
+                link = links[child]
+                if link is None or link[0] != birth:
+                    return  # the stored link was consumed meanwhile
+                epochs[parent] += 1
+                # The discard happened at age tau, one step before the event.
+                reset(parent, state.clock - 1)
+                return
+            # ``node`` produced a link; wire it into the parent's combine.
+            links[node] = (now, w)
+            parent = n_leaves + node // 2
+            if parent == root_parent:  # the root delivered
+                self.result = SampleRecord(t=now, w=min(w, 1.0))
+                if trace is not None:
+                    _record(state, Event(now, state._seq, EventKind.END,
+                                         (now, w)))
+            elif links[node ^ 1] is None:
+                if tau is not None:
+                    # Discard the stored link once its age would exceed tau.
+                    schedule(state, now + tau + 1, expire,
+                             (parent, epochs[parent], node, now))
+            else:
+                schedule(state, now + delay, resolve,
+                         (parent, epochs[parent]))
+
+        for leaf in range(n_leaves):
+            schedule(state, _geometric(rng, p_g, log_q), gen, (leaf, 0))
+        run_until(state, lambda s: self.result is not None, perform)
         return self.result
-
-    def _perform(self, event):
-        kind = event.kind
-        if kind is EventKind.GEN_ATTEMPT:
-            self._on_gen(event)
-        elif kind is EventKind.SWAP_RESOLVE:
-            self._on_resolve(event)
-        elif kind is EventKind.CUTOFF_EXPIRE:
-            self._on_expire(event)
-
-    def _on_gen(self, event):
-        leaf, epoch = event.payload
-        if self.epochs[leaf] != epoch or self.links[leaf] is not None:
-            return  # stale attempt from a superseded round
-        self.links[leaf] = (self.state.clock, self.protocol.w0)
-        self._deliver(leaf)
-
-    def _deliver(self, node):
-        """A node produced its link; wire it into the parent's combine."""
-        parent = self.n_leaves + node // 2
-        now = self.state.clock
-        if parent == 2 * self.n_leaves - 1:  # the root delivered
-            w = self.links[node][1]
-            self.result = SampleRecord(t=now, w=min(w, 1.0))
-            state = self.state
-            if state.trace is not None:
-                _record(state, Event(now, state._seq, EventKind.END,
-                                     (now, w)))
-            return
-        if self.links[node ^ 1] is None:
-            if self.params.tau is not None:
-                # Discard the stored link once its age would exceed tau.
-                schedule(self.state, now + self.params.tau + 1,
-                         EventKind.CUTOFF_EXPIRE,
-                         (parent, self.epochs[parent], node, now))
-        else:
-            schedule(self.state, now + self.delay,
-                     EventKind.SWAP_RESOLVE, (parent, self.epochs[parent]))
-
-    def _reset_subtree(self, node, restart_time):
-        """Drop every link at and below ``node``; generation restarts at
-        ``restart_time``, so fresh arrivals land at restart_time + draw.
-        Leaves are reached left to right, each drawing in turn."""
-        self.links[node] = None
-        self.epochs[node] += 1
-        if node < self.n_leaves:
-            schedule(self.state, restart_time + self._gen_draw(),
-                     EventKind.GEN_ATTEMPT, (node, self.epochs[node]))
-        else:
-            self._reset_children(node, restart_time)
-
-    def _reset_children(self, node, restart_time):
-        """Reset the two subtrees below ``node``, the left one first."""
-        left = 2 * (node - self.n_leaves)
-        self._reset_subtree(left, restart_time)
-        self._reset_subtree(left + 1, restart_time)
-
-    def _on_expire(self, event):
-        parent, epoch, child, birth = event.payload
-        if self.epochs[parent] != epoch:
-            return
-        link = self.links[child]
-        if link is None or link[0] != birth:
-            return  # the stored link was consumed meanwhile
-        self.epochs[parent] += 1
-        # The discard happened at age tau, one step before the event.
-        self._reset_children(parent, self.state.clock - 1)
-
-    def _on_resolve(self, event):
-        node, epoch = event.payload
-        if self.epochs[node] != epoch:
-            return
-        left = 2 * (node - self.n_leaves)
-        link_l, link_r = self.links[left], self.links[left + 1]
-        if link_l is None or link_r is None:
-            return  # a cut-off fired during the resolve delay
-        now = self.state.clock
-        (b1, w1), (b2, w2) = link_l, link_r
-        age_l, age_r = now - b1, now - b2
-        if (self.params.tau is not None
-                and max(age_l, age_r) - self.delay > self.params.tau):
-            raise AssertionError("swap consumed a link past its cut-off age")
-        w1 = w1 * self.decay ** age_l
-        w2 = w2 * self.decay ** age_r
-        self.epochs[node] += 1
-        self.links[left] = self.links[left + 1] = None
-        levels_up = (2 * self.n_leaves - 1 - node).bit_length()
-        op = self.protocol.plan[self.depth - levels_up]
-        w_out = _unit_outcome(op, w1, w2, self.params.p_s, self.rng)
-        if w_out is not None:
-            self.links[node] = (now, w_out)
-            self._deliver(node)
-        else:
-            self._reset_children(node, now)
 
     def trace_hash(self):
         """SHA-256 of the event trace; identical for identical seeds."""

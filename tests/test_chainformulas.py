@@ -248,6 +248,20 @@ class TestDetSwap:
         assert det_swap_mean(20_000, 0.5) == pytest.approx(
             partial_links_mean(20_000, 20_000, 0.5), rel=1e-9)
 
+    @pytest.mark.parametrize("levels", [1021, 1022, 1024, 2000])
+    def test_beyond_the_float_range(self, levels):
+        # 2**1022 segments and more: 1e-16 / N underflows, and from 2**1024
+        # on N is no float.  At p_g = 0.1 the mean is ln N / L + gamma / L
+        # + 1/2 with L = -ln(1 - p_g), its log-periodic ripple far below
+        # double precision; at p_g = 1/2 the ripple takes the same phase at
+        # every power of two, so the mean is n + 1.3327 for all of them.
+        slope = -math.log1p(-0.1)
+        asymptote = (levels * math.log(2) + np.euler_gamma) / slope + 0.5
+        assert det_swap_mean(2 ** levels, 0.1) == pytest.approx(
+            asymptote, rel=1e-12)
+        assert det_swap_mean(2 ** levels, 0.5) - levels == pytest.approx(
+            det_swap_mean(2 ** 60, 0.5) - 60, abs=1e-9)
+
 
 class TestDetSwapCutoff:
     def test_deterministic_generation(self):

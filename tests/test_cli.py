@@ -344,6 +344,19 @@ class TestChain:
         assert len(rows) == 240
         assert {row["mean_w"] for row in rows} == {"1.0"}
 
+    def test_analytic_deterministic_swap_beyond_the_float_range(self, capsys):
+        # 2**1022 segments used to stop on "math domain error" and 2**1024
+        # on "int too large to convert to float"; with a perfect memory
+        # the quality needs no level mean, which overflows past n ~ 1750.
+        assert main(["chain", "analytic", "--n", "1021,1022,1024,2000",
+                     "--pg", "0.5", "--ps", "1"]) == 0
+        rows = _rows(capsys.readouterr().out)
+        assert [row["n"] for row in rows] == ["1021", "1022", "1024", "2000"]
+        for row in rows:
+            assert row["mean_w"] == "1.0"
+            assert float(row["mean_t"]) - int(row["n"]) == pytest.approx(
+                1.3327473824329, abs=1e-9)
+
     def test_analytic_quality_stays_in_the_unit_interval(self, capsys):
         n = ",".join(str(i) for i in range(1, 61))
         assert main(["chain", "analytic", "--n", n, "--pg", "0.1,0.5",

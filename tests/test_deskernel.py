@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qnd import markovchain
+from qnd import deskernel, markovchain
 from qnd.chainformulas import ChainParams
 from qnd.deskernel import (ChainSimulation, EmptyQueueError, Event,
                            EventKind, SimState, pop_next, run_until,
@@ -178,18 +178,25 @@ class TestChainSimulation:
         assert batch.n_samples == 3000
 
     def test_over_age_swap_raises_under_python_optimize(self, run_optimized):
-        # Both leaves of a one-swap chain hold links born at t=0; a resolve
-        # at t=10 with tau=2 would consume them past the cut-off age.
+        # With expiries dropped and every resolve held back 10 steps, the
+        # one-swap chain with tau=2 consumes both links past the cut-off
+        # age; the check must still raise when -O strips bare asserts.
         script = (
+            "from qnd import deskernel\n"
             "from qnd.chainformulas import ChainParams\n"
-            "from qnd.deskernel import ChainSimulation, Event, EventKind\n"
+            "from qnd.deskernel import ChainSimulation, EventKind\n"
             "assert False, 'asserts are live'  # stripped by -O\n"
-            "sim = ChainSimulation(ChainParams(n=1, p_g=0.5, tau=2))\n"
-            "sim.links[0] = sim.links[1] = (0, 1.0)\n"
-            "sim.state.clock = 10\n"
+            "schedule = deskernel.schedule\n"
+            "def held_back(state, time, kind, payload=()):\n"
+            "    if kind is EventKind.CUTOFF_EXPIRE:\n"
+            "        return None\n"
+            "    if kind is EventKind.SWAP_RESOLVE:\n"
+            "        time += 10\n"
+            "    return schedule(state, time, kind, payload)\n"
+            "deskernel.schedule = held_back\n"
             "try:\n"
-            "    sim._on_resolve(Event(10, 0, EventKind.SWAP_RESOLVE, "
-            "(2, 0)))\n"
+            "    ChainSimulation(ChainParams(n=1, p_g=0.5, tau=2), "
+            "seed=1).run()\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n")
         assert run_optimized(script) == \
@@ -222,6 +229,24 @@ class TestChainSimulation:
         # A bare segment stores no link, so any delay is harmless.
         params = ChainParams(n=0, p_g=0.5, tau=1)
         assert ChainSimulation(params, delay=5).run().t >= 1
+
+
+class TestKernelTraffic:
+    """The chain model reaches the queue only through the kernel: every
+    event is scheduled by ``schedule`` and popped by ``pop_next``, and each
+    sample is one ``run_until`` loop."""
+
+    def test_seeded_batch_counts(self, monkeypatch):
+        counts = dict.fromkeys(("schedule", "pop_next", "run_until"), 0)
+        for name in counts:
+            def counted(*args, _call=getattr(deskernel, name), _name=name):
+                counts[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(deskernel, name, counted)
+        params = ChainParams(n=2, p_g=0.1, p_s=0.5, t_coh=200, tau=40)
+        simulate_batch(params, n_samples=200, seed=5)
+        assert counts == {"schedule": 7821, "pop_next": 6867,
+                          "run_until": 200}
 
 
 class TestDelayAgainstMarkov:
