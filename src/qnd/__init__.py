@@ -15,7 +15,16 @@ Two tool families share one package:
 
 The ``qnd`` command line exposes the bound computations, the chain engines,
 and cross-engine comparison tables.
+
+Importing ``qnd`` sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already
+set.  It must come before numpy's first import to take effect.  The dense
+solves here are small: one BLAS thread makes their results the same bytes
+on every host and the import faster.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .chainformulas import ChainParams
 from .disttrack import ChainProtocol, TruncatedDistribution

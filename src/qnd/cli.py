@@ -15,7 +15,11 @@ Subcommands
 
 All three grid commands run one engine's cell function over the grid:
 ``compare`` runs the ``track`` engine and ``simulate`` the ``des`` engine,
-so their numbers are those of ``chain track`` and ``chain des``.
+so their numbers are those of ``chain track`` and ``chain des``.  Each
+engine has one execution mode.  Only ``track`` cells, whose FFTs and array
+sums release the GIL, run on a thread pool of one thread per usable core
+(at most 8); every other engine runs its cells in grid order on the calling
+thread.  Either way the rows come out in grid order.
 
 Engines are never substituted silently.  Before any cell runs, ``chain``
 rejects every given option that the chosen engine does not read
@@ -44,7 +48,6 @@ import typing
 
 from . import capbounds, chainformulas, deskernel, disttrack, markovchain
 from . import lpcore, montecarlo, netmodel
-from .flows import SizeLimitError
 
 __all__ = ["main", "UsageError", "FeatureMismatchError"]
 
@@ -146,29 +149,6 @@ def _seed(text):
     if not 0 <= seed < 2 ** 64:
         raise UsageError(f"--seed must be in [0, 2**64): {text}")
     return seed
-
-
-def _workers():
-    raw = os.environ.get("QND_THREADS", "")
-    if raw:
-        try:
-            cap = max(1, int(raw))
-        except ValueError:
-            raise UsageError(f"QND_THREADS must be an integer, got {raw!r}")
-    elif hasattr(os, "sched_getaffinity"):
-        cap = min(8, len(os.sched_getaffinity(0)))  # the usable cores
-    else:
-        cap = min(8, os.cpu_count() or 1)
-    return cap
-
-
-def _map_cells(fn, cells):
-    """Run one function per grid cell, preserving grid order."""
-    workers = min(_workers(), max(1, len(cells)))
-    if workers == 1 or len(cells) <= 1:
-        return [fn(cell) for cell in cells]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
 
 
 # --- bounds ----------------------------------------------------------------
@@ -410,16 +390,20 @@ class _Engine(typing.NamedTuple):
     run: typing.Callable
     reads: set  # the grid options the engine reads ...
     joint: set = frozenset()  # ... and those it reads only all together
+    pooled: bool = False  # whether its cells run on the cell pool
 
 
 _SAMPLED = {"--tcoh", "--cutoff", "--w0", "--distill-rounds", "--samples",
             "--seed"}
 
-# The one place that says which engine reads which option.
+# The one place that says which engine reads which option, and which
+# engine's cells run on the cell pool: only the tracker's, whose FFTs and
+# array sums release the GIL.  The pool slows every other engine's grid.
 _ENGINES = {
     "analytic": _Engine(_analytic_cell, {"--tcoh", "--cutoff", "--w0"}),
     "track": _Engine(_track_cell, {"--tcoh", "--cutoff", "--w0", "--trunc",
-                                   "--distill-rounds", "--export-pmf"}),
+                                   "--distill-rounds", "--export-pmf"},
+                     pooled=True),
     "markov": _Engine(_markov_cell, {"--swap-time", "--trunc", "--export-pmf"},
                       joint={"--trunc", "--export-pmf"}),
     "mc": _Engine(_sampled_cell, _SAMPLED),
@@ -455,20 +439,30 @@ def _check_engine_options(args):
 
 
 def _grid_rows(args):
-    """Run the engine ``args.engine`` on every cell of the grid, in grid
-    order: the cells, and per cell a row of the engine name, the params
-    and the engine cell's output with its ``wall_ms``."""
+    """Run the engine ``args.engine`` on every cell of the grid: the cells,
+    and per cell, in grid order, a row of the engine name, the params and
+    the engine cell's output with its ``wall_ms``.  A pooled engine's cells
+    run on one thread per usable core (the CPU affinity), at most 8."""
     _check_engine_options(args)
     cells = _grid_cells(args)
-    runner = _ENGINES[args.engine].run
+    engine = _ENGINES[args.engine]
 
     def run(params):
         t0 = time.perf_counter()
-        row = runner(params, args)
+        row = engine.run(params, args)
         row["wall_ms"] = 1e3 * (time.perf_counter() - t0)
         return row
 
-    results = _map_cells(run, cells)
+    workers = 1
+    if engine.pooled:
+        cores = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        workers = min(8, cores, len(cells))
+    if workers > 1:
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(run, cells))
+    else:
+        results = [run(params) for params in cells]
     return cells, [{"engine": args.engine, **dataclasses.asdict(params),
                     **row} for params, row in zip(cells, results)]
 
@@ -590,7 +584,7 @@ _INPUT_ERRORS = (netmodel.NetworkParseError, netmodel.NetworkValidationError,
 _ENGINE_ERRORS = (FeatureMismatchError, lpcore.LPNumericError,
                   AssertionError, disttrack.HorizonError,
                   markovchain.StateLimitError, markovchain.AbsorptionError,
-                  SizeLimitError, OverflowError, ValueError)
+                  OverflowError, ValueError)
 
 
 def main(argv=None):

@@ -16,11 +16,11 @@ one line per command and exits 1 on any mismatch.
 import json
 import math
 import random
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+from compare_samplers import run as run_commands
 from test_golden import COMMANDS
 
 HERE = Path(__file__).resolve().parent.parent
@@ -29,18 +29,6 @@ TASKS = {"bipartite": ["--bipartite", "r0c0", "r{last}c{last}"],
          "total": ["--multipair", "--objective", "total"],
          "worst": ["--multipair", "--objective", "worst"],
          "multipartite": ["--multipartite"]}
-DRIVER = """
-import contextlib, io, json, sys
-sys.path.insert(0, sys.argv[1])
-from qnd.cli import main
-results = []
-for argv in json.load(sys.stdin):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    results.append((code, out.getvalue()))
-json.dump(results, sys.stdout)
-"""
 
 
 def grid(k, rng, q=None):
@@ -72,12 +60,8 @@ def lp_class(task, unit):
 
 def run(checkout, commands):
     """(exit code, parsed JSON) of each command under ``checkout``."""
-    done = subprocess.run(
-        [sys.executable, "-c", DRIVER, str(Path(checkout) / "src")],
-        input=json.dumps(commands), capture_output=True, text=True,
-        check=True)
     return [(code, json.loads(out) if code == 0 else None)
-            for code, out in json.loads(done.stdout)]
+            for code, out in run_commands(checkout, commands)]
 
 
 def agree(a, b):

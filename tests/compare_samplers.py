@@ -9,9 +9,14 @@ none/5/12, delay 0/1/3 (``mc`` has no delay, so it runs the delay-0
 cells), and 0 or 1 distillation rounds, with w0 0.95 and 100 samples a
 cell.  Cells with a cut-off and more than four protocol units, or four
 units at p_g 0.5 where tau is 5 or the delay positive, are left out: a
-few samples there take minutes on either tree.  Every command must give
-the same exit code and byte-identical output.  Prints each differing
-command and a summary line, and exits 1 on any difference.
+few samples there take minutes on either tree.  A few multi-cell grids
+of every engine but ``track`` (``GRIDS``) check that the rows of one
+command come out in grid order.  Every command must give the same exit
+code and byte-identical output.  Prints each differing command and a
+summary line, and exits 1 on any difference.
+
+``run`` is the one in-process runner of both parity scripts;
+``compare_bounds.py`` imports it.
 """
 
 import itertools
@@ -34,6 +39,24 @@ for argv in json.load(sys.stdin):
 json.dump(results, sys.stdout)
 """
 SAMPLES = 100
+SAMPLED = ["--n", "0,1,2", "--pg", "0.5,0.9", "--ps", "0.5,1.0", "--tcoh",
+           "inf,40", "--cutoff", "5,12", "--w0", "0.95", "--samples",
+           str(SAMPLES), "--seed", "7"]
+GRIDS = {
+    "chain mc grid": ["chain", "mc", *SAMPLED],
+    "chain des grid": ["chain", "des", *SAMPLED, "--delay", "1"],
+    "simulate grid": ["simulate", *SAMPLED, "--delay", "1", "--trace-hash"],
+    "chain analytic grid": ["chain", "analytic", "--n", "0,1,2,3,10",
+                            "--pg", "0.1,0.5", "--ps", "0.5,1.0", "--tcoh",
+                            "inf,40", "--w0", "0.95"],
+    # n = 3 is left out: a commit that leaves OpenBLAS its default threads
+    # prints host-dependent last digits there.
+    "chain markov grid": ["chain", "markov", "--n", "0,1,2", "--pg",
+                          "0.1,0.5", "--ps", "0.5,1.0"],
+    "chain markov one-step grid": ["chain", "markov", "--n", "1,2", "--pg",
+                                   "0.1,0.5", "--ps", "0.5,1.0",
+                                   "--swap-time", "one-step"],
+}
 
 
 def slow(units, p_g, tau, delay):
@@ -65,6 +88,7 @@ def commands():
         timed = [*cell, "--delay", str(delay)]
         yield f"chain des {name}", ["chain", "des", *timed]
         yield f"simulate {name}", ["simulate", *timed, "--trace-hash"]
+    yield from GRIDS.items()
 
 
 def run(checkout, argvs):

@@ -1,3 +1,8 @@
+# qnd first: importing it sets one OpenBLAS thread, which holds only if
+# numpy is not loaded yet.  Whichever test module pytest collects first,
+# numpy then loads under the setting that the qnd command runs with.
+import qnd
+
 import os
 import subprocess
 import sys

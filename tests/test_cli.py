@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -755,40 +756,112 @@ class TestImport:
                               capture_output=True, text=True, timeout=60)
         assert done.stdout.strip() == "0"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts threads in /proc/self/task")
+    def test_import_keeps_blas_to_one_thread(self):
+        # The dense solves are small: one OpenBLAS thread makes the Markov
+        # engine's bytes the same on every host.
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        src = Path(qnd.__file__).resolve().parent.parent
+        code = (f"import os, sys; sys.path.insert(0, {str(src)!r}); "
+                "import qnd; import numpy as np; "
+                "a = np.random.default_rng(0).random((500, 500)); "
+                "np.linalg.solve(a + 500 * np.eye(500), np.ones(500)); "
+                "print(len(os.listdir('/proc/self/task')), "
+                "os.environ['OPENBLAS_NUM_THREADS'])")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True, text=True,
+                              timeout=60)
+        assert done.stdout.split() == ["1", "1"]
 
-class TestThreads:
-    TRACK = ["chain", "track", "--n", "1,2,3", "--pg", "0.3", "--ps", "0.7",
-             "--tcoh", "50", "--cutoff", "20"]
-    COMPARE = ["compare", "--n", "1,2", "--pg", "0.3,0.6", "--ps", "0.5,1.0"]
+    def test_import_keeps_a_given_blas_setting(self):
+        src = Path(qnd.__file__).resolve().parent.parent
+        code = (f"import os, sys; sys.path.insert(0, {str(src)!r}); "
+                "import qnd; print(os.environ['OPENBLAS_NUM_THREADS'])")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "2"},
+                              check=True, capture_output=True, text=True,
+                              timeout=60)
+        assert done.stdout.strip() == "2"
 
-    def test_non_integer_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("QND_THREADS", "two")
-        assert main(self.TRACK) == 64
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "QND_THREADS" in err
 
-    @pytest.mark.parametrize("command", ["TRACK", "COMPARE"])
-    def test_one_thread_matches_the_pool(self, command, monkeypatch,
-                                         tmp_path):
-        argv = getattr(self, command)
-        outputs = {}
-        for threads in (None, "3", "1"):
-            if threads is None:
-                monkeypatch.delenv("QND_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("QND_THREADS", threads)
-            out = tmp_path / f"out_{threads}"
-            assert main(argv + ["--out", str(out)]) == 0
-            outputs[threads] = out.read_bytes()
-        assert outputs["1"] == outputs[None] == outputs["3"]
+class TestCellPool:
+    # Only the tracker's cells run on the cell pool; every other engine runs
+    # its grid in order on the calling thread.
+    POOLED = {
+        "track": ["chain", "track", "--n", "1,2,3", "--pg", "0.3", "--ps",
+                  "0.7", "--tcoh", "50", "--cutoff", "20"],
+        "compare": ["compare", "--n", "1,2", "--pg", "0.3,0.6", "--ps",
+                    "0.5,1.0"],
+    }
+    SAMPLED = ["--n", "1,2", "--pg", "0.5,0.9", "--ps", "0.5",
+               "--samples", "50", "--seed", "3"]
+    IN_ORDER = {
+        "analytic": ["chain", "analytic", "--n", "1,2,3", "--pg", "0.3,0.6",
+                     "--ps", "0.5"],
+        "markov": ["chain", "markov", "--n", "1,2", "--pg", "0.3,0.6",
+                   "--ps", "0.5"],
+        "mc": ["chain", "mc", *SAMPLED],
+        "des": ["chain", "des", *SAMPLED],
+        "simulate": ["simulate", *SAMPLED, "--trace-hash"],
+    }
 
-    def test_default_counts_the_usable_cores(self, monkeypatch):
-        monkeypatch.delenv("QND_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of every thread pool built while a test runs."""
+        built = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        class Spy(real):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        return built
+
+    @staticmethod
+    def usable_cores(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert cli._workers() == 1
+
+    @pytest.mark.parametrize("command", sorted(IN_ORDER))
+    def test_other_engines_build_no_pool(self, command, pools, monkeypatch,
+                                         tmp_path):
+        self.usable_cores(monkeypatch, 4)
+        argv = self.IN_ORDER[command] + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert len(_rows((tmp_path / "out").read_text())) > 1
+        assert pools == []
+
+    @pytest.mark.parametrize("command", sorted(POOLED))
+    def test_pooled_grid_matches_one_core(self, command, pools, monkeypatch,
+                                          tmp_path):
+        outputs = []
+        for cores in (4, 1):
+            self.usable_cores(monkeypatch, cores)
+            out = tmp_path / f"out{cores}"
+            assert main(self.POOLED[command] + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert pools == [min(4, len(_rows(outputs[0].decode())))]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cores, workers", [(3, 3), (64, 8)])
+    def test_pool_counts_the_usable_cores_at_most_8(self, cores, workers,
+                                                     pools, monkeypatch):
+        self.usable_cores(monkeypatch, cores)
+        pg = ",".join(str(0.05 * k) for k in range(1, 11))
+        assert main(["chain", "track", "--n", "1", "--pg", pg,
+                     "--out", os.devnull]) == 0
+        assert pools == [workers]
+
+    def test_one_cell_builds_no_pool(self, pools, monkeypatch):
+        self.usable_cores(monkeypatch, 4)
+        assert main(["chain", "track", "--n", "2", "--pg", "0.5",
+                     "--out", os.devnull]) == 0
+        assert pools == []
 
 
 class TestUsage:
