@@ -43,7 +43,8 @@ for n_seg in (4, 16, 256):
     approx = det_swap_mean_harmonic(n_seg, 0.05)
     print(f"  N = {n_seg:4d}: exact {exact:9.3f}, "
           f"harmonic H(N)/p {approx:9.3f}")
-print("  with a memory cut-off (N = 16, p_g = 0.3):")
+print("  with a flat memory cut-off on N parallel links (N = 16, p_g = 0.3);")
+print("  the nested chain of the chain engines has this mean only at N = 2:")
 for tau in (1, 2, 4, 16, 1000):
     value = det_swap_mean_cutoff(16, 0.3, tau)
     print(f"    tau = {tau:4d}: mean {value:9.3f}")

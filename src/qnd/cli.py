@@ -21,15 +21,14 @@ sums release the GIL, run on a thread pool of one thread per usable core
 (at most 8); every other engine runs its cells in grid order on the calling
 thread.  Either way the rows come out in grid order.
 
-Engines are never substituted silently.  Before any cell runs, ``chain``
-rejects every given option that the chosen engine does not read
-(``chain --help`` names the engines that read each option); a value the
-engine cannot honor, such as a closed-form cut-off with probabilistic
-swapping, fails in the cell.  Both are feature-mismatch errors.  Outputs
-are plain CSV or JSON with a fixed column order and locale-independent
-number formatting; identical configurations and seeds produce
-byte-identical files.  Exit codes: 0 success, 2 input error, 3 solver or
-engine error, 64 usage error.
+Engines are never substituted silently.  The engine table ``_ENGINES`` is
+the one tier of checks: before any cell runs, ``chain`` rejects every given
+option that the chosen engine does not read (``chain --help`` names the
+engines that read each option) with a feature-mismatch error, and no cell
+raises one.  Outputs are plain CSV or JSON with a fixed column order and
+locale-independent number formatting; identical configurations and seeds
+produce byte-identical files.  Exit codes: 0 success, 2 input error, 3
+solver or engine error, 64 usage error.
 """
 
 import argparse
@@ -312,20 +311,6 @@ def _protocol(params, args):
 
 def _analytic_cell(params, args):
     w0 = _protocol(params, args).w0
-    if params.tau is not None:
-        if params.p_s < 1.0:
-            raise FeatureMismatchError(
-                "the analytic engine supports cut-offs only with "
-                "deterministic swapping (p_s = 1)")
-        if not math.isinf(params.t_coh) or w0 != 1.0:
-            raise FeatureMismatchError(
-                "the analytic engine's cut-off formula gives the waiting "
-                "time only: it models no memory decay (finite --tcoh) and "
-                "no link quality (--w0 other than 1)")
-        mean = chainformulas.det_swap_mean_cutoff(
-            params.segments, params.p_g, params.tau)
-        return {"mean_t": mean, "stddev_t": None, "mean_w": None,
-                "captured_mass": None, "stderr_t": None}
     if params.p_s == 1.0:
         mean = chainformulas.det_swap_mean(params.segments, params.p_g)
     else:
@@ -400,7 +385,7 @@ _SAMPLED = {"--tcoh", "--cutoff", "--w0", "--distill-rounds", "--samples",
 # engine's cells run on the cell pool: only the tracker's, whose FFTs and
 # array sums release the GIL.  The pool slows every other engine's grid.
 _ENGINES = {
-    "analytic": _Engine(_analytic_cell, {"--tcoh", "--cutoff", "--w0"}),
+    "analytic": _Engine(_analytic_cell, {"--tcoh", "--w0"}),
     "track": _Engine(_track_cell, {"--tcoh", "--cutoff", "--w0", "--trunc",
                                    "--distill-rounds", "--export-pmf"},
                      pooled=True),

@@ -285,6 +285,12 @@ class TestDetSwapCutoff:
         diffs = [abs(v - target) for v in values]
         assert all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
 
+    @pytest.mark.parametrize("n,tau", [(512, 1), (1024, 5)])
+    def test_underflowed_denominator_is_an_overflow(self, n, tau):
+        # The denominator underflowed to 0 and raised ZeroDivisionError.
+        with pytest.raises(OverflowError, match="overflows the float range"):
+            det_swap_mean_cutoff(n, 0.1, tau)
+
 
 class TestPartialLinks:
     def test_all_links_matches_det_swap(self):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -314,18 +315,6 @@ class TestChain:
         assert main(["chain", "analytic", "--n", "1", "--pg", "0.5",
                      "--distill-rounds", "1"]) == 3
 
-    @pytest.mark.parametrize("extra", [
-        ["--tcoh", "10,20", "--w0", "0.9"], ["--tcoh", "10"],
-        ["--w0", "0.9"]])
-    def test_analytic_cutoff_rejects_decay_and_quality(self, extra, capsys):
-        # The cut-off closed form gives the mean wait alone; it used to
-        # print one identical row per t_coh with an empty mean_w.
-        assert main(["chain", "analytic", "--n", "1", "--pg", "0.3",
-                     "--ps", "1", "--cutoff", "5", *extra]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "cut-off formula" in err
-
     @pytest.mark.parametrize("w0", ["1.5", "-0.1", "nan"])
     def test_analytic_rejects_w0_outside_the_unit_interval(self, w0, capsys):
         # The analytic engine used to square such a value into mean_w.
@@ -372,11 +361,45 @@ class TestChain:
         assert out == ""
         assert "overflows" in err
 
-    def test_analytic_cutoff_accepts_the_defaults_spelled_out(self, capsys):
-        assert main(["chain", "analytic", "--n", "1", "--pg", "0.3",
-                     "--ps", "1", "--cutoff", "5", "--tcoh", "inf",
-                     "--w0", "1"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 2
+    @pytest.mark.parametrize("grid", [
+        ["--n", "0", "--pg", "1e-320", "--ps", "0.5"],
+        ["--n", "3", "--pg", "1e-320", "--ps", "0.5"],
+        ["--n", "1", "--pg", "0.1", "--ps", "5e-324"],
+        ["--n", "2", "--pg", "0.5", "--ps", "1e-300"]])
+    def test_analytic_mean_overflow_at_any_level_is_an_engine_error(
+            self, grid, capsys):
+        # The seed 1/p_g printed inf with exit 0; a level denominator that
+        # underflowed to 0 raised ZeroDivisionError with a traceback.
+        assert main(["chain", "analytic", *grid]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "overflows the float range at level" in err
+
+    def test_analytic_agrees_with_track_wherever_it_is_exact(self, capsys):
+        # The analytic engine is exact at n <= 1, for mean_t at p_s = 1 and
+        # for mean_w without decay; its cut-off branch printed a flat
+        # formula's mean past n = 1, 11 standard errors off at n = 2.
+        failed = []
+        for n, pg, ps, tcoh, cutoff, w0 in itertools.product(
+                range(4), ("0.3", "0.9"), ("0.5", "1"), ("inf", "40"),
+                ([], ["--cutoff", "5"]), ("1", "0.95")):
+            cell = ["--n", str(n), "--pg", pg, "--ps", ps, "--tcoh", tcoh,
+                    "--w0", w0, *cutoff]
+            if main(["chain", "analytic", *cell]) != 0:
+                capsys.readouterr()
+                continue
+            analytic = _rows(capsys.readouterr().out)[0]
+            assert main(["chain", "track", *cell]) == 0
+            track = _rows(capsys.readouterr().out)[0]
+            exact = {"mean_t": n <= 1 or ps == "1",
+                     "mean_w": n <= 1 or tcoh == "inf"}
+            for column in (c for c, claimed in exact.items()
+                           if claimed and analytic[c] != ""):
+                if float(analytic[column]) != pytest.approx(
+                        float(track[column]), rel=1e-9):
+                    failed.append((cell, column, analytic[column],
+                                   track[column]))
+        assert failed == []
 
     def test_grid_order_stable(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -455,9 +478,9 @@ class TestChain:
 # read it.  Each value equals the option's default where it has one: an
 # option counts as given whatever its value.
 UNREAD = {
-    "analytic": [["--trunc", "50"], ["--distill-rounds", "0"],
-                 ["--swap-time", "zero-step"], ["--delay", "0"],
-                 ["--samples", "10000"], ["--seed", "0"],
+    "analytic": [["--cutoff", "5"], ["--trunc", "50"],
+                 ["--distill-rounds", "0"], ["--swap-time", "zero-step"],
+                 ["--delay", "0"], ["--samples", "10000"], ["--seed", "0"],
                  ["--export-pmf", "{pmf}"]],
     "track": [["--swap-time", "zero-step"], ["--delay", "0"],
               ["--samples", "10000"], ["--seed", "0"]],
@@ -487,7 +510,6 @@ DROPPED_BEFORE = [
 # that merely echo the option, such as t_coh, are not compared.
 READ = [
     ("analytic", ["--tcoh", "40"], ["--tcoh", "80"], "mean_w"),
-    ("analytic", ["--cutoff", "3"], ["--cutoff", "6"], "mean_t"),
     ("analytic", ["--w0", "0.9"], ["--w0", "0.8"], "mean_w"),
     ("track", ["--tcoh", "40"], ["--tcoh", "80"], "mean_w"),
     ("track", ["--cutoff", "3"], ["--cutoff", "6"], "mean_t"),

@@ -84,8 +84,8 @@ def _commands():
         "chain_analytic_decay": ["chain", "analytic", "--n", "1,2", "--pg",
                                  "0.3", "--ps", "0.5", "--tcoh", "40",
                                  "--w0", "0.9"],
-        "chain_analytic_cutoff": ["chain", "analytic", "--n", "1,2", "--pg",
-                                  "0.3", "--ps", "1.0", "--cutoff", "5"],
+        "chain_track_cutoff": ["chain", "track", "--n", "1,2", "--pg", "0.3",
+                               "--ps", "1.0", "--cutoff", "5"],
         "chain_analytic_det_swap": ["chain", "analytic", "--n", "3,10,20",
                                     "--pg", "0.5", "--ps", "1.0"],
         "chain_track_trunc_cut": ["chain", "track", "--n", "3", "--pg", "0.1",
