@@ -246,7 +246,7 @@ _GRID_OPTIONS = {
     "--cutoff": (None, {"type": _int_list},
                  "cut-off thresholds (comma list; none disables them)"),
     "--w0": ("1.0", {"type": float}, "Werner parameter of a fresh link"),
-    "--trunc": (None, {"type": int}, "output length of the exact engine "
+    "--trunc": (None, {"type": int}, "output length of the tracker "
                 "(none: the certified horizon)"),
     "--distill-rounds": ("0", {"type": int},
                          "distillation rounds before each swap level"),
@@ -348,7 +348,7 @@ def _markov_cell(params, args):
            "stddev_t": math.sqrt(stats["variance"]),
            "mean_w": None, "captured_mass": None, "stderr_t": None}
     if args.export_pmf:
-        row["_dist"] = markovchain.waiting_pmf(chain, args.trunc)
+        row["_dist"] = markovchain.waiting_pmf(chain)
     return row
 
 
@@ -373,8 +373,7 @@ def _sampled_cell(params, args):
 
 class _Engine(typing.NamedTuple):
     run: typing.Callable
-    reads: set  # the grid options the engine reads ...
-    joint: set = frozenset()  # ... and those it reads only all together
+    reads: set  # the grid options the engine reads
     pooled: bool = False  # whether its cells run on the cell pool
 
 
@@ -389,8 +388,7 @@ _ENGINES = {
     "track": _Engine(_track_cell, {"--tcoh", "--cutoff", "--w0", "--trunc",
                                    "--distill-rounds", "--export-pmf"},
                      pooled=True),
-    "markov": _Engine(_markov_cell, {"--swap-time", "--trunc", "--export-pmf"},
-                      joint={"--trunc", "--export-pmf"}),
+    "markov": _Engine(_markov_cell, {"--swap-time", "--export-pmf"}),
     "mc": _Engine(_sampled_cell, _SAMPLED),
     "des": _Engine(_sampled_cell, _SAMPLED | {"--delay"}),
 }
@@ -398,10 +396,8 @@ _ENGINES = {
 
 def _readers(flag):
     """The engines that read ``flag``: 'the mc or des engine'."""
-    alone = [name for name, e in _ENGINES.items() if flag in e.reads - e.joint]
-    return f"the {' or '.join(alone)} engine" + "".join(
-        f", or {name} with {' '.join(sorted(e.joint - {flag}))}"
-        for name, e in _ENGINES.items() if flag in e.joint)
+    readers = [name for name, e in _ENGINES.items() if flag in e.reads]
+    return f"the {' or '.join(readers)} engine"
 
 
 def _check_engine_options(args):
@@ -411,8 +407,7 @@ def _check_engine_options(args):
     dest = {flag: flag[2:].replace("-", "_") for flag in _GRID_OPTIONS}
     given = {flag for flag in dest
              if getattr(args, dest[flag], None) is not None}
-    reads = engine.reads - (set() if engine.joint <= given else engine.joint)
-    unread = [flag for flag in dest if flag in given - reads]
+    unread = [flag for flag in dest if flag in given - engine.reads]
     if unread:
         raise FeatureMismatchError(
             f"the {args.engine} engine does not read every given option: "

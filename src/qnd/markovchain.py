@@ -18,16 +18,21 @@ segments is the Kronecker product of two copies of the S-segment matrix,
 with the one state where both halves are finished rewired to the top swap.
 Reaching the end-to-end link is absorption, and waiting-time statistics
 follow from the standard absorbing-chain linear systems and from iterated
-vector-matrix products.
+vector-matrix products.  The PMF follows the tracker's tail rule: it runs
+until at most ``TAIL_MASS`` is still transient, and HorizonError refuses a
+chain whose exact mean times ln(1 / TAIL_MASS) exceeds ``HORIZON_LIMIT``.
 """
 
 import enum
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chainformulas import ChainParams
-from .disttrack import TruncatedDistribution
+from .disttrack import (HORIZON_LIMIT, TAIL_MASS, HorizonError,
+                        TruncatedDistribution)
 
 __all__ = [
     "SwapTimeMode",
@@ -59,7 +64,7 @@ class SwapTimeMode(str, enum.Enum):
 
 @dataclass
 class RepeaterMarkovChain:
-    """States, transition matrix, and absorbing set of a repeater chain.
+    """States and transition matrix of a repeater chain.
 
     ``states`` are sorted tuples of link intervals, in the row-major order
     of the level-by-level product (left half major), restricted to the
@@ -71,7 +76,6 @@ class RepeaterMarkovChain:
 
     states: tuple
     tpm: np.ndarray
-    absorbing: frozenset
     swap_time_mode: SwapTimeMode
     params: ChainParams
 
@@ -158,9 +162,8 @@ def build_chain(params, swap_time_mode=SwapTimeMode.ZERO_STEP):
         raise AssertionError(f"rows {bad.tolist()} do not sum to 1")
     # p_g, p_s > 0: the end-to-end link, last in every level's order, is
     # reachable.
-    return RepeaterMarkovChain(states=states, tpm=tpm,
-                               absorbing=frozenset({len(states) - 1}),
-                               swap_time_mode=mode, params=params)
+    return RepeaterMarkovChain(states=states, tpm=tpm, swap_time_mode=mode,
+                               params=params)
 
 
 def _closure(edges, seed):
@@ -177,18 +180,17 @@ def _closure(edges, seed):
 
 
 def _transient_block(chain):
-    """Q, the transitions among the transient states in index order."""
-    transient = [i for i in range(chain.n_states) if i not in chain.absorbing]
-    if not transient:
+    """Q, the transitions among the transient states (all but the last)."""
+    last = chain.n_states - 1
+    if last < 1:
         raise AbsorptionError("no transient states")
     # Every transient state must be able to reach absorption or the
     # hitting-time system is singular.
-    reach = _closure(chain.tpm > 0.0, sorted(chain.absorbing))
-    for s in transient:
-        if not reach[s]:
-            raise AbsorptionError(
-                f"state {chain.states[s]!r} cannot reach absorption")
-    return chain.tpm[np.ix_(transient, transient)]
+    stuck = np.flatnonzero(~_closure(chain.tpm > 0.0, [last]))
+    if stuck.size:
+        raise AbsorptionError(
+            f"state {chain.states[stuck[0]]!r} cannot reach absorption")
+    return chain.tpm[:last, :last].copy()
 
 
 def absorption_stats(chain):
@@ -198,8 +200,6 @@ def absorption_stats(chain):
     ``(I - Q) s = 1 + 2 Q m`` on the transient block.
     """
     q = _transient_block(chain)
-    if 0 in chain.absorbing:
-        return {"mean": 0.0, "variance": 0.0}
     ones = np.ones(len(q))
     iq = np.eye(len(q)) - q
     m = np.linalg.solve(iq, ones)
@@ -209,25 +209,28 @@ def absorption_stats(chain):
     return {"mean": mean, "variance": max(variance, 0.0)}
 
 
-def waiting_pmf(chain, t_max):
+def waiting_pmf(chain):
     """PMF of the first-absorption tick, without state-quality tracking:
     ``pmf[t]`` is the transient mass, propagated on the transient block,
     times each state's one-step absorption probability, a sum of positive
-    terms that keeps its relative accuracy in the tail."""
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
-    absorbing = sorted(chain.absorbing)
-    transient = np.setdiff1d(np.arange(chain.n_states), absorbing)
-    q = chain.tpm[np.ix_(transient, transient)]
-    r = chain.tpm[np.ix_(transient, absorbing)].sum(axis=1)
-    dist = np.zeros(len(transient))
-    if 0 not in chain.absorbing:
-        dist[0] = 1.0  # the start state 0 is the first transient state
-    pmf = np.zeros(t_max + 1)
-    for t in range(1, t_max + 1):
-        pmf[t] = dist @ r
+    terms that keeps its relative accuracy in the tail.  It ends once at
+    most ``TAIL_MASS`` is still transient (see the module docstring)."""
+    span = math.log(1.0 / TAIL_MASS) * absorption_stats(chain)["mean"]
+    if not span <= HORIZON_LIMIT:
+        raise HorizonError(f"the Markov PMF needs about {span:.3g} steps, "
+                           f"beyond the default limit {HORIZON_LIMIT}")
+    q = _transient_block(chain)
+    r = chain.tpm[:-1, -1].copy()
+    dist = np.zeros(len(q))
+    dist[0] = 1.0  # the start state 0 is the first transient state
+    pmf = array("d", [0.0])
+    while dist.sum() > TAIL_MASS:
+        if len(pmf) > HORIZON_LIMIT:
+            raise HorizonError(f"the Markov PMF reached the default limit "
+                               f"{HORIZON_LIMIT} with {dist.sum():.3g} left")
+        pmf.append(dist @ r)
         dist = dist @ q
-    return TruncatedDistribution(pmf=pmf, mean_w=None)
+    return TruncatedDistribution(pmf=np.array(pmf), mean_w=None)
 
 
 def _state_label(state, n_segments):
@@ -252,10 +255,10 @@ def to_dot(chain):
     lines = ["digraph repeater_chain {", "  rankdir=TB;"]
     for i, state in enumerate(chain.states):
         label = _state_label(state, n_segments)
-        shape = "doublecircle" if i in chain.absorbing else "circle"
+        shape = "doublecircle" if i == chain.n_states - 1 else "circle"
         lines.append(f'  s{i} [label="{label}", shape={shape}];')
     for i, j in zip(*np.nonzero(chain.tpm)):
-        if i in chain.absorbing:
+        if i == chain.n_states - 1:
             continue
         v = chain.tpm[i, j]
         lines.append(f'  s{i} -> s{j} [label="{v:.6g}"];')

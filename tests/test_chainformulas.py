@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qnd import chainformulas
 from qnd.chainformulas import (ChainParams, decay_factor, det_swap_mean,
                                det_swap_mean_cutoff, det_swap_mean_harmonic,
                                geometric_level_mean, mean_only,
@@ -261,6 +262,22 @@ class TestDetSwap:
             asymptote, rel=1e-12)
         assert det_swap_mean(2 ** levels, 0.5) - levels == pytest.approx(
             det_swap_mean(2 ** 60, 0.5) - 60, abs=1e-9)
+
+    @pytest.mark.parametrize("p_g", [1e-9, 1e-300, 1e-320, 5e-324])
+    def test_too_many_terms_refused_at_once(self, p_g):
+        # About ln(N / 1e-16) / p_g terms: 3.8e10 at 1e-9, and a count of
+        # inf once log1p(-p_g) is subnormal.
+        with pytest.raises(OverflowError,
+                           match="terms, beyond the limit 536870912"):
+            det_swap_mean(2, p_g)
+
+    def test_term_limit_counts_the_terms(self, monkeypatch):
+        # N = 2: 54.1 terms at p_g = 0.5 and 105.2 at p_g = 0.3.
+        expected = det_swap_mean(2, 0.5)
+        monkeypatch.setattr(chainformulas, "_DET_SWAP_TERM_LIMIT", 100)
+        assert det_swap_mean(2, 0.5) == expected
+        with pytest.raises(OverflowError, match="needs 105 terms"):
+            det_swap_mean(2, 0.3)
 
 
 class TestDetSwapCutoff:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -375,6 +376,19 @@ class TestChain:
         assert out == ""
         assert "overflows the float range at level" in err
 
+    @pytest.mark.parametrize("pg", ["1e-9", "1e-320"])
+    def test_analytic_sum_past_the_term_limit_is_an_engine_error(
+            self, pg, capsys):
+        # 3.8e10 terms at 1e-9 and an infinite count at 1e-320: both are
+        # refused before the sum starts.
+        t0 = time.perf_counter()
+        assert main(["chain", "analytic", "--n", "1", "--pg", pg,
+                     "--ps", "1"]) == 3
+        assert time.perf_counter() - t0 < 10.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "terms, beyond the limit 536870912" in err
+
     def test_analytic_agrees_with_track_wherever_it_is_exact(self, capsys):
         # The analytic engine is exact at n <= 1, for mean_t at p_s = 1 and
         # for mean_w without decay; its cut-off branch printed a flat
@@ -428,13 +442,46 @@ class TestChain:
         text = pmf_path.read_text()
         assert "t,pmf,cdf,mean_w,mean_F" in text
 
-    def test_export_pmf_from_markov_with_trunc(self, tmp_path, capsys):
+    def test_export_pmf_from_markov_sizes_itself(self, tmp_path, capsys):
         pmf_path = tmp_path / "pmf.csv"
         assert main(["chain", "markov", "--n", "1", "--pg", "0.5",
-                     "--ps", "0.5", "--trunc", "300",
-                     "--export-pmf", str(pmf_path)]) == 0
-        assert pmf_path.read_text().startswith(
-            "# n=1 p_g=0.5 p_s=0.5 t_coh=inf tau=None\n")
+                     "--ps", "0.5", "--export-pmf", str(pmf_path)]) == 0
+        text = pmf_path.read_text()
+        assert text.startswith("# n=1 p_g=0.5 p_s=0.5 t_coh=inf tau=None\n")
+        pmf = [float(line.split(",")[1]) for line in text.splitlines()[2:]]
+        assert math.fsum(pmf) >= 1.0 - 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("ps", ["0.5", "1.0"])
+    def test_markov_export_matches_the_tracked_export(self, n, ps, tmp_path):
+        # Neither export takes --trunc: each ends at its own horizon, and
+        # past its end a PMF is zero.
+        pmfs = []
+        for engine in ("markov", "track"):
+            path = tmp_path / f"{engine}.csv"
+            assert main(["chain", engine, "--n", str(n), "--pg", "0.3",
+                         "--ps", ps, "--export-pmf", str(path),
+                         "--out", str(tmp_path / "rows.csv")]) == 0
+            lines = path.read_text().splitlines()[2:]
+            pmfs.append([float(line.split(",")[1]) for line in lines])
+        markov, track = pmfs
+        assert min(map(len, pmfs)) > 100
+        assert max(abs(a - b) for a, b in itertools.zip_longest(
+            markov, track, fillvalue=0.0)) <= 1e-9
+
+    def test_markov_export_refuses_a_long_chain_at_once(self, tmp_path,
+                                                        capsys):
+        # 36.8 times the mean, 3e6 ticks, exceeds the horizon limit: the
+        # PMF is refused before its first step.
+        pmf_path = tmp_path / "pmf.csv"
+        t0 = time.perf_counter()
+        assert main(["chain", "markov", "--n", "1", "--pg", "1e-6",
+                     "--ps", "0.5", "--export-pmf", str(pmf_path)]) == 3
+        assert time.perf_counter() - t0 < 10.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "beyond the default limit" in err
+        assert not pmf_path.exists()
 
     def test_export_pmf_headers_name_every_grid_coordinate(self, tmp_path):
         pmf_path = tmp_path / "pmf.csv"
@@ -458,12 +505,12 @@ class TestChain:
                                                       capsys):
         pmf_path = tmp_path / "pmf.csv"
         for argv in (["mc", "--samples", "100"], ["des", "--samples", "100"],
-                     ["analytic"], ["markov"]):
+                     ["analytic"]):
             assert main(["chain", *argv, "--n", "1", "--pg", "0.5",
                          "--export-pmf", str(pmf_path)]) == 3
             out, err = capsys.readouterr()
             assert out == ""
-            assert "--export-pmf needs the track engine" in err
+            assert "--export-pmf needs the track or markov engine" in err
             assert not pmf_path.exists()
 
     def test_json_format(self, tmp_path):
@@ -486,8 +533,7 @@ UNREAD = {
               ["--samples", "10000"], ["--seed", "0"]],
     "markov": [["--tcoh", "inf"], ["--cutoff", "5"], ["--w0", "1.0"],
                ["--distill-rounds", "0"], ["--delay", "0"],
-               ["--samples", "10000"], ["--seed", "0"], ["--trunc", "50"],
-               ["--export-pmf", "{pmf}"]],
+               ["--samples", "10000"], ["--seed", "0"], ["--trunc", "50"]],
     "mc": [["--trunc", "50"], ["--swap-time", "zero-step"], ["--delay", "0"],
            ["--export-pmf", "{pmf}"]],
     "des": [["--trunc", "50"], ["--swap-time", "zero-step"],
@@ -522,8 +568,7 @@ READ = [
      "pmf_rows"),
     ("markov", ["--swap-time", "zero-step"], ["--swap-time", "one-step"],
      "mean_t"),
-    ("markov", ["--trunc", "30", "--export-pmf", "{pmf}"],
-     ["--trunc", "40", "--export-pmf", "{pmf}"], "pmf_rows"),
+    ("markov", [], ["--export-pmf", "{pmf}"], "pmf_rows"),
 ] + [
     (engine, a, b, column)
     for engine in ("mc", "des")
@@ -584,23 +629,28 @@ class TestEngineTable:
             assert f"{option} needs the" in stderr
         assert not out.exists()
 
-    def test_markov_trunc_zero_reaches_the_pmf_check(self, tmp_path, capsys):
+    def test_markov_trunc_rejected_with_export_pmf(self, tmp_path, capsys):
+        # The Markov PMF sizes itself, so --trunc is not read even beside
+        # --export-pmf.
         pmf = tmp_path / "f"
         assert main(["chain", "markov", "--n", "1", "--pg", "0.5",
-                     "--trunc", "0", "--export-pmf", str(pmf)]) == 3
+                     "--trunc", "50", "--export-pmf", str(pmf)]) == 3
         stdout, stderr = capsys.readouterr()
         assert stdout == ""
-        assert "t_max must be at least 1" in stderr
+        assert "--trunc needs the track engine" in stderr
+        assert "--export-pmf" not in stderr
         assert not pmf.exists()
 
     def test_rejection_names_the_engines_that_read_the_option(self, tmp_path,
                                                               capsys):
-        assert main(["chain", "markov", "--n", "1", "--pg", "0.5", "--seed",
-                     "1", "--export-pmf", str(tmp_path / "f")]) == 3
+        assert main(["chain", "mc", "--n", "1", "--pg", "0.5", "--swap-time",
+                     "zero-step", "--export-pmf", str(tmp_path / "f")]) == 3
         err = capsys.readouterr().err
-        assert "--seed needs the mc or des engine" in err
-        assert ("--export-pmf needs the track engine, or markov with "
-                "--trunc") in err
+        assert "--swap-time needs the markov engine" in err
+        assert "--export-pmf needs the track or markov engine" in err
+        assert main(["chain", "markov", "--n", "1", "--pg", "0.5", "--seed",
+                     "1"]) == 3
+        assert "--seed needs the mc or des engine" in capsys.readouterr().err
 
     @pytest.mark.parametrize("engine,a,b,column", READ)
     def test_read_option_moves_the_output(self, engine, a, b, column,
@@ -618,9 +668,7 @@ class TestEngineTable:
                     for arg in a + b if arg.startswith("--")}
             rejected = {option[0] for option in unread}
             assert read | rejected == options, engine
-            # markov reads --trunc and --export-pmf only as a pair.
-            assert read & rejected == ({"--trunc", "--export-pmf"}
-                                       if engine == "markov" else set())
+            assert read & rejected == set(), engine
             assert read == _ENGINES[engine].reads, engine
 
 
@@ -745,8 +793,7 @@ class TestImport:
             ["bounds", str(mixed), "--bipartite", "A", "C"],
             ["chain", "analytic", *chain, "--tcoh", "10"],
             ["chain", "track", *chain, "--tcoh", "10", "--cutoff", "5"],
-            ["chain", "markov", *chain, "--trunc", "50", "--export-pmf",
-             str(tmp_path / "pmf")],
+            ["chain", "markov", *chain, "--export-pmf", str(tmp_path / "pmf")],
             ["chain", "mc", *chain, "--tcoh", "10", *sampled],
             ["chain", "des", *chain, "--tcoh", "10", *sampled],
             ["compare", "--n", "1,2", "--pg", "0.5", "--ps", "0.5"],

@@ -6,7 +6,7 @@ import pytest
 
 from qnd import markovchain
 from qnd.chainformulas import ChainParams
-from qnd.disttrack import chain_distribution
+from qnd.disttrack import TAIL_MASS, HorizonError, chain_distribution
 from qnd.markovchain import (AbsorptionError, SwapTimeMode, build_chain,
                              absorption_stats, to_dot, waiting_pmf,
                              StateLimitError)
@@ -43,7 +43,7 @@ class TestBuildChain:
         assert t[i01, i11] == pytest.approx(p_g)
         assert t[i11, i00] == pytest.approx(1 - p_s)
         assert t[i11, idone] == pytest.approx(p_s)
-        assert idone in chain.absorbing
+        assert idone == chain.n_states - 1
 
     def test_zero_step_collapses_the_both_links_state(self):
         chain = build_chain(ChainParams(n=1, p_g=0.5, p_s=0.5), ZERO)
@@ -58,11 +58,9 @@ class TestBuildChain:
 
     def test_absorbing_rows_are_identity(self):
         chain = build_chain(ChainParams(n=1, p_g=0.5, p_s=0.5), ONE)
-        t = chain.tpm
-        for i in chain.absorbing:
-            row = np.zeros(chain.n_states)
-            row[i] = 1.0
-            assert np.array_equal(t[i], row)
+        row = np.zeros(chain.n_states)
+        row[-1] = 1.0
+        assert np.array_equal(chain.tpm[-1], row)
 
     def test_reachable_state_counts_grow_with_level(self):
         # Zero-step reachable states: every link configuration in which
@@ -276,7 +274,6 @@ class TestEnumeratorParity:
         perm = [index[s] for s in chain.states]
         assert np.abs(chain.tpm - tpm[np.ix_(perm, perm)]).max() <= 1e-15
         assert chain.states[0] == ()
-        assert chain.absorbing == {chain.n_states - 1}
         assert chain.states[-1] == ((0, params.segments),)
 
 
@@ -349,7 +346,7 @@ class TestAbsorptionStats:
     def test_variance_against_pmf(self):
         chain = build_chain(ChainParams(n=1, p_g=0.5, p_s=0.5), ZERO)
         stats = absorption_stats(chain)
-        dist = waiting_pmf(chain, 800)
+        dist = waiting_pmf(chain)
         assert stats["mean"] == pytest.approx(dist.mean(), abs=1e-9)
         assert math.sqrt(stats["variance"]) == pytest.approx(
             dist.stddev(), abs=1e-6)
@@ -358,26 +355,25 @@ class TestAbsorptionStats:
 class TestWaitingPmf:
     def test_deterministic_point_mass(self):
         chain = build_chain(ChainParams(n=1, p_g=1.0, p_s=1.0), ZERO)
-        dist = waiting_pmf(chain, 5)
-        assert dist.pmf[1] == pytest.approx(1.0)
-        assert dist.pmf[2:].sum() == 0.0
+        dist = waiting_pmf(chain)
+        assert dist.pmf.tolist() == [0.0, 1.0]
 
     def test_matches_distribution_tracking_entrywise(self):
         params = ChainParams(n=1, p_g=0.5, p_s=0.5)
-        pmf_markov = waiting_pmf(build_chain(params, ZERO), 400)
-        pmf_track = chain_distribution(params, t_trunc=400)
+        pmf_markov = waiting_pmf(build_chain(params, ZERO))
+        pmf_track = chain_distribution(params, t_trunc=pmf_markov.t_trunc)
         assert np.abs(pmf_markov.pmf - pmf_track.pmf).max() <= 1e-9
 
     def test_matches_tracking_for_two_levels(self):
         params = ChainParams(n=2, p_g=0.5, p_s=0.5)
-        pmf_markov = waiting_pmf(build_chain(params, ZERO), 600)
-        pmf_track = chain_distribution(params, t_trunc=600)
+        pmf_markov = waiting_pmf(build_chain(params, ZERO))
+        pmf_track = chain_distribution(params, t_trunc=pmf_markov.t_trunc)
         assert np.abs(pmf_markov.pmf - pmf_track.pmf).max() <= 1e-9
 
     def test_matches_tracking_for_three_levels(self):
         params = ChainParams(n=3, p_g=0.5, p_s=0.5)
-        pmf_markov = waiting_pmf(build_chain(params, ZERO), 1500)
-        pmf_track = chain_distribution(params, t_trunc=1500)
+        pmf_markov = waiting_pmf(build_chain(params, ZERO))
+        pmf_track = chain_distribution(params, t_trunc=pmf_markov.t_trunc)
         assert np.abs(pmf_markov.pmf - pmf_track.pmf).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -389,24 +385,66 @@ class TestWaitingPmf:
         tpm = [[Fraction(v) for v in row] for row in chain.tpm.tolist()]
         dist = [Fraction(int(i == 0)) for i in range(chain.n_states)]
         absorbed = Fraction(0)
-        got = waiting_pmf(chain, 120).pmf
+        got = waiting_pmf(chain).pmf
         for t in range(1, 121):
             dist = [sum(d * row[j] for d, row in zip(dist, tpm) if row[j])
                     for j in range(chain.n_states)]
-            now = sum(dist[i] for i in chain.absorbing)
+            now = dist[-1]
             exact, absorbed = now - absorbed, now
             assert abs(Fraction(got[t]) - exact) <= Fraction(1, 10**12) * exact
 
     def test_partial_sums_converge_to_one(self):
         chain = build_chain(ChainParams(n=2, p_g=0.5, p_s=0.5), ZERO)
-        masses = [waiting_pmf(chain, t).captured_mass
-                  for t in (50, 200, 800)]
+        dist = waiting_pmf(chain)
+        masses = [dist.pmf[:t + 1].sum() for t in (50, 200)]
+        masses.append(dist.captured_mass)
         assert all(b >= a for a, b in zip(masses, masses[1:]))
-        assert masses[-1] >= 1.0 - 1e-9
+        assert masses[-1] >= 1.0 - 1e-14
 
     def test_quality_absent(self):
         chain = build_chain(ChainParams(n=1, p_g=0.5, p_s=0.5), ZERO)
-        assert waiting_pmf(chain, 10).mean_w is None
+        assert waiting_pmf(chain).mean_w is None
+
+    @pytest.mark.parametrize("mode", [ZERO, ONE])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_self_sized_moments_match_absorption_stats(self, n, mode):
+        chain = build_chain(ChainParams(n=n, p_g=0.5, p_s=0.5), mode)
+        stats = absorption_stats(chain)
+        dist = waiting_pmf(chain)
+        assert dist.mean() == pytest.approx(stats["mean"], rel=1e-12)
+        assert dist.stddev() == pytest.approx(math.sqrt(stats["variance"]),
+                                              rel=1e-9)
+
+    def test_ends_once_the_tail_mass_is_left(self):
+        # The transient mass after tick t is 0.9**t: the PMF ends at the
+        # first t where it is at most TAIL_MASS, not before.
+        chain = build_chain(ChainParams(n=0, p_g=0.1), ZERO)
+        t_end = waiting_pmf(chain).t_trunc
+        assert 0.9 ** t_end <= TAIL_MASS < 0.9 ** (t_end - 1)
+
+    def test_a_heavy_tail_runs_past_the_first_guess(self, monkeypatch):
+        # Mean 2: 0.99 absorbs at once, 0.01 waits on a state that leaves
+        # with probability 0.01 a tick.  The tail outlasts 36.8 times the
+        # mean by far, so the loop, not the first guess, ends the PMF.
+        from qnd.markovchain import RepeaterMarkovChain
+        tpm = np.array([[0.0, 0.01, 0.99], [0.0, 0.99, 0.01],
+                        [0.0, 0.0, 1.0]])
+        chain = RepeaterMarkovChain(
+            states=((), ((0, 1),), ((0, 2),)), tpm=tpm, swap_time_mode=ZERO,
+            params=ChainParams(n=1, p_g=0.5, p_s=0.5))
+        assert absorption_stats(chain)["mean"] == pytest.approx(2.0)
+        dist = waiting_pmf(chain)
+        assert dist.t_trunc > 1000
+        assert dist.captured_mass >= 1.0 - 1e-14
+        monkeypatch.setattr(markovchain, "HORIZON_LIMIT", 100)
+        with pytest.raises(HorizonError, match="reached the default limit"):
+            waiting_pmf(chain)
+
+    def test_long_chain_refused_before_any_step(self):
+        # 36.8 times a mean of 3e6 ticks exceeds HORIZON_LIMIT.
+        chain = build_chain(ChainParams(n=1, p_g=1e-6, p_s=0.5), ZERO)
+        with pytest.raises(HorizonError, match="beyond the default limit"):
+            waiting_pmf(chain)
 
 
 class TestDotExport:
@@ -426,8 +464,7 @@ class TestAbsorptionReachability:
         # A hand-built chain whose transient state loops forever.
         tpm = np.array([[1.0, 0.0], [0.0, 1.0]])
         chain = RepeaterMarkovChain(
-            states=((), ((0, 2),)), tpm=tpm, absorbing=frozenset({1}),
-            swap_time_mode=ZERO,
+            states=((), ((0, 2),)), tpm=tpm, swap_time_mode=ZERO,
             params=ChainParams(n=1, p_g=0.5, p_s=0.5))
         with pytest.raises(AbsorptionError):
             absorption_stats(chain)
@@ -443,7 +480,7 @@ class TestAbsorptionReachability:
         params = ChainParams(n=1, p_g=0.5, p_s=0.5)
         chain = RepeaterMarkovChain(
             states=((), ((0, 1),), ((1, 2),), ((0, 2),)), tpm=tpm,
-            absorbing=frozenset({3}), swap_time_mode=ZERO, params=params)
+            swap_time_mode=ZERO, params=params)
         assert absorption_stats(chain)["mean"] == pytest.approx(3.0)
         tpm[2] = [0.0, 0.0, 1.0, 0.0]  # state 2 now loops forever
         before = tpm.copy()
