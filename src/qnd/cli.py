@@ -294,7 +294,9 @@ def _add_chain_parser(sub):
         "is exact at one level and, with --ps 1, at every depth; its "
         "mean_w is exact at one level only and a level-by-level estimate "
         "beyond (--n 4 --pg 0.5 --ps 1 --tcoh 40 --w0 0.95 gives 0.2140, "
-        "track 0.2538).")
+        "track 0.2538).  A track row is summarised from the last unit's "
+        "renewal law, and its captured_mass is the mass that law implies; "
+        "with --trunc or --export-pmf it summarises the tracked PMF.")
     p.add_argument("engine", choices=_ENGINES)
     _add_grid_arguments(p, _GRID_OPTIONS, chain=True)
     p.add_argument("--timings", action="store_true",
@@ -332,8 +334,17 @@ def _analytic_cell(params, args):
 
 
 def _track_cell(params, args):
-    dist = disttrack.chain_distribution(params, _protocol(params, args),
-                                        t_trunc=args.trunc)
+    """The tracked chain's row: summarised from the last unit's renewal law
+    unless a PMF option (--trunc, --export-pmf, --pmf-out) needs the whole
+    PMF, which the row then summarises."""
+    protocol = _protocol(params, args)
+    if args.trunc is None and not args.export_pmf and not getattr(
+            args, "pmf_out", None):
+        stats = disttrack.chain_statistics(params, protocol)
+        return {"mean_t": stats["mean"], "stddev_t": stats["stddev"],
+                "mean_w": stats["mean_w"],
+                "captured_mass": stats["captured_mass"], "stderr_t": None}
+    dist = disttrack.chain_distribution(params, protocol, t_trunc=args.trunc)
     return {"mean_t": dist.mean(), "stddev_t": dist.stddev(),
             "mean_w": dist.mean_werner(),
             "captured_mass": dist.captured_mass, "stderr_t": None,
@@ -467,7 +478,8 @@ def _cmd_chain(args):
 def _add_compare_parser(sub):
     p = sub.add_parser("compare", description="Relative errors of the "
                        "analytical approximations against the exact "
-                       "tracked mean.")
+                       "tracked mean, from the last unit's renewal law; "
+                       "with --trunc or --pmf-out, from the tracked PMF.")
     _add_grid_arguments(p, ["--trunc"])
     p.set_defaults(engine="track", run=_cmd_compare)
     p.add_argument("--pmf-out",

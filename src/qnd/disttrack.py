@@ -41,10 +41,15 @@ rounding, the mass its inputs imply.  A given ``t_trunc`` only cuts or
 zero-pads the certified output, so a cut head is exactly the head of the
 full run.  Mass beyond the output is dropped, never renormalized; the
 captured mass is reported and enforced against a floor.
+
+A chain's summary statistics need no last level: :func:`chain_statistics`
+tracks the protocol minus its last unit and takes mean, variance, mean
+Werner parameter and mass from that unit's renewal law, whose moments
+follow exactly from the rounds of one join of the level below.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +64,7 @@ __all__ = [
     "distill_output_w",
     "default_horizon",
     "chain_distribution",
+    "chain_statistics",
     "werner_to_fidelity",
     "distribution_csv",
     "distribution_summary",
@@ -328,34 +334,45 @@ def _renewal_sum(kernel, firsts, n, round_prob=None, restarts=None):
 
 
 def _renewal_law(kernel, first, round_prob=None, restarts=None):
-    """Mass and mean of the first array's renewal sum in ``_renewal_sum``
-    on an unbounded horizon, from the masses and first moments of its
-    inputs: the mean of one success plus the expected time lost to
-    failure rounds.  Also returns the renewal denominator, the share of
-    rounds that end the unit, which scales the float rounding of the
-    mass."""
-    k_mass, k_moment = _moments(kernel)
+    """Law of the first array's renewal sum in ``_renewal_sum`` on an
+    unbounded horizon, G(z) = s F(z) / (1 - K(z)): s is ``round_prob`` (1
+    when None), F the first and K the failure rounds, the kernel weighted
+    by 1 - s plus the restarts.  Returns its mass s F_0 / d, mean and
+    variance, from the moments of the inputs, and d = 1 - K_0, the share
+    of rounds that end the unit, which scales the float rounding of the
+    mass.  The mean is that of one success plus the expected time lost to
+    failure rounds, m_F + K_1 / d; the variance Var_F + K_2 / d + (K_1 /
+    d)^2 adds positive terms only (K_j = sum t^j k_t)."""
+    k_mass, k_moment, k_square = _moments(kernel)
     scale = 1.0
     if round_prob is not None:
-        k_mass *= 1.0 - round_prob
-        k_moment *= 1.0 - round_prob
+        k_mass, k_moment, k_square = ((1.0 - round_prob) * m
+                                      for m in (k_mass, k_moment, k_square))
         scale = round_prob
     if restarts is not None:
-        r_mass, r_moment = _moments(restarts)
+        r_mass, r_moment, r_square = _moments(restarts)
         k_mass += r_mass
         k_moment += r_moment
-    f_mass, f_moment = _moments(first)
+        k_square += r_square
+    f_mass, f_moment, _ = _moments(first)
+    f_mean = f_moment / f_mass
+    f_spread = _moments(first, f_mean)[2]
     d = 1.0 - k_mass
     _check_rounds(d)
-    return scale * f_mass / d, f_moment / f_mass + k_moment / d, d
+    lost = k_moment / d
+    return (scale * f_mass / d, f_mean + lost,
+            f_spread / f_mass + k_square / d + lost * lost, d)
 
 
-def _moments(a):
-    """(mass, first moment) of an array indexed by delivery time."""
+def _moments(a, center=0.0):
+    """(mass, first moment, second moment about ``center``) of an array
+    indexed by delivery time."""
     # einsum, not a BLAS dot: threaded BLAS start-up costs more than the
     # whole sum at these lengths.
     t = np.arange(len(a), dtype=float)
-    return float(a.sum()), float(np.einsum("i,i", t, a))
+    first = float(np.einsum("i,i", t, a))
+    t -= center
+    return float(a.sum()), first, float(np.einsum("i,i,i", t, t, a))
 
 
 def _decayed_window_sum(u, x, tau):
@@ -570,7 +587,9 @@ ROUNDING_MASS = 16 * np.finfo(float).eps
 #: level of 1.94e7 steps), so 2^25 steps need about 3 GB.  Swap-only
 #: chains at p_g=0.1, p_s=0.5 stay below it up to n=10 (1.37e7 steps); a
 #: small p_g, or a cut-off that makes restarts dominate, can push a chain
-#: past it, which is then reported instead of attempted.
+#: past it, which is then reported instead of attempted.  The limit binds
+#: the tracked levels: :func:`chain_statistics` builds none beyond the
+#: last but one, so it summarises chains one level deeper (n=11 there).
 HORIZON_LIMIT = 1 << 25
 
 
@@ -620,8 +639,8 @@ def _track(params, protocol):
         kernel, firsts, round_prob, restarts = _unit_rounds(
             op, pmf, wmass, pmf, wmass, params.decay_per_step, params.tau,
             params.p_s)
-        mass, mean, ending = _renewal_law(kernel, firsts[0], round_prob,
-                                          restarts)
+        mass, mean, _, ending = _renewal_law(kernel, firsts[0], round_prob,
+                                             restarts)
         horizon, pmf, wmass = _certify(
             lambda h: _renewal_sum(kernel, firsts, h + 1, round_prob,
                                    restarts),
@@ -678,6 +697,49 @@ def chain_distribution(params, protocol=None, t_trunc=None):
             f"{DEFAULT_MASS_FLOOR}; increase t_trunc (current "
             f"{result.t_trunc})")
     return result
+
+
+def chain_statistics(params, protocol=None):
+    """Summary of :func:`chain_distribution`'s output without building its
+    last level: a dict of ``mean``, ``stddev``, ``mean_w`` (the mean Werner
+    parameter) and ``captured_mass``.
+
+    The last unit's delivery time has the law G(z) = s F(z) / (1 - K(z))
+    of its rounds (``_renewal_law``), whose moments follow exactly from
+    the rounds of one join of the level below, which
+    :func:`chain_distribution` tracks.  Its mass is the mass the unit
+    implies: a float excess over 1 within the rounding of the round
+    masses is capped at 1, and a larger one raises :class:`HorizonError`,
+    as does a mass below ``DEFAULT_MASS_FLOOR``.
+    ``mean_w`` is the delivered quality mass of one successful round over
+    its probability.  An empty plan summarises the elementary level.
+    """
+    protocol = ChainProtocol.for_chain(params, protocol)
+    if not protocol.plan:
+        dist = chain_distribution(params, protocol)
+        return {**distribution_summary(dist), "mean_w": dist.mean_werner()}
+    *head, op = protocol.plan
+    below = chain_distribution(
+        replace(params, n=params.n - (op == "swap")),
+        ChainProtocol(plan=tuple(head), w0=protocol.w0))
+    pmf, wmass = _as_masses(below)
+    kernel, firsts, round_prob, restarts = _unit_rounds(
+        op, pmf, wmass, pmf, wmass, params.decay_per_step, params.tau,
+        params.p_s)
+    mass, mean, variance, ending = _renewal_law(kernel, firsts[0],
+                                                round_prob, restarts)
+    # The round masses sum N entries built from prefix sums, whose
+    # rounding grows about as sqrt(N) times that of one sum.
+    if mass - 1.0 > ROUNDING_MASS * math.sqrt(len(pmf)) / ending:
+        raise HorizonError(f"implied mass {mass!r} exceeds 1 by more than "
+                           f"float rounding")
+    mass = min(mass, 1.0)
+    if mass < DEFAULT_MASS_FLOOR:
+        raise HorizonError(f"implied mass {mass:.9f} is below the floor "
+                           f"{DEFAULT_MASS_FLOOR}")
+    return {"mean": mean, "stddev": math.sqrt(variance),
+            "mean_w": float(firsts[1].sum() / firsts[0].sum()),
+            "captured_mass": mass}
 
 
 # --- exports ----------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qnd
-from qnd import chainformulas, cli
+from qnd import chainformulas, cli, disttrack
 from qnd.cli import _ENGINES, main
 from qnd.flows import FlowAssignment, FlowVerificationError
 
@@ -729,6 +729,46 @@ class TestCompare:
         assert len(compared) == len(tracked) == 12
         assert ([row["exact_mean"] for row in compared]
                 == [row["mean_t"] for row in tracked])
+
+
+class TestTrackedPmfCalls:
+    """A ``chain track`` or ``compare`` cell calls the module-global
+    ``disttrack.chain_distribution`` once: on the protocol minus its last
+    unit for a row summarised from the renewal law, on the full protocol
+    when a PMF option needs the whole PMF."""
+
+    GRID = ["--n", "1,2,3", "--pg", "0.5", "--ps", "0.5"]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        inner = disttrack.chain_distribution
+
+        def spy(params, protocol=None, t_trunc=None):
+            calls.append((params.n, protocol.plan, t_trunc))
+            return inner(params, protocol, t_trunc)
+
+        monkeypatch.setattr(disttrack, "chain_distribution", spy)
+        return calls
+
+    @pytest.mark.parametrize("command", [["chain", "track"], ["compare"]])
+    def test_summary_rows_track_the_level_below(self, command, calls,
+                                                capsys):
+        assert main(command + self.GRID) == 0
+        assert sorted(calls) == [(n, ("swap",) * n, None) for n in (0, 1, 2)]
+
+    @pytest.mark.parametrize("command, option, t_trunc", [
+        (["chain", "track"], ["--trunc", "3000"], 3000),
+        (["chain", "track"], ["--export-pmf", "{tmp}/pmf.csv"], None),
+        (["compare"], ["--trunc", "3000"], 3000),
+        (["compare"], ["--pmf-out", "{tmp}/pmf"], None)])
+    def test_pmf_options_track_the_full_protocol(self, command, option,
+                                                 t_trunc, calls, tmp_path,
+                                                 capsys):
+        option = [arg.format(tmp=tmp_path) for arg in option]
+        assert main(command + self.GRID + option) == 0
+        assert sorted(calls) == [(n, ("swap",) * n, t_trunc)
+                                 for n in (1, 2, 3)]
 
 
 class TestSimulate:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qnd import disttrack
 from qnd.chainformulas import ChainParams, decay_factor, det_swap_mean
-from qnd.disttrack import (ChainProtocol, HorizonError, TruncatedDistribution,
-                           _fft_len, chain_distribution, compound_geometric,
-                           default_horizon, distill_output_w,
+from qnd.disttrack import (DEFAULT_MASS_FLOOR, ChainProtocol, HorizonError,
+                           TruncatedDistribution, _fft_len,
+                           chain_distribution, chain_statistics,
+                           compound_geometric, default_horizon,
+                           distill_output_w,
                            distill_success_prob, distribution_csv,
                            distribution_summary, geometric_pmf, max_combine,
                            werner_to_fidelity)
@@ -420,6 +424,108 @@ class TestChainDistribution:
         assert swapped.captured_mass <= combined.captured_mass + 1e-12
 
 
+class TestChainStatistics:
+    """The last unit's renewal law against the statistics of the tracked
+    PMF and against the other exact engines."""
+
+    @staticmethod
+    def _agree(params, protocol=None, mean=1e-11, stddev=1e-10,
+               mean_w=1e-14):
+        # The PMF's mean carries the FFT rounding of its last level, which
+        # grows with the horizon: up to 1.3e-12 relative at means near 8e3
+        # steps (n = 4, p_s = 0.3, w0 = 0.8 with distillation).
+        stats = chain_statistics(params, protocol)
+        dist = chain_distribution(params, protocol)
+        assert stats["mean"] == pytest.approx(dist.mean(), rel=mean)
+        assert stats["stddev"] == pytest.approx(dist.stddev(), rel=stddev)
+        assert stats["mean_w"] == pytest.approx(dist.mean_werner(),
+                                                abs=mean_w)
+        assert DEFAULT_MASS_FLOOR <= stats["captured_mass"] <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 4), p_g=st.floats(0.2, 0.9),
+           p_s=st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+           t_coh=st.sampled_from([math.inf, 20.0, 300.0]),
+           tau=st.sampled_from([None, 12, 60]),
+           w0=st.sampled_from([1.0, 0.97, 0.8]),
+           distills=st.lists(st.integers(0, 4), max_size=2))
+    def test_law_matches_the_tracked_pmf(self, n, p_g, p_s, t_coh, tau, w0,
+                                         distills):
+        # Restarts make deep cut-off chains too long to track here.
+        assume(tau is None or n + len(distills) <= 3)
+        # Distillation units go before the swap at each listed position;
+        # position n or above puts one after the last swap, so that the
+        # last unit is a distillation.
+        plan = ["swap"] * n
+        for position in sorted(distills, reverse=True):
+            plan.insert(min(position, n), "distill")
+        self._agree(ChainParams(n=n, p_g=p_g, p_s=p_s, t_coh=t_coh, tau=tau),
+                    ChainProtocol(plan=tuple(plan), w0=w0))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_deep_swap_chains_match_the_tracked_pmf(self, n):
+        self._agree(ChainParams(n=n, p_g=0.1, p_s=0.5), mean=1e-10,
+                    stddev=1e-10)
+
+    @pytest.mark.parametrize("n", range(11))
+    @pytest.mark.parametrize("p_g", [0.1, 0.5])
+    def test_deterministic_swap_means_match_closed_form(self, n, p_g):
+        stats = chain_statistics(ChainParams(n=n, p_g=p_g, p_s=1.0))
+        assert stats["mean"] == pytest.approx(det_swap_mean(2 ** n, p_g),
+                                              rel=1e-12)
+
+    def test_tracks_the_level_below_once(self, monkeypatch):
+        # The summary tracks the protocol minus its last unit, through the
+        # module-global chain_distribution; a distillation keeps n.
+        calls = []
+        inner = disttrack.chain_distribution
+
+        def spy(params, protocol=None, t_trunc=None):
+            calls.append((params.n, protocol.plan, protocol.w0, t_trunc))
+            return inner(params, protocol, t_trunc)
+
+        monkeypatch.setattr(disttrack, "chain_distribution", spy)
+        params = ChainParams(n=2, p_g=0.5, p_s=0.5)
+        chain_statistics(params, ChainProtocol.swap_only(2, w0=0.9))
+        chain_statistics(params, ChainProtocol(
+            plan=("swap", "swap", "distill"), w0=0.9))
+        chain_statistics(ChainParams(n=0, p_g=0.5))
+        assert calls == [(1, ("swap",), 0.9, None),
+                         (2, ("swap", "swap"), 0.9, None),
+                         (0, (), 1.0, None)]
+
+    @pytest.mark.parametrize("excess, capped", [(4e-16, True),
+                                                (1e-9, False)])
+    def test_mass_excess_is_capped_only_within_rounding(self, excess,
+                                                        capped, monkeypatch):
+        # A few ulps over 1 are rounding of the round masses; 1e-9 is far
+        # beyond it for a short chain, and an error.
+        renewal_law = disttrack._renewal_law
+
+        def overstated(*args):
+            mass, mean, variance, ending = renewal_law(*args)
+            return 1.0 + excess, mean, variance, ending
+
+        monkeypatch.setattr(disttrack, "_renewal_law", overstated)
+        params = ChainParams(n=1, p_g=0.5, p_s=0.5)
+        if capped:
+            assert chain_statistics(params)["captured_mass"] == 1.0
+        else:
+            with pytest.raises(HorizonError, match="exceeds 1"):
+                chain_statistics(params)
+
+    def test_mass_below_the_floor_raises(self, monkeypatch):
+        renewal_law = disttrack._renewal_law
+
+        def understated(*args):
+            mass, mean, variance, ending = renewal_law(*args)
+            return 0.5 * mass, mean, variance, ending
+
+        monkeypatch.setattr(disttrack, "_renewal_law", understated)
+        with pytest.raises(HorizonError, match="below the floor"):
+            chain_statistics(ChainParams(n=2, p_g=0.5, p_s=0.5))
+
+
 class TestDecayedWindowSum:
     """``_decayed_window_sum`` against sums written out from its
     definition, ``A[t] = sum_{t1 = max(1, t - tau)}^{t - 1} u[t1] *
@@ -492,8 +598,13 @@ class TestCertifiedHorizons:
         params = ChainParams(n=n, p_g=p_g, p_s=p_s)
         dist = chain_distribution(params)
         assert dist.captured_mass >= 1.0 - 1e-12
-        markov = absorption_stats(build_chain(params))["mean"]
-        assert dist.mean() == pytest.approx(markov, rel=1e-9)
+        markov = absorption_stats(build_chain(params))
+        assert dist.mean() == pytest.approx(markov["mean"], rel=1e-9)
+        # The last unit's renewal law gives the exact moments.
+        stats = chain_statistics(params)
+        assert stats["mean"] == pytest.approx(markov["mean"], rel=1e-12)
+        assert stats["stddev"] ** 2 == pytest.approx(markov["variance"],
+                                                     rel=1e-9)
         if p_s == 1.0:
             assert dist.mean() == pytest.approx(det_swap_mean(2 ** n, p_g),
                                                 rel=1e-12)
@@ -550,8 +661,8 @@ class TestCertifiedHorizons:
             return renewal_sum(kernel, firsts, n, *args)
 
         def understated(*args):
-            mass, mean, ending = renewal_law(*args)
-            return mass, mean / 16.0, ending
+            mass, mean, variance, ending = renewal_law(*args)
+            return mass, mean / 16.0, variance, ending
 
         # First guesses of ln(1e16) / 16 ~ 2.3 mean delivery times drop
         # about a tenth of each unit level's mass.
@@ -586,8 +697,8 @@ class TestCertifiedHorizons:
             return renewal_sum(kernel, firsts, n, *args)
 
         def overstated(*args):
-            mass, mean, ending = renewal_law(*args)
-            return mass + 1e-13, mean, ending
+            mass, mean, variance, ending = renewal_law(*args)
+            return mass + 1e-13, mean, variance, ending
 
         # A reference mass that no horizon reaches: one doubling captures
         # nothing more, and the level is accepted.
@@ -698,7 +809,8 @@ class TestForChain:
         assert ChainProtocol.for_chain(params, given) is given
 
     @pytest.mark.parametrize("caller", [
-        "chain_distribution", "default_horizon", "sample_chain",
+        "chain_distribution", "chain_statistics", "default_horizon",
+        "sample_chain",
         "run_batch", "ChainSimulation", "simulate_batch"])
     def test_swap_count_mismatch_raises_before_any_draw(self, caller,
                                                         monkeypatch):
@@ -715,6 +827,8 @@ class TestForChain:
         protocol = ChainProtocol.swap_only(1)
         call = {
             "chain_distribution": lambda: disttrack.chain_distribution(
+                params, protocol),
+            "chain_statistics": lambda: disttrack.chain_statistics(
                 params, protocol),
             "default_horizon": lambda: disttrack.default_horizon(
                 params, protocol),
