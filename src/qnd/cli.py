@@ -13,13 +13,15 @@ Subcommands
 ``simulate``  batches on the discrete-event engine, with optional
               per-swap communication delay and event-trace hashing.
 
-All three grid commands run one engine's cell function over the grid:
-``compare`` runs the ``track`` engine and ``simulate`` the ``des`` engine,
-so their numbers are those of ``chain track`` and ``chain des``.  Each
-engine has one execution mode.  Only ``track`` cells, whose FFTs and array
-sums release the GIL, run on a thread pool of one thread per usable core
-(at most 8); every other engine runs its cells in grid order on the calling
-thread.  Either way the rows come out in grid order.
+All three grid commands run one engine over the grid: ``compare`` runs
+the ``track`` engine and ``simulate`` the ``des`` engine, so their numbers
+are those of ``chain track`` and ``chain des``.  Every engine runs on the
+calling thread, with no pool, and the rows come out in grid order.  The
+``track`` engine groups the cells that differ only in ``n`` and runs one
+tracker walk per group, up to the deepest level a row of the group reads:
+level k of a deeper chain is, bit for bit, the k-level chain's output, so
+each row is read off the walk as it passes.  Every other engine runs its
+cells one by one, in grid order.
 
 Engines are never substituted silently.  The engine table ``_ENGINES`` is
 the one tier of checks: before any cell runs, ``chain`` rejects every given
@@ -32,7 +34,6 @@ solver or engine error, 64 usage error.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import functools
@@ -296,11 +297,16 @@ def _add_chain_parser(sub):
         "beyond (--n 4 --pg 0.5 --ps 1 --tcoh 40 --w0 0.95 gives 0.2140, "
         "track 0.2538).  A track row is summarised from the last unit's "
         "renewal law, and its captured_mass is the mass that law implies; "
-        "with --trunc or --export-pmf it summarises the tracked PMF.")
+        "with --trunc or --export-pmf it summarises the tracked PMF.  The "
+        "track engine runs one tracker walk per group of cells that differ "
+        "only in --n.")
     p.add_argument("engine", choices=_ENGINES)
     _add_grid_arguments(p, _GRID_OPTIONS, chain=True)
     p.add_argument("--timings", action="store_true",
-                   help="append a wall-time column (not byte-reproducible)")
+                   help="append a wall-time column, wall_ms (not "
+                        "byte-reproducible): a cell's run time, and for a "
+                        "track row the time from its group's start until "
+                        "the row is ready")
     p.set_defaults(run=_cmd_chain)
 
 
@@ -333,22 +339,63 @@ def _analytic_cell(params, args):
             "captured_mass": None, "stderr_t": None}
 
 
-def _track_cell(params, args):
-    """The tracked chain's row: summarised from the last unit's renewal law
-    unless a PMF option (--trunc, --export-pmf, --pmf-out) needs the whole
-    PMF, which the row then summarises."""
-    protocol = _protocol(params, args)
-    if args.trunc is None and not args.export_pmf and not getattr(
-            args, "pmf_out", None):
-        stats = disttrack.chain_statistics(params, protocol)
-        return {"mean_t": stats["mean"], "stddev_t": stats["stddev"],
-                "mean_w": stats["mean_w"],
-                "captured_mass": stats["captured_mass"], "stderr_t": None}
-    dist = disttrack.chain_distribution(params, protocol, t_trunc=args.trunc)
-    return {"mean_t": dist.mean(), "stddev_t": dist.stddev(),
-            "mean_w": dist.mean_werner(),
-            "captured_mass": dist.captured_mass, "stderr_t": None,
-            "_dist": dist}
+def _track_rows(cells, args):
+    """The tracked chains' rows, from one tracker walk per group of cells
+    that differ only in n.  A row is summarised from the last unit's
+    renewal law over the level below it unless a PMF option (--trunc,
+    --export-pmf, --pmf-out) needs the whole PMF, its own level, which the
+    row then summarises; an n=0 row summarises its own level either way."""
+    groups = {}
+    for params in cells:
+        groups.setdefault(dataclasses.replace(params, n=0), set()).add(
+            params.n)
+    rows = {}
+    for key, depths in groups.items():
+        rows.update(_track_group(key, depths, args))
+    return [rows[params] for params in cells]
+
+
+def _track_group(key, depths, args):
+    """The rows, by params, of the chains of parameters ``key`` at the
+    nesting levels ``depths``: one walk up to the deepest level a row
+    reads, each row built as the walk passes its level, and each level
+    dropped once its rows are built.  A row's wall_ms is the time from the
+    group's start until the row is ready."""
+    start = time.perf_counter()
+    whole = (args.trunc is not None or bool(args.export_pmf)
+             or bool(getattr(args, "pmf_out", None)))
+    reads = {}  # level index -> [(params, protocol)] of the rows reading it
+    for n in depths:
+        params = dataclasses.replace(key, n=n)
+        protocol = _protocol(params, args)
+        level = len(protocol.plan) - (n > 0 and not whole)
+        reads.setdefault(level, []).append((params, protocol))
+    rows = {}
+
+    def read(level, dist):
+        for params, protocol in reads[level]:
+            if whole or params.n == 0:
+                row = {"mean_t": dist.mean(), "stddev_t": dist.stddev(),
+                       "mean_w": dist.mean_werner(),
+                       "captured_mass": dist.captured_mass, "_dist": dist}
+            else:
+                stats = disttrack.chain_statistics(params, protocol,
+                                                   below=dist)
+                row = {"mean_t": stats["mean"], "stddev_t": stats["stddev"],
+                       "mean_w": stats["mean_w"],
+                       "captured_mass": stats["captured_mass"]}
+            rows[params] = {**row, "stderr_t": None,
+                            "wall_ms": 1e3 * (time.perf_counter() - start)}
+
+    deepest = max(reads)
+    _, protocol = reads[deepest][0]
+    walk = disttrack.ChainProtocol(plan=protocol.plan[:deepest],
+                                   w0=protocol.w0)
+    read(deepest, disttrack.chain_distribution(
+        dataclasses.replace(key, n=walk.n_swaps), walk, args.trunc,
+        levels={level: functools.partial(read, level)
+                for level in reads if level < deepest}))
+    return rows
 
 
 def _markov_cell(params, args):
@@ -382,26 +429,37 @@ def _sampled_cell(params, args):
             "delay": args.delay}
 
 
+def _each_cell(cell):
+    """An engine run that calls ``cell(params, args)`` on the cells one by
+    one, in grid order, and times each."""
+    def run(cells, args):
+        rows = []
+        for params in cells:
+            t0 = time.perf_counter()
+            row = cell(params, args)
+            row["wall_ms"] = 1e3 * (time.perf_counter() - t0)
+            rows.append(row)
+        return rows
+    return run
+
+
 class _Engine(typing.NamedTuple):
-    run: typing.Callable
+    run: typing.Callable  # (cells, args) -> their rows, with wall_ms
     reads: set  # the grid options the engine reads
-    pooled: bool = False  # whether its cells run on the cell pool
 
 
 _SAMPLED = {"--tcoh", "--cutoff", "--w0", "--distill-rounds", "--samples",
             "--seed"}
 
-# The one place that says which engine reads which option, and which
-# engine's cells run on the cell pool: only the tracker's, whose FFTs and
-# array sums release the GIL.  The pool slows every other engine's grid.
+# The one place that says which engine reads which option.
 _ENGINES = {
-    "analytic": _Engine(_analytic_cell, {"--tcoh", "--w0"}),
-    "track": _Engine(_track_cell, {"--tcoh", "--cutoff", "--w0", "--trunc",
-                                   "--distill-rounds", "--export-pmf"},
-                     pooled=True),
-    "markov": _Engine(_markov_cell, {"--swap-time", "--export-pmf"}),
-    "mc": _Engine(_sampled_cell, _SAMPLED),
-    "des": _Engine(_sampled_cell, _SAMPLED | {"--delay"}),
+    "analytic": _Engine(_each_cell(_analytic_cell), {"--tcoh", "--w0"}),
+    "track": _Engine(_track_rows, {"--tcoh", "--cutoff", "--w0", "--trunc",
+                                   "--distill-rounds", "--export-pmf"}),
+    "markov": _Engine(_each_cell(_markov_cell),
+                      {"--swap-time", "--export-pmf"}),
+    "mc": _Engine(_each_cell(_sampled_cell), _SAMPLED),
+    "des": _Engine(_each_cell(_sampled_cell), _SAMPLED | {"--delay"}),
 }
 
 
@@ -430,32 +488,14 @@ def _check_engine_options(args):
 
 
 def _grid_rows(args):
-    """Run the engine ``args.engine`` on every cell of the grid: the cells,
-    and per cell, in grid order, a row of the engine name, the params and
-    the engine cell's output with its ``wall_ms``.  A pooled engine's cells
-    run on one thread per usable core (the CPU affinity), at most 8."""
+    """Run the engine ``args.engine`` on the grid: the cells, and per cell,
+    in grid order, a row of the engine name, the params and the engine's
+    output for the cell with its ``wall_ms``."""
     _check_engine_options(args)
     cells = _grid_cells(args)
-    engine = _ENGINES[args.engine]
-
-    def run(params):
-        t0 = time.perf_counter()
-        row = engine.run(params, args)
-        row["wall_ms"] = 1e3 * (time.perf_counter() - t0)
-        return row
-
-    workers = 1
-    if engine.pooled:
-        cores = (len(os.sched_getaffinity(0))
-                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-        workers = min(8, cores, len(cells))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(params) for params in cells]
+    rows = _ENGINES[args.engine].run(cells, args)
     return cells, [{"engine": args.engine, **dataclasses.asdict(params),
-                    **row} for params, row in zip(cells, results)]
+                    **row} for params, row in zip(cells, rows)]
 
 
 def _cmd_chain(args):

@@ -46,6 +46,15 @@ A chain's summary statistics need no last level: :func:`chain_statistics`
 tracks the protocol minus its last unit and takes mean, variance, mean
 Werner parameter and mass from that unit's renewal law, whose moments
 follow exactly from the rounds of one join of the level below.
+
+The walk is the same for every chain whose plan extends a shorter one with
+the same parameters: level k of a deeper chain is, bit for bit, the output
+of the chain of its first k units.  So one walk serves a whole row of
+depths: :func:`chain_distribution` hands the caller each level below its
+last one that it asks for (``levels=``), finished and cut as the shallower
+chain's own output, before it goes on, and a summary takes such a level as
+its level below (``chain_statistics(..., below=)``).  Nothing is kept
+between calls.
 """
 
 import math
@@ -618,9 +627,11 @@ def _certify(level, horizon, mass, tolerance):
         horizon = _level_horizon(2 * horizon)
 
 
-def _track(params, protocol):
+def _track(params, protocol, reads=None):
     """(pmf, quality mass) of the protocol's output on its last level's
-    certified horizon.
+    certified horizon.  ``reads`` maps level indices below the last (k
+    units applied, 0 the elementary level) to functions that are called
+    with that level's (pmf, quality mass) before the walk goes on.
 
     The elementary level runs on ``ln(1 / TAIL_MASS) / p_g`` steps, which
     leaves at most ``(1 - p_g)^h <= exp(-p_g h) = TAIL_MASS`` beyond it.
@@ -635,7 +646,9 @@ def _track(params, protocol):
     horizon = _level_horizon(span / params.p_g)
     pmf, wmass = _as_masses(geometric_pmf(params.p_g, horizon,
                                           w0=protocol.w0))
-    for op in protocol.plan:
+    for k, op in enumerate(protocol.plan):
+        if reads and k in reads:
+            reads[k](pmf, wmass)
         kernel, firsts, round_prob, restarts = _unit_rounds(
             op, pmf, wmass, pmf, wmass, params.decay_per_step, params.tau,
             params.p_s)
@@ -658,7 +671,7 @@ def default_horizon(params, protocol=None):
     return len(pmf) - 1
 
 
-def chain_distribution(params, protocol=None, t_trunc=None):
+def chain_distribution(params, protocol=None, t_trunc=None, *, levels=None):
     """Exact waiting-time PMF and per-time mean Werner parameter of a
     nested repeater chain.
 
@@ -672,6 +685,12 @@ def chain_distribution(params, protocol=None, t_trunc=None):
         Output length; defaults to the last level's certified horizon
         (:func:`default_horizon`).  A shorter output is the head of the
         full one, bit for bit, and a longer one is zero-padded.
+    levels : dict, optional
+        Maps level indices below the last one (k units applied, 0 the
+        elementary level) to functions; each is called, as the walk passes
+        its level, with that level as this function returns it for the
+        plan's first k units and the same ``t_trunc``, bit for bit.  So
+        one walk serves every shallower chain of the same parameters.
 
     Each level is certified on its own: it runs on a horizon sized from
     the exact mean of its output, and a unit level is redone on a doubled
@@ -684,22 +703,33 @@ def chain_distribution(params, protocol=None, t_trunc=None):
     protocol = ChainProtocol.for_chain(params, protocol)
     if t_trunc is not None and t_trunc < 1:
         raise ValueError("t_trunc must be at least 1")
-    result = _finish(*_track(params, protocol))
-    if t_trunc is not None:
-        if t_trunc < result.t_trunc:
-            result = TruncatedDistribution(pmf=result.pmf[:t_trunc + 1],
-                                           mean_w=result.mean_w[:t_trunc + 1])
-        else:
-            result = result.extended(t_trunc)
-    if result.captured_mass < DEFAULT_MASS_FLOOR:
-        raise HorizonError(
-            f"captured mass {result.captured_mass:.9f} is below the floor "
-            f"{DEFAULT_MASS_FLOOR}; increase t_trunc (current "
-            f"{result.t_trunc})")
-    return result
+    levels = levels or {}
+    if not set(levels) <= set(range(len(protocol.plan))):
+        raise ValueError(f"levels {sorted(levels)} are not all below the "
+                         f"last of {len(protocol.plan)} units")
+
+    def output(pmf, wmass):
+        result = _finish(pmf, wmass)
+        if t_trunc is not None:
+            if t_trunc < result.t_trunc:
+                result = TruncatedDistribution(
+                    pmf=result.pmf[:t_trunc + 1],
+                    mean_w=result.mean_w[:t_trunc + 1])
+            else:
+                result = result.extended(t_trunc)
+        if result.captured_mass < DEFAULT_MASS_FLOOR:
+            raise HorizonError(
+                f"captured mass {result.captured_mass:.9f} is below the "
+                f"floor {DEFAULT_MASS_FLOOR}; increase t_trunc (current "
+                f"{result.t_trunc})")
+        return result
+
+    reads = {k: lambda pmf, wmass, read=read: read(output(pmf, wmass))
+             for k, read in levels.items()}
+    return output(*_track(params, protocol, reads))
 
 
-def chain_statistics(params, protocol=None):
+def chain_statistics(params, protocol=None, *, below=None):
     """Summary of :func:`chain_distribution`'s output without building its
     last level: a dict of ``mean``, ``stddev``, ``mean_w`` (the mean Werner
     parameter) and ``captured_mass``.
@@ -707,21 +737,26 @@ def chain_statistics(params, protocol=None):
     The last unit's delivery time has the law G(z) = s F(z) / (1 - K(z))
     of its rounds (``_renewal_law``), whose moments follow exactly from
     the rounds of one join of the level below, which
-    :func:`chain_distribution` tracks.  Its mass is the mass the unit
-    implies: a float excess over 1 within the rounding of the round
-    masses is capped at 1, and a larger one raises :class:`HorizonError`,
-    as does a mass below ``DEFAULT_MASS_FLOOR``.
-    ``mean_w`` is the delivered quality mass of one successful round over
-    its probability.  An empty plan summarises the elementary level.
+    :func:`chain_distribution` tracks unless ``below`` gives it: that
+    level as :func:`chain_distribution` returns it for the protocol minus
+    its last unit.  The mass is the mass the unit implies: a float excess
+    over 1 within the rounding of the round masses is capped at 1, and a
+    larger one raises :class:`HorizonError`, as does a mass below
+    ``DEFAULT_MASS_FLOOR``.  ``mean_w`` is the delivered quality mass of
+    one successful round over its probability.  An empty plan, which has
+    no level below, summarises the elementary level.
     """
     protocol = ChainProtocol.for_chain(params, protocol)
     if not protocol.plan:
+        if below is not None:
+            raise ValueError("an empty plan has no level below its last unit")
         dist = chain_distribution(params, protocol)
         return {**distribution_summary(dist), "mean_w": dist.mean_werner()}
     *head, op = protocol.plan
-    below = chain_distribution(
-        replace(params, n=params.n - (op == "swap")),
-        ChainProtocol(plan=tuple(head), w0=protocol.w0))
+    if below is None:
+        below = chain_distribution(
+            replace(params, n=params.n - (op == "swap")),
+            ChainProtocol(plan=tuple(head), w0=protocol.w0))
     pmf, wmass = _as_masses(below)
     kernel, firsts, round_prob, restarts = _unit_rounds(
         op, pmf, wmass, pmf, wmass, params.decay_per_step, params.tau,

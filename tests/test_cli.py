@@ -1,4 +1,6 @@
 import concurrent.futures
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -732,43 +734,182 @@ class TestCompare:
 
 
 class TestTrackedPmfCalls:
-    """A ``chain track`` or ``compare`` cell calls the module-global
-    ``disttrack.chain_distribution`` once: on the protocol minus its last
-    unit for a row summarised from the renewal law, on the full protocol
-    when a PMF option needs the whole PMF."""
+    """``chain track`` and ``compare`` call the module-global
+    ``disttrack.chain_distribution`` once per group of cells that differ
+    only in n: up to the level below the deepest row's last unit when
+    every row is summarised from the renewal law, up to the deepest row's
+    own level when a PMF option needs the whole PMF."""
 
-    GRID = ["--n", "1,2,3", "--pg", "0.5", "--ps", "0.5"]
+    GRID = ["--n", "3,1,2", "--pg", "0.5", "--ps", "0.5"]
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
         inner = disttrack.chain_distribution
 
-        def spy(params, protocol=None, t_trunc=None):
-            calls.append((params.n, protocol.plan, t_trunc))
-            return inner(params, protocol, t_trunc)
+        def spy(params, protocol=None, t_trunc=None, **kwargs):
+            calls.append((params.n, protocol.plan, t_trunc,
+                          sorted(kwargs.get("levels", {}))))
+            return inner(params, protocol, t_trunc, **kwargs)
 
         monkeypatch.setattr(disttrack, "chain_distribution", spy)
         return calls
 
     @pytest.mark.parametrize("command", [["chain", "track"], ["compare"]])
-    def test_summary_rows_track_the_level_below(self, command, calls,
-                                                capsys):
+    def test_summary_rows_walk_to_the_level_below(self, command, calls,
+                                                  capsys):
         assert main(command + self.GRID) == 0
-        assert sorted(calls) == [(n, ("swap",) * n, None) for n in (0, 1, 2)]
+        assert calls == [(2, ("swap",) * 2, None, [0, 1])]
 
     @pytest.mark.parametrize("command, option, t_trunc", [
         (["chain", "track"], ["--trunc", "3000"], 3000),
         (["chain", "track"], ["--export-pmf", "{tmp}/pmf.csv"], None),
         (["compare"], ["--trunc", "3000"], 3000),
         (["compare"], ["--pmf-out", "{tmp}/pmf"], None)])
-    def test_pmf_options_track_the_full_protocol(self, command, option,
-                                                 t_trunc, calls, tmp_path,
-                                                 capsys):
+    def test_pmf_options_walk_to_the_full_protocol(self, command, option,
+                                                   t_trunc, calls, tmp_path,
+                                                   capsys):
         option = [arg.format(tmp=tmp_path) for arg in option]
         assert main(command + self.GRID + option) == 0
-        assert sorted(calls) == [(n, ("swap",) * n, t_trunc)
-                                 for n in (1, 2, 3)]
+        assert calls == [(3, ("swap",) * 3, t_trunc, [1, 2])]
+
+    def test_one_walk_per_group(self, calls, capsys):
+        # Four groups of three depths; the distillation plan of the
+        # deepest row, minus its last swap, is the walk of each group.
+        assert main(["chain", "track", "--n", "1,0,2", "--pg", "0.5,0.7",
+                     "--ps", "0.5", "--tcoh", "inf,50", "--cutoff", "9",
+                     "--distill-rounds", "1", "--w0", "0.9"]) == 0
+        plan = ("distill", "swap", "distill")
+        assert calls == [(1, plan, None, [0, 1])] * 4
+
+
+class TestTrackerWalk:
+    """Every row of a grid reads as if its cell ran alone: the same bytes,
+    whatever the order of --n, with repeated depths, and for each PMF
+    option; one walk per group builds each level once."""
+
+    GRIDS = {
+        "swap": {"--n": "3,1,3,0,2", "--pg": "0.5,0.9", "--ps": "0.5,1.0",
+                 "trunc": "600"},
+        "cutoff": {"--n": "2,0,1", "--pg": "0.6", "--ps": "0.5",
+                   "--tcoh": "40,inf", "--cutoff": "6,12", "trunc": "300"},
+        "distill": {"--n": "1,2,0,2", "--pg": "0.6", "--ps": "0.7",
+                    "--tcoh": "60", "--distill-rounds": "1", "--w0": "0.95",
+                    "trunc": "300"},
+    }
+    AXES = ("--n", "--pg", "--ps", "--tcoh", "--cutoff")
+
+    def argvs(self, grid):
+        """The grid's options, and those of each of its cells in grid
+        order."""
+        options = {k: v for k, v in self.GRIDS[grid].items() if k != "trunc"}
+        fixed = [x for k, v in options.items() if k not in self.AXES
+                 for x in (k, v)]
+        axes = [k for k in self.AXES if k in options]
+        cells = [[x for k, v in zip(axes, values) for x in (k, v)] + fixed
+                 for values in itertools.product(
+                     *(options[k].split(",") for k in axes))]
+        return [x for kv in options.items() for x in kv], cells
+
+    @staticmethod
+    def run(argv, tmp_path, name):
+        """Exit code, stdout and every file written under ``name`` by one
+        command whose "{out}" arguments name that directory."""
+        out = tmp_path / name
+        out.mkdir()
+        out_argv = [arg.format(out=out) for arg in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(out_argv)
+        return code, stdout.getvalue(), {
+            path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+    @pytest.mark.parametrize("command, grid, option", [
+        *((["chain", "track"], grid, option)
+          for grid in ("swap", "cutoff", "distill")
+          for option in ("summary", "trunc", "export-pmf")),
+        (["compare"], "swap", "summary"), (["compare"], "swap", "trunc"),
+        (["compare"], "swap", "pmf-out")])
+    def test_grid_prints_the_bytes_of_its_cells(self, command, grid, option,
+                                                tmp_path):
+        extra = {"summary": [],
+                 "trunc": ["--trunc", self.GRIDS[grid]["trunc"]],
+                 "export-pmf": ["--export-pmf", "{out}/pmf.csv"],
+                 "pmf-out": ["--pmf-out", "{out}/pmf"]}[option]
+        options, cells = self.argvs(grid)
+        code, stdout, files = self.run(command + options + extra, tmp_path,
+                                       "grid")
+        assert code == 0
+        header, *rows = stdout.splitlines(keepends=True)
+        assert len(rows) == len(cells)
+        exports = []
+        for i, cell in enumerate(cells):
+            one = self.run(command + cell + extra, tmp_path, f"cell{i}")
+            assert one[:2] == (0, header + rows[i]), cell
+            if option == "export-pmf":
+                exports.append(one[2]["pmf.csv"])
+            else:
+                assert one[2].items() <= files.items(), cell
+        if option == "export-pmf":
+            assert files == {"pmf.csv": b"".join(exports)}
+
+    @pytest.mark.parametrize("command", [["chain", "track"], ["compare"]])
+    @pytest.mark.parametrize("option", [[], ["--trunc", "5000"]])
+    def test_each_level_sum_runs_once_per_group(self, command, option,
+                                                monkeypatch, capsys):
+        # The walk of the group runs the renewal sums of a lone chain of
+        # its deepest level, and no other.
+        sums = []
+        renewal_sum = disttrack._renewal_sum
+
+        def counting(kernel, firsts, n, *args):
+            sums.append(n)
+            return renewal_sum(kernel, firsts, n, *args)
+
+        monkeypatch.setattr(disttrack, "_renewal_sum", counting)
+        deepest = 3 if option else 2
+        disttrack.chain_distribution(
+            chainformulas.ChainParams(n=deepest, p_g=0.5, p_s=0.5))
+        alone, sums[:] = list(sums), []
+        assert main(command + ["--n", "2,3,1,3,0", "--pg", "0.5", "--ps",
+                               "0.5", *option]) == 0
+        assert len(alone) == deepest
+        assert sums == alone
+
+    def test_rows_are_ready_as_the_walk_passes_their_levels(self, capsys):
+        # wall_ms runs from the group's start; cells of one depth share
+        # their row.
+        assert main(["chain", "track", "--n", "3,1,2,1", "--pg", "0.3",
+                     "--ps", "0.5", "--timings"]) == 0
+        wall_ms = [(int(row["n"]), float(row["wall_ms"]))
+                   for row in _rows(capsys.readouterr().out)]
+        assert wall_ms[1] == wall_ms[3]
+        assert 0.0 <= wall_ms[1][1] <= wall_ms[2][1] <= wall_ms[0][1]
+
+    @pytest.mark.parametrize("command", [["chain", "track"], ["compare"]])
+    def test_failing_deepest_level_exits_3_with_no_output(
+            self, command, monkeypatch, capsys):
+        # The levels of n = 1 fit the limit; the deepest row's do not.
+        params = chainformulas.ChainParams(n=1, p_g=0.5, p_s=0.5)
+        monkeypatch.setattr(disttrack, "HORIZON_LIMIT",
+                            disttrack.chain_distribution(params).t_trunc)
+        assert main(command + ["--n", "1,3", "--pg", "0.5",
+                               "--ps", "0.5", "--trunc", "3000"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "beyond the default limit" in err
+
+    @pytest.mark.parametrize("command", [["chain", "track"], ["compare"]])
+    def test_deepest_row_below_the_mass_floor_exits_3_with_no_output(
+            self, command, capsys):
+        # 150 steps hold all but 1e-6 of the n = 1 chain (mean 5.3) and
+        # far less of the n = 3 chain (mean 43).
+        assert main(command + ["--n", "3,1", "--pg", "0.5", "--ps", "0.5",
+                               "--trunc", "150"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "below the floor" in err
 
 
 class TestSimulate:
@@ -895,18 +1036,16 @@ class TestImport:
         assert done.stdout.strip() == "2"
 
 
-class TestCellPool:
-    # Only the tracker's cells run on the cell pool; every other engine runs
-    # its grid in order on the calling thread.
-    POOLED = {
-        "track": ["chain", "track", "--n", "1,2,3", "--pg", "0.3", "--ps",
-                  "0.7", "--tcoh", "50", "--cutoff", "20"],
-        "compare": ["compare", "--n", "1,2", "--pg", "0.3,0.6", "--ps",
-                    "0.5,1.0"],
-    }
+class TestNoPool:
+    # Every engine runs on the calling thread: the track engine's walk per
+    # group and every other engine's cells in grid order.
     SAMPLED = ["--n", "1,2", "--pg", "0.5,0.9", "--ps", "0.5",
                "--samples", "50", "--seed", "3"]
-    IN_ORDER = {
+    COMMANDS = {
+        "track": ["chain", "track", "--n", "1,2,3", "--pg", "0.3,0.6",
+                  "--ps", "0.7", "--tcoh", "50", "--cutoff", "20"],
+        "compare": ["compare", "--n", "1,2", "--pg", "0.3,0.6", "--ps",
+                    "0.5,1.0"],
         "analytic": ["chain", "analytic", "--n", "1,2,3", "--pg", "0.3,0.6",
                      "--ps", "0.5"],
         "markov": ["chain", "markov", "--n", "1,2", "--pg", "0.3,0.6",
@@ -916,61 +1055,22 @@ class TestCellPool:
         "simulate": ["simulate", *SAMPLED, "--trace-hash"],
     }
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker count of every thread pool built while a test runs."""
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_no_command_builds_a_thread_pool(self, command, monkeypatch,
+                                             tmp_path):
         built = []
         real = concurrent.futures.ThreadPoolExecutor
 
         class Spy(real):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                built.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
-        return built
-
-    @staticmethod
-    def usable_cores(monkeypatch, count):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(count)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-
-    @pytest.mark.parametrize("command", sorted(IN_ORDER))
-    def test_other_engines_build_no_pool(self, command, pools, monkeypatch,
-                                         tmp_path):
-        self.usable_cores(monkeypatch, 4)
-        argv = self.IN_ORDER[command] + ["--out", str(tmp_path / "out")]
+        argv = self.COMMANDS[command] + ["--out", str(tmp_path / "out")]
         assert main(argv) == 0
         assert len(_rows((tmp_path / "out").read_text())) > 1
-        assert pools == []
-
-    @pytest.mark.parametrize("command", sorted(POOLED))
-    def test_pooled_grid_matches_one_core(self, command, pools, monkeypatch,
-                                          tmp_path):
-        outputs = []
-        for cores in (4, 1):
-            self.usable_cores(monkeypatch, cores)
-            out = tmp_path / f"out{cores}"
-            assert main(self.POOLED[command] + ["--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert pools == [min(4, len(_rows(outputs[0].decode())))]
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("cores, workers", [(3, 3), (64, 8)])
-    def test_pool_counts_the_usable_cores_at_most_8(self, cores, workers,
-                                                     pools, monkeypatch):
-        self.usable_cores(monkeypatch, cores)
-        pg = ",".join(str(0.05 * k) for k in range(1, 11))
-        assert main(["chain", "track", "--n", "1", "--pg", pg,
-                     "--out", os.devnull]) == 0
-        assert pools == [workers]
-
-    def test_one_cell_builds_no_pool(self, pools, monkeypatch):
-        self.usable_cores(monkeypatch, 4)
-        assert main(["chain", "track", "--n", "2", "--pg", "0.5",
-                     "--out", os.devnull]) == 0
-        assert pools == []
+        assert built == []
 
 
 class TestUsage:
@@ -1051,8 +1151,8 @@ class TestStrictJson:
     def test_nan_fails_loudly(self, monkeypatch, tmp_path, capsys):
         engine = _ENGINES["analytic"]
         monkeypatch.setitem(_ENGINES, "analytic", engine._replace(
-            run=lambda params, args: {**engine.run(params, args),
-                                      "mean_t": math.nan}))
+            run=lambda cells, args: [{**row, "mean_t": math.nan}
+                                     for row in engine.run(cells, args)]))
         out = tmp_path / "out.json"
         assert main(["chain", "analytic", *self.GRID,
                      "--out", str(out)]) == 3

@@ -424,6 +424,56 @@ class TestChainDistribution:
         assert swapped.captured_mass <= combined.captured_mass + 1e-12
 
 
+class TestLevels:
+    """``chain_distribution(..., levels=)`` hands each requested level below
+    the last as the shallower chain's own output, so one walk serves a row
+    of depths."""
+
+    PLAN = ("distill", "swap", "distill", "swap", "swap")
+    PARAMS = ChainParams(n=3, p_g=0.6, p_s=0.7, t_coh=60.0, tau=9)
+
+    # 420 steps cut the last two levels and pad the others.
+    @pytest.mark.parametrize("t_trunc", [None, 420, 3000])
+    def test_levels_are_the_shallower_chains_outputs(self, t_trunc):
+        protocol = ChainProtocol(plan=self.PLAN, w0=0.95)
+        seen = {}
+        last = chain_distribution(
+            self.PARAMS, protocol, t_trunc,
+            levels={k: (lambda dist, k=k: seen.setdefault(k, dist))
+                    for k in range(len(self.PLAN))})
+        assert sorted(seen) == list(range(len(self.PLAN)))
+        for k, dist in [*seen.items(), (len(self.PLAN), last)]:
+            head = ChainProtocol(plan=self.PLAN[:k], w0=0.95)
+            alone = chain_distribution(
+                ChainParams(n=head.n_swaps, p_g=0.6, p_s=0.7, t_coh=60.0,
+                            tau=9), head, t_trunc)
+            assert np.array_equal(dist.pmf, alone.pmf), k
+            assert np.array_equal(dist.mean_w, alone.mean_w), k
+
+    def test_levels_are_handed_over_in_walk_order(self):
+        order = []
+        chain_distribution(ChainParams(n=3, p_g=0.5, p_s=0.5),
+                           levels={2: lambda dist: order.append(2),
+                                   0: lambda dist: order.append(0)})
+        assert order == [0, 2]
+
+    @pytest.mark.parametrize("level", [-1, 3, 4])
+    def test_levels_outside_the_walk_are_refused(self, level):
+        with pytest.raises(ValueError, match="below the last"):
+            chain_distribution(ChainParams(n=3, p_g=0.5, p_s=0.5),
+                               levels={level: lambda dist: None})
+
+    def test_a_level_below_the_floor_stops_the_walk(self):
+        # Level 1 captures all but 1e-6 within 100 steps; level 2 does not.
+        reached = []
+        with pytest.raises(HorizonError, match="below the floor"):
+            chain_distribution(ChainParams(n=3, p_g=0.5, p_s=0.5),
+                               t_trunc=100,
+                               levels={1: reached.append,
+                                       2: reached.append})
+        assert len(reached) == 1
+
+
 class TestChainStatistics:
     """The last unit's renewal law against the statistics of the tracked
     PMF and against the other exact engines."""
@@ -493,6 +543,23 @@ class TestChainStatistics:
         assert calls == [(1, ("swap",), 0.9, None),
                          (2, ("swap", "swap"), 0.9, None),
                          (0, (), 1.0, None)]
+
+    @pytest.mark.parametrize("plan", [("swap", "swap"),
+                                      ("swap", "distill", "swap"),
+                                      ("swap", "swap", "distill")])
+    def test_given_level_below_gives_the_same_summary(self, plan):
+        params = ChainParams(n=2, p_g=0.4, p_s=0.6, t_coh=80.0, tau=15)
+        protocol = ChainProtocol(plan=plan, w0=0.9)
+        head = ChainProtocol(plan=plan[:-1], w0=0.9)
+        below = chain_distribution(ChainParams(
+            n=head.n_swaps, p_g=0.4, p_s=0.6, t_coh=80.0, tau=15), head)
+        assert (chain_statistics(params, protocol, below=below)
+                == chain_statistics(params, protocol))
+
+    def test_empty_plan_has_no_level_below(self):
+        params = ChainParams(n=0, p_g=0.5)
+        with pytest.raises(ValueError, match="no level below"):
+            chain_statistics(params, below=chain_distribution(params))
 
     @pytest.mark.parametrize("excess, capped", [(4e-16, True),
                                                 (1e-9, False)])
