@@ -140,15 +140,35 @@ def _int_list(text):
         raise UsageError(f"not an integer list: {text!r}") from exc
 
 
-def _seed(text):
-    """A sample-stream seed: an integer that is a Philox key word."""
+def _integer(text):
     try:
-        seed = int(text)
+        return int(text)
     except ValueError as exc:
         raise UsageError(f"not an integer: {text!r}") from exc
+
+
+def _seed(text):
+    """A sample-stream seed: an integer that is a Philox key word."""
+    seed = _integer(text)
     if not 0 <= seed < 2 ** 64:
         raise UsageError(f"--seed must be in [0, 2**64): {text}")
     return seed
+
+
+def _samples(text):
+    """A sample count per grid cell: an integer of at least 1."""
+    samples = _integer(text)
+    if samples < 1:
+        raise UsageError(f"--samples must be at least 1: {text}")
+    return samples
+
+
+def _delay(text):
+    """A per-swap communication delay: a nonnegative integer."""
+    delay = _integer(text)
+    if delay < 0:
+        raise UsageError(f"--delay must be a nonnegative integer: {text}")
+    return delay
 
 
 # --- bounds ----------------------------------------------------------------
@@ -254,9 +274,9 @@ _GRID_OPTIONS = {
     "--swap-time": ("zero-step",
                     {"choices": [m.value for m in markovchain.SwapTimeMode]},
                     "swap timing convention"),
-    "--delay": ("0", {"type": int},
+    "--delay": ("0", {"type": _delay},
                 "classical-communication delay per swap, at most --cutoff"),
-    "--samples": ("10000", {"type": int}, "samples per grid cell"),
+    "--samples": ("10000", {"type": _samples}, "samples per grid cell"),
     "--seed": ("0", {"type": _seed}, "seed of the sample streams"),
     "--export-pmf": (None, {}, "also write the full PMF as CSV to this path"),
 }

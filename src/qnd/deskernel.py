@@ -32,26 +32,26 @@ kind (generation, resolve, expiry).  Every event still enters the queue
 through :func:`schedule` and leaves it through :func:`pop_next`, so the
 kernel is the model's only path and its calls count the events.
 
-The model shares its sampling core with :mod:`qnd.montecarlo`: generation
-draws with the same geometric draw, and a resolve event draws its swap or
-distillation outcome with the same unit-outcome function.  A run takes
-its random stream when it starts, not when the simulation is built:
-:meth:`ChainSimulation.run` arms the Philox stream ``substream(seed, 0)``
-of its int seed, and :func:`simulate_batch` runs the Monte Carlo batch
-loop, handing one simulation the stream of each sample in turn.  Either
-way the state is reset first, so a trajectory is fixed by the stream it
-is given.
+The model shares its sampling core with :mod:`qnd.montecarlo`: a
+simulation builds its generation draw with ``_generation(p_g)`` and one
+swap or distillation outcome per protocol unit with ``_outcome(op, p_s)``,
+once, when it is built; generation events and resolve events draw with
+them.  A run takes its random stream when it starts, not when the
+simulation is built: :meth:`ChainSimulation.run` arms the Philox stream
+``substream(seed, 0)`` of its int seed, and :func:`simulate_batch` runs
+the Monte Carlo batch loop, handing one simulation the stream of each
+sample in turn.  Either way the state is reset first, so a trajectory is
+fixed by the stream it is given.
 """
 
 import enum
 import hashlib
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .disttrack import ChainProtocol
-from .montecarlo import (SampleRecord, _batch, _geometric, _unit_outcome,
+from .montecarlo import (SampleRecord, _batch, _generation, _outcome,
                          substream)
 
 __all__ = [
@@ -182,15 +182,18 @@ class ChainSimulation:
         self.epochs = [0] * n_nodes
         self.state = SimState(trace=[] if trace else None)
         self.decay = params.decay_per_step
-        self._log_q = math.log1p(-params.p_g) if params.p_g < 1.0 else 0.0
+        # The sampling core, shared with the Monte Carlo engine.
+        self._gen = _generation(params.p_g)
+        self._outcomes = [_outcome(op, params.p_s) for op in protocol.plan]
         self.result = None
 
     def run(self):
         """Execute until the root delivers; returns a SampleRecord."""
-        return self._run(substream(self.seed, 0))
+        return self._run(substream(self.seed, 0).random)
 
-    def _run(self, rng):
-        """Reset clock, queue and links, then run on ``rng``.
+    def _run(self, random):
+        """Reset clock, queue and links, then run on the uniforms of
+        ``random()``.
 
         Everything one sample reads is bound to locals here, and
         :func:`run_until` gets a single ``perform(event)`` that branches on
@@ -208,15 +211,14 @@ class ChainSimulation:
         if trace is not None:
             trace.clear()
         self.result = None
-        params, protocol = self.params, self.protocol
-        p_g, p_s, tau = params.p_g, params.p_s, params.tau
-        log_q, decay, delay = self._log_q, self.decay, self.delay
-        w0, plan, depth = protocol.w0, protocol.plan, self.depth
+        tau, gen, outcomes = self.params.tau, self._gen, self._outcomes
+        decay, delay = self.decay, self.delay
+        w0, depth = self.protocol.w0, self.depth
         n_leaves = self.n_leaves
         root_parent = 2 * n_leaves - 1
-        gen, resolve, expire = (EventKind.GEN_ATTEMPT,
-                                EventKind.SWAP_RESOLVE,
-                                EventKind.CUTOFF_EXPIRE)
+        generate, resolve, expire = (EventKind.GEN_ATTEMPT,
+                                     EventKind.SWAP_RESOLVE,
+                                     EventKind.CUTOFF_EXPIRE)
 
         def reset(node, restart_time):
             """Drop every link below ``node``, the left subtree first;
@@ -227,15 +229,14 @@ class ChainSimulation:
                 links[child] = None
                 epochs[child] += 1
                 if child < n_leaves:
-                    schedule(state,
-                             restart_time + _geometric(rng, p_g, log_q),
-                             gen, (child, epochs[child]))
+                    schedule(state, restart_time + gen(random), generate,
+                             (child, epochs[child]))
                 else:
                     reset(child, restart_time)
 
         def perform(event):
             kind = event.kind
-            if kind is gen:
+            if kind is generate:
                 node, epoch = event.payload
                 if epochs[node] != epoch or links[node] is not None:
                     return  # stale attempt from a superseded round
@@ -257,9 +258,8 @@ class ChainSimulation:
                         "swap consumed a link past its cut-off age")
                 epochs[node] += 1
                 links[left] = links[left + 1] = None
-                op = plan[depth - (root_parent - node).bit_length()]
-                w = _unit_outcome(op, w1 * decay ** age_l,
-                                  w2 * decay ** age_r, p_s, rng)
+                outcome = outcomes[depth - (root_parent - node).bit_length()]
+                w = outcome(w1 * decay ** age_l, w2 * decay ** age_r, random)
                 if w is None:
                     reset(node, now)
                     return
@@ -292,7 +292,7 @@ class ChainSimulation:
                          (parent, epochs[parent]))
 
         for leaf in range(n_leaves):
-            schedule(state, _geometric(rng, p_g, log_q), gen, (leaf, 0))
+            schedule(state, gen(random), generate, (leaf, 0))
         run_until(state, lambda s: self.result is not None, perform)
         return self.result
 

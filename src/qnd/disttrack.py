@@ -781,17 +781,17 @@ def chain_statistics(params, protocol=None, *, below=None):
 
 def distribution_csv(dist):
     """CSV rendering: columns t, pmf, cdf, mean_w, mean_F."""
+    # Each column is converted once; a float's repr is its CSV cell.
+    pmf = dist.pmf[1:].tolist()
+    cdf = dist.cdf()[1:].tolist()
+    if dist.mean_w is None:
+        w_txt = f_txt = [""] * len(pmf)
+    else:
+        w_txt = map(repr, dist.mean_w[1:].tolist())
+        f_txt = map(repr, werner_to_fidelity(dist.mean_w[1:]).tolist())
     lines = ["t,pmf,cdf,mean_w,mean_F"]
-    cdf = dist.cdf()
-    for t in range(1, dist.t_trunc + 1):
-        if dist.mean_w is None:
-            w_txt, f_txt = "", ""
-        else:
-            w = float(dist.mean_w[t])
-            w_txt = repr(w)
-            f_txt = repr(float(werner_to_fidelity(w)))
-        lines.append(
-            f"{t},{float(dist.pmf[t])!r},{float(cdf[t])!r},{w_txt},{f_txt}")
+    lines += map("{},{!r},{!r},{},{}".format, range(1, len(pmf) + 1), pmf,
+                 cdf, w_txt, f_txt)
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,8 @@ cell.  Cells with a cut-off and more than four protocol units, or four
 units at p_g 0.5 where tau is 5 or the delay positive, are left out: a
 few samples there take minutes on either tree.  A few multi-cell grids
 of every engine but ``track`` (``GRIDS``) check that the rows of one
-command come out in grid order.  Every command must give the same exit
+command come out in grid order; three of them run the samplers at p_g 1,
+where an elementary draw takes no uniform, and p_s {0.5, 1.0}.  Every command must give the same exit
 code and byte-identical output.  Prints each differing command and a
 summary line, and exits 1 on any difference.
 
@@ -42,10 +43,18 @@ SAMPLES = 100
 SAMPLED = ["--n", "0,1,2", "--pg", "0.5,0.9", "--ps", "0.5,1.0", "--tcoh",
            "inf,40", "--cutoff", "5,12", "--w0", "0.95", "--samples",
            str(SAMPLES), "--seed", "7"]
+CERTAIN = ["--n", "0,1,2,3", "--pg", "1.0", "--ps", "0.5,1.0", "--tcoh",
+           "inf,40", "--cutoff", "5,12", "--w0", "0.95", "--samples",
+           str(SAMPLES), "--seed", "7"]
 GRIDS = {
     "chain mc grid": ["chain", "mc", *SAMPLED],
     "chain des grid": ["chain", "des", *SAMPLED, "--delay", "1"],
     "simulate grid": ["simulate", *SAMPLED, "--delay", "1", "--trace-hash"],
+    # At p_g 1 no elementary draw takes a uniform, and at p_s 1 no swap.
+    "chain mc p_g=1 grid": ["chain", "mc", *CERTAIN],
+    "chain des p_g=1 grid": ["chain", "des", *CERTAIN, "--delay", "1"],
+    "simulate p_g=1 grid": ["simulate", *CERTAIN, "--delay", "1",
+                            "--trace-hash"],
     # p_g 0.1 and 0.5 survive a double reciprocal bit for bit; 0.9 does
     # not, so a rounding change in the level recurrence shows.
     "chain analytic grid": ["chain", "analytic", "--n", "0,1,2,3,10",

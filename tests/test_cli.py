@@ -1105,6 +1105,26 @@ class TestUsage:
         assert out == ""
         assert "--seed must be in [0, 2**64)" in err
 
+    @pytest.mark.parametrize("command", [["chain", "mc"], ["chain", "des"],
+                                         ["simulate"]])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_is_usage_error(self, command, samples,
+                                              capsys):
+        assert main([*command, "--n", "1", "--pg", "0.5",
+                     "--samples", samples]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"usage error: --samples must be at least 1: {samples}" in err
+
+    @pytest.mark.parametrize("command", [["chain", "des"], ["simulate"]])
+    def test_negative_delay_is_usage_error(self, command, capsys):
+        assert main([*command, "--n", "1", "--pg", "0.5", "--samples", "10",
+                     "--delay", "-1"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert ("usage error: --delay must be a nonnegative integer: -1"
+                in err)
+
 
 MIXED = str(Path(__file__).resolve().parent / "golden" / "net_mixed.json")
 

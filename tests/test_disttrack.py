@@ -16,7 +16,7 @@ from qnd.disttrack import (DEFAULT_MASS_FLOOR, ChainProtocol, HorizonError,
                            distribution_summary, geometric_pmf, max_combine,
                            werner_to_fidelity)
 from qnd.markovchain import absorption_stats, build_chain
-from qnd.montecarlo import _unit_outcome, run_batch
+from qnd.montecarlo import _outcome, run_batch
 
 HALF_LOG2 = 1.0 / math.log(2.0)  # t_coh with per-step decay exactly 0.5
 
@@ -82,10 +82,10 @@ def fidelity_to_werner(fidelity):
 class TestWernerAlgebra:
     # A deterministic swap (p_s = 1) draws no uniform, so no stream is given.
     def test_swap_perfect(self):
-        assert _unit_outcome("swap", 1.0, 1.0, 1.0, None) == 1.0
+        assert _outcome("swap", 1.0)(1.0, 1.0, None) == 1.0
 
     def test_swap_mixed_absorbs(self):
-        assert _unit_outcome("swap", 0.7, 0.0, 1.0, None) == 0.0
+        assert _outcome("swap", 1.0)(0.7, 0.0, None) == 0.0
 
     def test_fidelity_conversions(self):
         assert werner_to_fidelity(1.0) == 1.0

@@ -1,12 +1,17 @@
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qnd import montecarlo
 from qnd.chainformulas import ChainParams
 from qnd.deskernel import simulate_batch
-from qnd.disttrack import ChainProtocol, chain_distribution
+from qnd.disttrack import (ChainProtocol, chain_distribution,
+                           distill_output_w, distill_success_prob)
 from qnd.montecarlo import SampleRecord, run_batch, sample_chain, substream
 
 HALF_LOG2 = 1.0 / math.log(2.0)
@@ -238,3 +243,112 @@ class TestSeedRange:
         # Under a float cast 2**64 - 1 and 2**64 - 2 collapse to one key.
         assert substream(2 ** 64 - 1, 0).random() != \
             substream(2 ** 64 - 2, 0).random()
+
+
+# The recursive sampler that the compiled per-unit closures replaced, kept
+# unchanged as the bit-for-bit reference of ``run_batch``.
+
+def _geometric(rng, p, log_q):
+    """Geometric draw on {1, 2, ...} by inverse CDF; one uniform per draw."""
+    if p >= 1.0:
+        return 1
+    u = rng.random()
+    return int(math.log1p(-u) / log_q) + 1
+
+
+def _unit_outcome(op, w1, w2, p_s, rng):
+    """Werner parameter delivered by one swap or distillation attempt on
+    inputs ``w1``, ``w2``, or None when the attempt fails.  A swap with
+    ``p_s >= 1`` draws nothing; otherwise one uniform decides."""
+    if op == "swap":
+        if p_s >= 1.0 or rng.random() < p_s:
+            return w1 * w2
+    elif rng.random() < distill_success_prob(w1, w2):
+        return distill_output_w(w1, w2)
+    return None
+
+
+def _sample_unit(level, params, protocol, rng, x, log_q):
+    """Delivery (time, w) of the link produced by plan[:level]."""
+    if level == 0:
+        return _geometric(rng, params.p_g, log_q), protocol.w0
+    op = protocol.plan[level - 1]
+    p_s = params.p_s
+    tau = params.tau
+    elapsed = 0
+    while True:  # unit rounds (swap or distillation attempts)
+        while True:  # combine rounds (cut-off restarts)
+            t1, w1 = _sample_unit(level - 1, params, protocol, rng, x, log_q)
+            t2, w2 = _sample_unit(level - 1, params, protocol, rng, x, log_q)
+            gap = abs(t1 - t2)
+            if tau is not None and gap > tau:
+                # The stored link would outlive the cut-off: it is
+                # discarded at age tau and both sides start over.
+                elapsed += min(t1, t2) + tau
+                continue
+            elapsed += max(t1, t2)
+            if t1 <= t2:
+                w1 *= x ** gap
+            else:
+                w2 *= x ** gap
+            break
+        w = _unit_outcome(op, w1, w2, p_s, rng)
+        if w is not None:
+            return elapsed, w
+        # failure: both sides regenerate from scratch
+
+
+def reference_batch(params, protocol, n_samples, seed):
+    """The batch of the recursive reference sampler, one fresh
+    ``substream(seed, i)`` per sample."""
+    protocol = ChainProtocol.for_chain(params, protocol)
+    x = params.decay_per_step
+    log_q = math.log1p(-params.p_g) if params.p_g < 1.0 else 0.0
+
+    def draw(random):
+        rng = SimpleNamespace(random=random)
+        t, w = _sample_unit(len(protocol.plan), params, protocol, rng, x,
+                            log_q)
+        return SampleRecord(t=t, w=min(w, 1.0))
+
+    with mock.patch.object(montecarlo, "_BatchStream", _PerSampleSubstreams):
+        return montecarlo._batch(draw, n_samples, seed)
+
+
+def _probability(low):
+    """[low, 1], with the draw-free 1.0 given its own weight."""
+    return st.one_of(st.just(1.0), st.floats(low, 1.0))
+
+
+class TestCompiledSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 3), p_g=_probability(1e-6),
+           p_s=_probability(0.3),
+           t_coh=st.one_of(st.just(math.inf), st.floats(1.0, 500.0)),
+           tau=st.one_of(st.none(), st.integers(1, 12)),
+           w0=st.floats(0.0, 1.0),
+           plan=st.sampled_from(["swap", "distill each", "distill last"]),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_batch_equals_the_recursive_reference(self, n, p_g, p_s, t_coh,
+                                                  tau, w0, plan, seed):
+        units = {"swap": ("swap",) * n,
+                 "distill each": ("distill", "swap") * n,
+                 "distill last": ("swap",) * n + ("distill",)}[plan]
+        # Cut-off restarts make deep or rarely generating chains too slow
+        # to sample here.
+        assume(tau is None or (len(units) <= 3 and p_g >= 0.3))
+        params = ChainParams(n=n, p_g=p_g, p_s=p_s, t_coh=t_coh, tau=tau)
+        protocol = ChainProtocol(plan=units, w0=w0)
+        assert run_batch(params, protocol, n_samples=20, seed=seed) == \
+            reference_batch(params, protocol, 20, seed)
+
+    @pytest.mark.parametrize("p_s", (0.5, 1.0))
+    def test_sample_chain_equals_the_reference(self, p_s):
+        params = ChainParams(n=2, p_g=0.4, p_s=p_s, t_coh=30.0, tau=9)
+        protocol = ChainProtocol.with_distillation(2, 1, w0=0.9)
+        log_q = math.log1p(-params.p_g)
+        for i in range(50):
+            t, w = _sample_unit(4, params, protocol, substream(4, i),
+                                params.decay_per_step, log_q)
+            assert sample_chain(params, protocol, substream(4, i)) == \
+                SampleRecord(t=t, w=min(w, 1.0))
